@@ -6,8 +6,10 @@ Exit codes: 0 success, 1 input validation error, 2 verification mismatch
 from __future__ import annotations
 
 import json
+import os
 import random
 import sys
+import tempfile
 from fractions import Fraction
 
 import click
@@ -19,6 +21,7 @@ from .core import (
     ValidationError,
     WeightVector,
     minimal_denominator,
+    parse_rational,
     parse_signature,
     parse_weights,
     weights_from_signature,
@@ -44,6 +47,9 @@ def _fail(message: str, code: int = 1):
     sys.exit(code)
 
 
+CACHE_VERSION = 1
+
+
 def _load_cache(path: str | None) -> CountingCache:
     cache = CountingCache()
     if not path:
@@ -51,11 +57,16 @@ def _load_cache(path: str | None) -> CountingCache:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
-        entries = raw["entries"] if isinstance(raw, dict) and "entries" in raw else raw
-        for key, value in entries.items():
-            weights = tuple(Fraction(part) for part in key.split(","))
-            WeightVector(weights)  # validate before trusting
-            cache[weights] = Fraction(value)
+        if raw.get("version") != CACHE_VERSION:
+            raise ValueError(f"unknown version {raw.get('version')!r}")
+        for key, text in raw["entries"].items():
+            # validate before trusting; memo keys are sorted weight tuples
+            mu = WeightVector(tuple(sorted(Fraction(p) for p in key.split(","))))
+            value = parse_rational(text)
+            if (minimal_denominator(mu) ** (mu.n - 3) * value).denominator != 1:
+                raise ValueError(f"{key}: j_n of {value} is not an integer")
+            if cache.setdefault(mu.entries, value) != value:
+                raise ValueError(f"{key}: conflicting values")
     except FileNotFoundError:
         pass
     except (ValueError, KeyError, TypeError, AttributeError, ValidationError,
@@ -66,12 +77,20 @@ def _load_cache(path: str | None) -> CountingCache:
 
 
 def _save_cache(path: str | None, cache: dict) -> None:
+    """Replace the file atomically, so no reader sees half of it."""
     if not path:
         return
     entries = {",".join(str(x) for x in key): str(value)
                for key, value in cache.items()}
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump({"version": 1, "entries": entries}, fh, indent=0)
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
+                               prefix=".flatsphere-cache-", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            json.dump({"version": CACHE_VERSION, "entries": entries}, fh, indent=0)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _report_cache(cache: CountingCache, verbose: bool) -> None:

@@ -51,13 +51,9 @@ def rising_product(k: int, shift, x):
     return result
 
 
-def f_nab(n: int, a, b, xs: Sequence):
-    """Two-sided subset sum of shifted rising products over proper nonempty
-    subsets.  Works over any commutative ring containing the inputs."""
-    if n < 2 or len(xs) != n:
-        raise ValidationError("f_nab needs n = len(xs) >= 2")
-    xs = list(xs)
-    full = (1 << n) - 1
+def _subset_sums(xs: list) -> tuple[list, list[int]]:
+    """Sum and size of every subset of xs, indexed by bitmask."""
+    full = (1 << len(xs)) - 1
     sums = [0] * (full + 1)
     sizes = [0] * (full + 1)
     for mask in range(1, full + 1):
@@ -66,6 +62,56 @@ def f_nab(n: int, a, b, xs: Sequence):
         sums[mask] = xs[low.bit_length() - 1] + sums[rest] if rest else xs[
             low.bit_length() - 1]
         sizes[mask] = sizes[rest] + 1
+    return sums, sizes
+
+
+def f_nab(n: int, a, b, xs: Sequence):
+    """Two-sided subset sum of shifted rising products over proper nonempty
+    subsets.  Works over any commutative ring containing the inputs.
+
+    When every x_i, a and b is an int or a Fraction, the sum is computed in
+    integers: the inputs are scaled by their common denominator D, every
+    term is a product of exactly n - 2 integer linear factors, and the total
+    is divided by D**(n-2) once.  Any other input (a MultiPoly, say) takes
+    the ring-generic loop.
+    """
+    if n < 2 or len(xs) != n:
+        raise ValidationError("f_nab needs n = len(xs) >= 2")
+    xs = list(xs)
+    if all(isinstance(v, (int, Fraction)) for v in (a, b, *xs)):
+        return _f_nab_rational(n, a, b, xs)
+    return _f_nab_ring(n, a, b, xs)
+
+
+def _f_nab_rational(n: int, a, b, xs: list) -> Fraction:
+    den = math.lcm(*(v.denominator for v in (a, b, *xs)))
+
+    def scaled(v) -> int:
+        return v.numerator * (den // v.denominator)
+
+    big_a, big_b = scaled(a), scaled(b)
+    sums, sizes = _subset_sums([scaled(x) for x in xs])
+    full = (1 << n) - 1
+    total = 0
+    for mask in range(1, full):
+        comp = full ^ mask
+        term = 1
+        # D * (s + a + i) for i = 1..|mask|-1, then the same with b on comp
+        left = sums[mask] + big_a
+        for i in range(1, sizes[mask]):
+            term *= left + i * den
+        right = sums[comp] + big_b
+        for i in range(1, sizes[comp]):
+            term *= right + i * den
+        total += term
+    return Fraction(total, den ** (n - 2))
+
+
+def _f_nab_ring(n: int, a, b, xs: list):
+    """The ring-generic loop; the reference the integer path is tested
+    against."""
+    sums, sizes = _subset_sums(xs)
+    full = (1 << n) - 1
     total = 0
     for mask in range(1, full):
         comp = full ^ mask

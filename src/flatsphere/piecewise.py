@@ -36,6 +36,16 @@ class MultiPoly:
         self.terms = clean
 
     @classmethod
+    def _exact(cls, nvars: int, terms: dict[tuple[int, ...], Fraction]) -> "MultiPoly":
+        """Result of internal arithmetic: the coefficients are already exact
+        Fractions on exponent tuples of length nvars, so only zeros are
+        dropped."""
+        poly = cls.__new__(cls)
+        poly.nvars = nvars
+        poly.terms = {e: c for e, c in terms.items() if c}
+        return poly
+
+    @classmethod
     def constant(cls, value, nvars: int) -> "MultiPoly":
         return cls(nvars, {(0,) * nvars: _as_fraction(value)})
 
@@ -65,13 +75,13 @@ class MultiPoly:
         self._check_compatible(other)
         terms = dict(self.terms)
         for exps, coeff in other.terms.items():
-            terms[exps] = terms.get(exps, Fraction(0)) + coeff
-        return MultiPoly(self.nvars, terms)
+            terms[exps] = terms.get(exps, 0) + coeff
+        return MultiPoly._exact(self.nvars, terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MultiPoly(self.nvars, {e: -c for e, c in self.terms.items()})
+        return MultiPoly._exact(self.nvars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         if not isinstance(other, MultiPoly):
@@ -83,15 +93,16 @@ class MultiPoly:
 
     def __mul__(self, other):
         if not isinstance(other, MultiPoly):
-            return MultiPoly(self.nvars,
-                             {e: c * _as_fraction(other) for e, c in self.terms.items()})
+            scalar = _as_fraction(other)
+            return MultiPoly._exact(self.nvars,
+                                    {e: c * scalar for e, c in self.terms.items()})
         self._check_compatible(other)
         terms: dict[tuple[int, ...], Fraction] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 exps = tuple(a + b for a, b in zip(e1, e2))
-                terms[exps] = terms.get(exps, Fraction(0)) + c1 * c2
-        return MultiPoly(self.nvars, terms)
+                terms[exps] = terms.get(exps, 0) + c1 * c2
+        return MultiPoly._exact(self.nvars, terms)
 
     __rmul__ = __mul__
 

@@ -21,6 +21,7 @@ from fractions import Fraction
 import pytest
 
 from flatsphere.closed_forms import (
+    _f_nab_ring,
     f_nab,
     f_p22_bridge,
     identity_n_minus_1,
@@ -196,8 +197,14 @@ def test_criterion_07_symmetric_function_checks():
         xs = [F(rng.randint(-50, 50), rng.randint(1, 20)) for _ in range(2)]
         assert f_nab(2, F(1, 3), F(5), xs) == 2
     x1, x2, x3, a, b = (MultiPoly.variable(i, 5) for i in range(5))
-    assert f_nab(3, a, b, [x1, x2, x3]) == (
-        4 * (x1 + x2 + x3) + 3 * (a + b + MultiPoly.constant(2, 5)))
+    display = f_nab(3, a, b, [x1, x2, x3])
+    assert display == 4 * (x1 + x2 + x3) + 3 * (a + b + MultiPoly.constant(2, 5))
+    # MultiPoly inputs, alone or with rational shifts, take the ring path
+    assert isinstance(display, MultiPoly)
+    assert display == _f_nab_ring(3, a, b, [x1, x2, x3])
+    mixed = f_nab(3, F(1, 2), F(2), [x1, x2, x3])
+    assert isinstance(mixed, MultiPoly)
+    assert mixed == 4 * (x1 + x2 + x3) + MultiPoly.constant(3 * F(9, 2), 5)
     _done(7, started, 120.0, "n<=8, 16 shift pairs, 100 trials each")
 
 

@@ -5,6 +5,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
+from flatsphere import cli
 from flatsphere.cli import main
 
 
@@ -133,6 +134,64 @@ class TestCache:
             main, ["an", "--weights", "1/2,1/2,1/2,1/2", "--cache", str(cache)])
         assert result.exit_code == 0
         assert "A = 1/2" in result.output
+
+    def _an_with_cache(self, runner, cache, *extra):
+        return runner.invoke(
+            main, ["an", "--weights", "2/3,1/3,1/3,1/3,1/3", "--cache", str(cache),
+                   *extra])
+
+    def test_unknown_version_rejected(self, runner, tmp_path):
+        cache = tmp_path / "memo.json"
+        cache.write_text(json.dumps(
+            {"version": 99, "entries": {"1/3,1/3,1/3,1/3,2/3": "7/3"}}))
+        result = self._an_with_cache(runner, cache)
+        assert result.exit_code == 0
+        assert "warning: ignoring corrupt cache file" in result.output
+        assert "A = 1/9" in result.output and "J = 1\n" in result.output
+        rewritten = json.loads(cache.read_text())
+        assert rewritten["version"] == 1
+        assert rewritten["entries"]["1/3,1/3,1/3,1/3,2/3"] == "1/9"
+
+    def test_keys_canonicalised(self, runner, tmp_path):
+        cache = tmp_path / "memo.json"
+        cache.write_text(json.dumps(
+            {"version": 1, "entries": {"2/3,1/3,1/3,1/3,1/3": "1/9"}}))
+        result = self._an_with_cache(runner, cache, "--verbose")
+        assert "warning" not in result.output
+        assert "cache: 1 hits, 1 entries" in result.output
+        assert json.loads(cache.read_text())["entries"] == {
+            "1/3,1/3,1/3,1/3,2/3": "1/9"}
+
+    def test_conflicting_orderings_rejected(self, runner, tmp_path):
+        cache = tmp_path / "memo.json"
+        cache.write_text(json.dumps({"version": 1, "entries": {
+            "2/3,1/3,1/3,1/3,1/3": "1/9", "1/3,1/3,1/3,1/3,2/3": "2/9"}}))
+        result = self._an_with_cache(runner, cache)
+        assert "conflicting values" in result.output
+        assert "A = 1/9" in result.output
+
+    def test_non_integral_j_rejected(self, runner, tmp_path):
+        cache = tmp_path / "memo.json"
+        cache.write_text(json.dumps(
+            {"version": 1, "entries": {"1/3,1/3,1/3,1/3,2/3": "1/7"}}))
+        result = self._an_with_cache(runner, cache)
+        assert "warning: ignoring corrupt cache file" in result.output
+        assert "j_n of 1/7 is not an integer" in result.output
+        assert "A = 1/9" in result.output
+
+    def test_failed_write_keeps_old_file(self, runner, tmp_path, monkeypatch):
+        cache = tmp_path / "memo.json"
+        old = json.dumps({"version": 1, "entries": {"1/2,1/2,1/2,1/2": "1/2"}})
+        cache.write_text(old)
+
+        def fail(*args, **kwargs):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(cli.json, "dump", fail)
+        result = self._an_with_cache(runner, cache)
+        assert isinstance(result.exception, OSError)
+        assert cache.read_text() == old
+        assert [p.name for p in tmp_path.iterdir()] == ["memo.json"]
 
 
 class TestPiecewise:

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from flatsphere.closed_forms import (
+    _f_nab_ring,
     double_factorial,
     f_nab,
     f_p22_bridge,
@@ -90,6 +91,18 @@ class TestFnab:
         perm = xs[::-1]
         assert f_nab(5, a, b, perm) == base
         assert f_nab(5, b, a, xs) == base  # I <-> I^c relabeling
+
+    def test_integer_path_matches_ring_reference(self):
+        rng = random.Random(11)
+        shifts = [0, F(1), 2, F(1, 2)]  # int and Fraction shifts
+        for n in range(2, 9):
+            fractions = [F(rng.randint(-60, 60), rng.randint(1, 30)) for _ in range(n)]
+            integers = [rng.randint(-9, 9) for _ in range(n)]
+            mixed = [x if i % 2 else int(x) for i, x in enumerate(fractions)]
+            for a in shifts:
+                for b in shifts:
+                    for xs in (fractions, integers, mixed):
+                        assert f_nab(n, a, b, xs) == _f_nab_ring(n, a, b, xs), (n, a, b, xs)
 
     def test_rejects_short(self):
         with pytest.raises(ValidationError):

@@ -52,8 +52,29 @@ class TestMultiPoly:
             assert (p - q).evaluate(x) == p.evaluate(x) - q.evaluate(x)
 
     def test_no_zero_terms_stored(self):
-        p = MultiPoly.variable(0, 1) - MultiPoly.variable(0, 1)
+        x = MultiPoly.variable(0, 1)
+        p = x - x
         assert p.is_zero() and p.terms == {}
+        square = (x + 1) * (x - 1)
+        assert square.terms == {(2,): F(1), (0,): F(-1)}
+        assert (square * 0).is_zero() and (square * 0).terms == {}
+
+    def test_arithmetic_matches_public_constructor(self):
+        x, y = MultiPoly.variable(0, 2), MultiPoly.variable(1, 2)
+        results = [x - x, (x + 1) * (x - 1), (x + y) * 0, -(x * y) + F(1, 2),
+                   (x + y) ** 3 - 3 * x * y * (x + y)]
+        for p in results:
+            assert all(isinstance(c, F) and c != 0 for c in p.terms.values())
+            assert MultiPoly(2, p.terms) == p
+        assert results[4] == MultiPoly(2, {(3, 0): 1, (0, 3): 1})
+
+    def test_public_constructor_validates(self):
+        with pytest.raises(ValidationError):
+            MultiPoly(2, {(1, 0): 0.5})
+        with pytest.raises(ValidationError):
+            MultiPoly(2, {(1, 0, 0): F(1)})
+        with pytest.raises(ValidationError):
+            MultiPoly.variable(0, 2) * 0.5
 
     def test_variable_count_mismatch(self):
         with pytest.raises(ValidationError):
