@@ -164,8 +164,6 @@ def cmd_volume(weights, signature, neg_orders, cache_path, approx, verbose):
 
 
 @main.command("table")
-@click.option("--appendix-b", is_flag=True, default=True,
-              help="reproduce the reference tables (default)")
 @click.option("--n", "npoints", type=int, help="4 or 5")
 @click.option("--csv", "as_csv", is_flag=True)
 @click.option("--json", "as_json", is_flag=True)
@@ -174,7 +172,7 @@ def cmd_volume(weights, signature, neg_orders, cache_path, approx, verbose):
               help="columns checked by --diff (comma list of col3,ratio,mv)")
 @click.option("--cache", "cache_path", type=click.Path())
 @click.option("--verbose", is_flag=True)
-def cmd_table(appendix_b, npoints, as_csv, as_json, diff, columns, cache_path, verbose):
+def cmd_table(npoints, as_csv, as_json, diff, columns, cache_path, verbose):
     """Recompute a reference table; with --diff, verify it cell by cell."""
     if npoints not in (4, 5):
         _fail("--n must be 4 or 5")

@@ -6,6 +6,7 @@ No value-producing path ever touches a float.
 """
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass
@@ -20,6 +21,10 @@ class ValidationError(ValueError):
 
 
 def _as_fraction(value) -> Fraction:
+    """Validate an exact rational; a value of exact type Fraction is returned
+    as it is, anything else is converted."""
+    if type(value) is Fraction:
+        return value
     if isinstance(value, float):
         raise ValidationError("floats are not accepted; pass exact rationals")
     try:
@@ -112,7 +117,7 @@ class Signature:
         return ",".join(str(k) for k in self.orders) + f":{self.level}"
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class PiValue:
     """An exact value ``coefficient * pi**pi_power``; the power stays symbolic."""
 
@@ -172,9 +177,16 @@ class PiValue:
         return cls(Fraction(m.group("coeff")), power)
 
 
+@functools.lru_cache(maxsize=4096)
+def _level_weight(order: int, level: int) -> Fraction:
+    """The weight -order/level, one shared object per pair, so that memo
+    keys built from many signatures do not each hold their own copies."""
+    return Fraction(-order, level)
+
+
 def weights_from_signature(kappa: Signature) -> WeightVector:
     """Weights mu_i = -k_i / d of a signature; always a valid weight vector."""
-    return WeightVector(tuple(Fraction(-k, kappa.level) for k in kappa.orders))
+    return WeightVector(tuple(_level_weight(k, kappa.level) for k in kappa.orders))
 
 
 def minimal_denominator(nu) -> int:

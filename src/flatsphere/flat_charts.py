@@ -9,6 +9,7 @@ contains i, omega, and sqrt(3) at once.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -33,75 +34,68 @@ class UnsupportedLevel(ValidationError):
     """No square or triangular period lattice at this level."""
 
 
-def _reduce(coeffs: list[Fraction]) -> tuple[Fraction, ...]:
-    """Reduce a polynomial in zeta modulo zeta^8 = zeta^4 - 1."""
-    coeffs = list(coeffs)
+def _reduce(coeffs: list) -> list:
+    """Reduce a polynomial in zeta modulo zeta^8 = zeta^4 - 1, in place;
+    returns the first eight coefficients, zero-padded."""
     for k in range(len(coeffs) - 1, _DEGREE - 1, -1):
         c = coeffs[k]
         if c:
             coeffs[k - 4] += c
             coeffs[k - 8] -= c
-        coeffs[k] = Fraction(0)
     out = coeffs[:_DEGREE]
-    out += [Fraction(0)] * (_DEGREE - len(out))
-    return tuple(out)
-
-
-def _poly_divmod(num: list[Fraction], den: list[Fraction]):
-    num = list(num)
-    dden = len(den) - 1
-    lead = den[-1]
-    quot = [Fraction(0)] * max(1, len(num) - dden)
-    for k in range(len(num) - 1, dden - 1, -1):
-        factor = num[k] / lead
-        if factor:
-            quot[k - dden] = factor
-            for j in range(dden + 1):
-                num[k - dden + j] -= factor * den[j]
-    while len(num) > 1 and num[-1] == 0:
-        num.pop()
-    return quot, num
-
-
-def _poly_trim(p: Sequence[Fraction]) -> list[Fraction]:
-    p = list(p)
-    while len(p) > 1 and p[-1] == 0:
-        p.pop()
-    return p
+    out += [0] * (_DEGREE - len(out))
+    return out
 
 
 class Cyclo24:
-    """Element of Q(zeta) with zeta a primitive 24th root of unity."""
+    """Element of Q(zeta) with zeta a primitive 24th root of unity.
 
-    __slots__ = ("coeffs",)
+    Stored as eight integer numerators over one positive common denominator
+    in lowest terms, so equal values have equal representations.
+    """
+
+    __slots__ = ("_num", "_den")
 
     def __init__(self, coeffs: Sequence[Fraction]):
         coeffs = [_as_fraction(c) for c in coeffs]
-        if len(coeffs) > _DEGREE:
-            self.coeffs = _reduce(coeffs)
-        else:
-            coeffs += [Fraction(0)] * (_DEGREE - len(coeffs))
-            self.coeffs = tuple(coeffs)
+        den = math.lcm(*(c.denominator for c in coeffs))
+        nums = [c.numerator * (den // c.denominator) for c in coeffs]
+        self._num, self._den = _lowest(_reduce(nums), den)
+
+    @classmethod
+    def _exact(cls, num, den: int) -> "Cyclo24":
+        """Result of internal arithmetic: eight ints over a positive int,
+        only brought to lowest terms."""
+        value = cls.__new__(cls)
+        value._num, value._den = _lowest(num, den)
+        return value
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        den = self._den
+        return tuple(Fraction(c, den) for c in self._num)
 
     @classmethod
     def from_rational(cls, value) -> "Cyclo24":
-        return cls([Fraction(value)])
+        return cls([value])
 
     @classmethod
     def zeta_pow(cls, m: int) -> "Cyclo24":
         m %= 24
-        raw = [Fraction(0)] * (m + 1)
-        raw[m] = Fraction(1)
-        return cls(raw)
+        raw = [0] * (m + 1)
+        raw[m] = 1
+        return cls._exact(_reduce(raw), 1)
 
     def __add__(self, other):
         other = _coerce_cyclo(other)
-        return Cyclo24([a + b for a, b in zip(self.coeffs, other.coeffs)])
+        d1, d2 = self._den, other._den
+        return Cyclo24._exact(
+            [a * d2 + b * d1 for a, b in zip(self._num, other._num)], d1 * d2)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Cyclo24([-a for a in self.coeffs])
+        return Cyclo24._exact([-a for a in self._num], self._den)
 
     def __sub__(self, other):
         return self + (-_coerce_cyclo(other))
@@ -111,14 +105,8 @@ class Cyclo24:
 
     def __mul__(self, other):
         other = _coerce_cyclo(other)
-        prod = [Fraction(0)] * (2 * _DEGREE - 1)
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if b:
-                    prod[i + j] += a * b
-        return Cyclo24(list(_reduce(prod)))
+        return Cyclo24._exact(_mul_ints(self._num, other._num),
+                              self._den * other._den)
 
     __rmul__ = __mul__
 
@@ -133,42 +121,31 @@ class Cyclo24:
             other = _coerce_cyclo(other)
         except (ValidationError, TypeError, ValueError):
             return NotImplemented
-        return self.coeffs == other.coeffs
+        return self._den == other._den and self._num == other._num
 
     def __hash__(self) -> int:
-        return hash(self.coeffs)
+        return hash((self._num, self._den))
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self._num)
 
     def inverse(self) -> "Cyclo24":
+        """1/x as the product of the other seven Galois conjugates of x over
+        its norm.  The Galois group (Z/24)^* is generated by zeta -> zeta^5,
+        zeta^7, zeta^13; each step multiplies by one conjugate and so fixes
+        one more generator, ending at the rational norm."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero in Q(zeta_24)")
-        phi = [Fraction(1), 0, 0, 0, Fraction(-1), 0, 0, 0, Fraction(1)]
-        phi = [Fraction(c) for c in phi]
-        # extended Euclid in Q[x]: s*self + t*phi = gcd (a nonzero constant)
-        r0, r1 = _poly_trim(self.coeffs), phi
-        s0, s1 = [Fraction(1)], [Fraction(0)]
-        while len(r1) > 1 or r1[0] != 0:
-            quot, rem = _poly_divmod(r0, r1)
-            r0, r1 = r1, _poly_trim(rem)
-            prod = [Fraction(0)] * (len(quot) + len(s1) - 1)
-            for i, a in enumerate(quot):
-                if a:
-                    for j, b in enumerate(s1):
-                        if b:
-                            prod[i + j] += a * b
-            new_s = [Fraction(0)] * max(len(s0), len(prod))
-            for i, a in enumerate(s0):
-                new_s[i] += a
-            for i, a in enumerate(prod):
-                new_s[i] -= a
-            s0, s1 = s1, _poly_trim(new_s)
-        const = r0[0]
-        if len(r0) > 1 or const == 0:
-            raise ArithmeticError("minimal polynomial is not coprime to element")
-        inv = [c / const for c in s0]
-        return Cyclo24(inv)
+        num = self._num
+        cofactor = [self._den] + [0] * (_DEGREE - 1)
+        for image in _GALOIS_STEPS:
+            other = _apply(num, image)
+            cofactor = _mul_ints(cofactor, other)
+            num = _mul_ints(num, other)
+        norm = num[0]
+        if norm < 0:
+            cofactor, norm = [-c for c in cofactor], -norm
+        return Cyclo24._exact(cofactor, norm)
 
     def __pow__(self, exponent: int) -> "Cyclo24":
         if exponent < 0:
@@ -185,22 +162,18 @@ class Cyclo24:
 
     def conj(self) -> "Cyclo24":
         """Complex conjugation: zeta maps to zeta**(-1)."""
-        result = Cyclo24([Fraction(0)])
-        for k, c in enumerate(self.coeffs):
-            if c:
-                result = result + c * _CONJ_BASIS[k]
-        return result
+        return Cyclo24._exact(_apply(self._num, _CONJ_MAP), self._den)
 
     def is_real(self) -> bool:
         return self == self.conj()
 
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
+        return not any(self._num[1:])
 
     def rational_value(self) -> Fraction:
         if not self.is_rational():
             raise ValidationError(f"{self!r} is not rational")
-        return self.coeffs[0]
+        return Fraction(self._num[0], self._den)
 
     def imag(self) -> "Cyclo24":
         """(z - conj(z)) / (2i), an element of the maximal real subfield."""
@@ -210,19 +183,59 @@ class Cyclo24:
         return f"Cyclo24({list(self.coeffs)!r})"
 
 
+def _mul_ints(left, right) -> list[int]:
+    """Product of two integer coefficient vectors, reduced."""
+    prod = [0] * (2 * _DEGREE - 1)
+    right = [(j, b) for j, b in enumerate(right) if b]
+    for i, a in enumerate(left):
+        if a:
+            for j, b in right:
+                prod[i + j] += a * b
+    return _reduce(prod)
+
+
+def _apply(num, image) -> list[int]:
+    """Image of an integer coefficient vector under a Galois map, given as
+    the sparse images of the eight basis powers."""
+    out = [0] * _DEGREE
+    for c, powers in zip(num, image):
+        if c:
+            for j, m in powers:
+                out[j] += m * c
+    return out
+
+
+def _galois_map(k: int):
+    """zeta^j -> zeta^(j*k) on the basis powers, as sparse (power, integer)
+    pairs."""
+    return tuple(
+        tuple((i, c) for i, c in enumerate(Cyclo24.zeta_pow(j * k)._num) if c)
+        for j in range(_DEGREE))
+
+
+def _lowest(num, den: int) -> tuple[tuple[int, ...], int]:
+    g = math.gcd(den, *num)
+    if g == 1:
+        return tuple(num), den
+    return tuple(c // g for c in num), den // g
+
+
 def _coerce_cyclo(value) -> Cyclo24:
     if isinstance(value, Cyclo24):
         return value
     if isinstance(value, float):
         raise ValidationError("floats are not accepted in exact arithmetic")
-    return Cyclo24([Fraction(value)])
+    value = Fraction(value)
+    return Cyclo24._exact([value.numerator] + [0] * (_DEGREE - 1),
+                          value.denominator)
 
 
-CY_ZERO = Cyclo24([Fraction(0)])
-CY_ONE = Cyclo24([Fraction(1)])
+CY_ZERO = Cyclo24([0])
+CY_ONE = Cyclo24([1])
 CY_I = Cyclo24.zeta_pow(6)
 CY_OMEGA = Cyclo24.zeta_pow(8)
-_CONJ_BASIS = [Cyclo24.zeta_pow((-k) % 24) for k in range(_DEGREE)]
+_CONJ_MAP = _galois_map(-1)
+_GALOIS_STEPS = tuple(_galois_map(k) for k in (5, 7, 13))
 _INV_2I = (CY_I + CY_I).inverse()
 CY_SQRT3 = Cyclo24.zeta_pow(2) + Cyclo24.zeta_pow(-2)
 

@@ -47,23 +47,23 @@ class MultiPoly:
 
     @classmethod
     def constant(cls, value, nvars: int) -> "MultiPoly":
-        return cls(nvars, {(0,) * nvars: _as_fraction(value)})
+        return cls._exact(nvars, {(0,) * nvars: _as_fraction(value)})
 
     @classmethod
     def variable(cls, index: int, nvars: int) -> "MultiPoly":
         exps = [0] * nvars
         exps[index] = 1
-        return cls(nvars, {tuple(exps): Fraction(1)})
+        return cls._exact(nvars, {tuple(exps): Fraction(1)})
 
     @classmethod
     def linear(cls, const, coeffs: Sequence, nvars: int) -> "MultiPoly":
-        poly = cls.constant(const, nvars)
+        """const + sum(coeffs[i] * x_i), built as one term dict."""
+        terms = {(0,) * nvars: _as_fraction(const)}
         for i, c in enumerate(coeffs):
-            if c:
-                exps = [0] * nvars
-                exps[i] = 1
-                poly = poly + cls(nvars, {tuple(exps): _as_fraction(c)})
-        return poly
+            exps = [0] * nvars
+            exps[i] = 1
+            terms[tuple(exps)] = _as_fraction(c)
+        return cls._exact(nvars, terms)
 
     def _check_compatible(self, other: "MultiPoly") -> None:
         if self.nvars != other.nvars:

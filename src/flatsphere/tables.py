@@ -3,6 +3,7 @@ machinery to recompute and diff every cell."""
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 from dataclasses import dataclass
@@ -15,7 +16,7 @@ from .flat_charts import is_single_polygon, mv_ratio
 from .recursion import a_n, vol1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TableRow:
     """One reference row: level, (-k_i) label, and the three value columns."""
 
@@ -36,7 +37,7 @@ class TableRow:
         return ",".join(str(x) for x in self.label)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ComputedRow:
     """Freshly computed values for a reference row; chart-backed columns are
     None when the row has several reflex angles."""
@@ -57,21 +58,14 @@ class ComputedRow:
         return out
 
 
-def _load() -> dict:
+@functools.cache
+def _parsed_rows() -> dict[int, tuple[TableRow, ...]]:
+    """The embedded reference tables, parsed once per process."""
     with resources.files("flatsphere.data").joinpath(
             "reference_tables.json").open("r", encoding="utf-8") as fh:
-        return json.load(fh)
-
-
-def expected_rows(n: int) -> list[TableRow]:
-    """The reference rows for n marked points (n in {4, 5})."""
-    data = _load()
-    key = {4: "table_n4", 5: "table_n5"}.get(n)
-    if key is None:
-        raise ValidationError("reference tables cover n = 4 and n = 5 only")
-    rows = []
-    for entry in data[key]:
-        rows.append(
+        data = json.load(fh)
+    return {
+        n: tuple(
             TableRow(
                 d=entry["d"],
                 label=tuple(entry["label"]),
@@ -79,8 +73,19 @@ def expected_rows(n: int) -> list[TableRow]:
                 ratio=Fraction(entry["ratio"]),
                 mv=PiValue.parse(entry["mv"]),
             )
+            for entry in data[f"table_n{n}"]
         )
-    return rows
+        for n in (4, 5)
+    }
+
+
+def expected_rows(n: int) -> list[TableRow]:
+    """The reference rows for n marked points (n in {4, 5}), as a new list
+    of the shared frozen rows."""
+    rows = _parsed_rows().get(n)
+    if rows is None:
+        raise ValidationError("reference tables cover n = 4 and n = 5 only")
+    return list(rows)
 
 
 def compute_row(row: TableRow, cache=None) -> ComputedRow:

@@ -9,6 +9,26 @@ from flatsphere import cli
 from flatsphere.cli import main
 
 
+TABLE_N4_CSV = """\
+d,kappa,col3,ratio,mv_volume
+2,"1,1,1,1",1/2,-1,1/8*pi^2
+3,"2,2,1,1",1/3,-16/9,8/81*pi^2
+4,"3,2,2,1",1/4,-1,1/32*pi^2
+4,"3,3,1,1",1/4,-2,1/16*pi^2
+4,"3,3,3,-1",-1/4,2,1/16*pi^2
+6,"4,3,3,2",1/3,-4/9,1/81*pi^2
+6,"4,4,3,1",1/6,-8/9,1/81*pi^2
+6,"5,3,2,2",1/6,-8/9,1/81*pi^2
+6,"5,3,3,1",1/6,-4/3,1/54*pi^2
+6,"5,4,2,1",1/6,-16/9,2/81*pi^2
+6,"5,4,4,-1",-1/6,16/9,2/81*pi^2
+6,"5,5,1,1",1/6,-16/3,2/27*pi^2
+6,"5,5,3,-1",-1/6,8/3,1/27*pi^2
+6,"5,5,4,-2",-1/3,16/9,4/81*pi^2
+6,"5,5,5,-3",-1/2,8/3,1/9*pi^2
+"""
+
+
 @pytest.fixture()
 def runner():
     return CliRunner()
@@ -94,6 +114,16 @@ class TestTable:
         flagged = [r for r in rows if r["ratio"] == "unsupported"]
         assert {r["kappa"] for r in flagged} == {"5,5,4,-1,-1", "5,5,5,-1,-2"}
         assert all(r["col3"] != "unsupported" for r in rows)
+
+    def test_csv_n4_output_pinned(self, runner):
+        result = runner.invoke(main, ["table", "--n", "4", "--csv"])
+        assert result.exit_code == 0
+        assert result.output == TABLE_N4_CSV
+
+    def test_appendix_b_flag_removed(self, runner):
+        result = runner.invoke(main, ["table", "--appendix-b", "--n", "4"])
+        assert result.exit_code == 2
+        assert "No such option" in result.output
 
     def test_bad_n(self, runner):
         result = runner.invoke(main, ["table", "--n", "7"])

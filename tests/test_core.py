@@ -8,6 +8,7 @@ from flatsphere.core import (
     Signature,
     ValidationError,
     WeightVector,
+    _as_fraction,
     canonicalize,
     minimal_denominator,
     parse_rational,
@@ -61,6 +62,33 @@ class TestSignature:
             Signature((-3, -1, -1, 1), 2)
 
 
+class TestAsFraction:
+    def test_exact_fraction_returned_unchanged(self):
+        x = F(2, 3)
+        assert _as_fraction(x) is x
+
+    def test_other_values_converted_to_exact_fraction(self):
+        class Sub(F):
+            pass
+
+        for value, want in ((3, F(3)), (True, F(1)), ("5/10", F(1, 2)),
+                            (Sub(1, 2), F(1, 2))):
+            got = _as_fraction(value)
+            assert got == want and type(got) is F
+
+    def test_rejects_floats_and_junk(self):
+        for bad in (0.5, 1.0, "x", "1/0", None):
+            with pytest.raises(ValidationError):
+                _as_fraction(bad)
+
+    def test_weight_vector_shares_input_fractions(self):
+        entries = (F(1, 2), F(1, 2), F(2, 3), F(1, 3))
+        w = WeightVector(entries)
+        assert all(a is b for a, b in zip(w.entries, entries))
+        assert all(a is b for a, b in zip(sorted(canonicalize(w).entries),
+                                          sorted(entries)))
+
+
 class TestWeightsFromSignature:
     def test_quadratic(self):
         w = weights_from_signature(Signature((-1, -1, -1, -1), 2))
@@ -69,6 +97,12 @@ class TestWeightsFromSignature:
     def test_table_row_d3(self):
         w = weights_from_signature(Signature((-2, -2, -1, -1), 3))
         assert w.entries == (F("2/3"), F("2/3"), F("1/3"), F("1/3"))
+
+    def test_weights_shared_between_signatures(self):
+        first = weights_from_signature(Signature((-2, -2, -1, -1), 3))
+        second = weights_from_signature(Signature((-1, -2, -1, -2), 3))
+        assert first.entries[0] is second.entries[1]
+        assert first.entries[2] is second.entries[0]
 
     def test_table_row_reflex(self):
         w = weights_from_signature(Signature((-5, -5, -5, -5, 8), 6))

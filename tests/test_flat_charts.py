@@ -72,6 +72,125 @@ class TestCyclo24:
         assert CY_SQRT3.imag() == Cyclo24([0])
 
 
+def _ref_reduce(poly: list[Fraction]) -> list[Fraction]:
+    """Reference reduction modulo zeta^8 = zeta^4 - 1 on Fraction lists."""
+    poly = list(poly)
+    while len(poly) > 8:
+        top = poly.pop()
+        poly[len(poly) - 4] += top
+        poly[len(poly) - 8] -= top
+    return poly + [F(0)] * (8 - len(poly))
+
+
+def _ref_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
+    prod = [F(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] += x * y
+    return _ref_reduce(prod)
+
+
+def _ref_conj(a: list[Fraction]) -> list[Fraction]:
+    out = [F(0)] * 8
+    for k, c in enumerate(a):
+        basis = _ref_reduce([F(0)] * ((24 - k) % 24) + [F(1)])
+        out = [o + c * e for o, e in zip(out, basis)]
+    return out
+
+
+def _ref_inverse(a: list[Fraction]) -> list[Fraction]:
+    """Solve a * y = 1 as an 8x8 Fraction linear system (Gauss-Jordan)."""
+    columns = [_ref_mul(a, [F(0)] * j + [F(1)]) for j in range(8)]
+    rows = [[columns[j][i] for j in range(8)] + [F(i == 0)] for i in range(8)]
+    for col in range(8):
+        pivot = next(r for r in range(col, 8) if rows[r][col])
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        lead = rows[col][col]
+        rows[col] = [v / lead for v in rows[col]]
+        for r in range(8):
+            if r != col and rows[r][col]:
+                factor = rows[r][col]
+                rows[r] = [v - factor * w for v, w in zip(rows[r], rows[col])]
+    return [row[8] for row in rows]
+
+
+class TestCyclo24Representation:
+    """Integer-numerator arithmetic against Fraction-list references."""
+
+    def test_arithmetic_matches_fraction_reference(self):
+        rng = random.Random(24)
+        for _ in range(40):
+            x, y = random_cyclo(rng), random_cyclo(rng)
+            a, b = list(x.coeffs), list(y.coeffs)
+            assert list((x * y).coeffs) == _ref_mul(a, b)
+            assert list((x + y).coeffs) == [p + q for p, q in zip(a, b)]
+            assert list((x - y).coeffs) == [p - q for p, q in zip(a, b)]
+            assert list((-x).coeffs) == [-p for p in a]
+            assert list(x.conj().coeffs) == _ref_conj(a)
+            assert list((x ** 3).coeffs) == _ref_mul(_ref_mul(a, a), a)
+            if not x.is_zero():
+                assert list(x.inverse().coeffs) == _ref_inverse(a)
+                assert list((x ** -2).coeffs) == _ref_mul(
+                    _ref_inverse(a), _ref_inverse(a))
+
+    def test_scalar_operands(self):
+        rng = random.Random(25)
+        x = random_cyclo(rng)
+        a = list(x.coeffs)
+        assert list((x * F(3, 7)).coeffs) == [p * F(3, 7) for p in a]
+        assert list((2 * x).coeffs) == [2 * p for p in a]
+        assert list((x + 1).coeffs) == [a[0] + 1] + a[1:]
+        assert list((1 - x).coeffs) == [1 - a[0]] + [-p for p in a[1:]]
+
+    def test_equal_values_compare_and_hash_equal(self):
+        pairs = [
+            (Cyclo24([F(2, 4)]), Cyclo24([F(1, 2)])),
+            (Cyclo24([1, 0, 0]), Cyclo24([1])),
+            (Cyclo24([0] * 8 + [1]), Cyclo24([0, 0, 0, 0, 1]) - CY_ONE),
+            (Cyclo24([F(1, 3), F(2, 3)]) * 3, Cyclo24([1, 2])),
+            (Cyclo24.zeta_pow(8), CY_OMEGA),
+            (Cyclo24([F(6, 4), F(-3, 9)]), Cyclo24(["3/2", F(-1, 3)])),
+        ]
+        for left, right in pairs:
+            assert left == right
+            assert hash(left) == hash(right)
+        assert len({Cyclo24([F(2, 4)]), Cyclo24([F(1, 2)])}) == 1
+        assert Cyclo24([F(1, 2)]) == F(1, 2)
+        assert Cyclo24([5]) == 5
+        assert CY_I != CY_ONE
+
+    def test_lowest_terms_after_cancellation(self):
+        rng = random.Random(26)
+        for _ in range(10):
+            x, y = random_cyclo(rng), random_cyclo(rng)
+            total = (x + y) - y
+            assert total == x and hash(total) == hash(x)
+        assert Cyclo24([F(1, 3)]) * 3 == CY_ONE
+        assert (CY_I - CY_I).is_zero() and CY_I - CY_I == Cyclo24([])
+
+    def test_coeffs_is_fraction_tuple(self):
+        value = Cyclo24([1, F(1, 2)])
+        assert isinstance(value.coeffs, tuple) and len(value.coeffs) == 8
+        assert all(type(c) is Fraction for c in value.coeffs)
+        assert value.coeffs[:2] == (F(1), F(1, 2))
+        assert repr(Cyclo24([F(1, 2)])) == (
+            "Cyclo24([Fraction(1, 2)" + ", Fraction(0, 1)" * 7 + "])")
+
+    def test_rejects_floats(self):
+        with pytest.raises(ValidationError):
+            Cyclo24([0.5])
+        with pytest.raises(ValidationError):
+            Cyclo24.from_rational(0.5)
+        with pytest.raises(ValidationError):
+            CY_I * 0.5
+        with pytest.raises(ValidationError):
+            Cyclo24(["not a number"])
+
+    def test_zero_has_no_inverse(self):
+        with pytest.raises(ZeroDivisionError):
+            Cyclo24([0]).inverse()
+
+
 class TestQuadInt:
     def test_norms(self):
         assert QuadInt(3, 4, False).norm() == 25
@@ -283,6 +402,22 @@ class TestMvRatio:
         ],
     )
     def test_reference_values(self, orders, d, expected):
+        assert mv_ratio(Signature(orders, d)) == expected
+
+    @pytest.mark.parametrize(
+        "orders,d,expected",
+        [
+            ((-1, -1, -1, -1, -1, -1), 3, F(-256, 81)),
+            ((-1, -1, -1, -1, -1, 1, -2), 3, F(-1024, 243)),
+            ((-1, -1, 5, -3, -2, -3, -3), 4, F(4)),
+            ((-1, -2, -4, -3, -2, -2, 2), 6, F(-512, 243)),
+            ((-1, -1, -1, -1, -1, -1, -1, 3), 2, F(-1)),
+            ((-1, -1, -1, 2, -2, -1, -1, -1), 3, F(4096, 729)),
+            ((-3, 7, -1, -5, -5, -1, -1, -3), 6, F(-1024, 27)),
+        ],
+    )
+    def test_pinned_values_six_to_eight_points(self, orders, d, expected):
+        # values computed with the earlier Fraction-coefficient field arithmetic
         assert mv_ratio(Signature(orders, d)) == expected
 
     def test_permutation_invariance_four_points(self):

@@ -76,6 +76,37 @@ class TestMultiPoly:
         with pytest.raises(ValidationError):
             MultiPoly.variable(0, 2) * 0.5
 
+    def test_named_constructors_match_public_constructor(self):
+        cases = [
+            (MultiPoly.constant(F(3, 4), 3), {(0, 0, 0): F(3, 4)}),
+            (MultiPoly.constant(0, 3), {}),
+            (MultiPoly.constant("2/6", 2), {(0, 0): F(1, 3)}),
+            (MultiPoly.variable(1, 3), {(0, 1, 0): 1}),
+            (MultiPoly.linear(2, [-1, 0, F(1, 2)], 3),
+             {(0, 0, 0): 2, (1, 0, 0): -1, (0, 0, 1): F(1, 2)}),
+            (MultiPoly.linear(0, [0, 0], 2), {}),
+            (MultiPoly.linear(F(-1, 3), [1], 2),
+             {(0, 0): F(-1, 3), (1, 0): 1}),
+        ]
+        for poly, terms in cases:
+            public = MultiPoly(poly.nvars, terms)
+            assert poly == public
+            assert poly.terms == public.terms
+            assert all(type(c) is F and c != 0 for c in poly.terms.values())
+        two = MultiPoly.variable(0, 2)
+        assert MultiPoly.linear(1, [3, -2], 2) == (
+            1 + 3 * two - 2 * MultiPoly.variable(1, 2))
+
+    def test_named_constructors_validate(self):
+        with pytest.raises(ValidationError):
+            MultiPoly.constant(0.5, 2)
+        with pytest.raises(ValidationError):
+            MultiPoly.linear(0.5, [1, 0], 2)
+        with pytest.raises(ValidationError):
+            MultiPoly.linear(0, [1, 0.25], 2)
+        with pytest.raises(ValidationError):
+            MultiPoly.linear(0, ["x"], 2)
+
     def test_variable_count_mismatch(self):
         with pytest.raises(ValidationError):
             MultiPoly.variable(0, 2) + MultiPoly.variable(0, 3)

@@ -2,7 +2,9 @@ import csv
 import io
 from fractions import Fraction
 
-from flatsphere.core import PiValue
+import pytest
+
+from flatsphere.core import PiValue, ValidationError
 from flatsphere.tables import compute_row, expected_rows, table_csv, table_json
 
 F = Fraction
@@ -14,6 +16,27 @@ ADJUDICATED = {
     (6, (3, 3, 2, 2, 2)): {"mv": PiValue(F(2, 729), 3)},
     (6, (4, 4, 4, 3, -3)): {"ratio": F(-16, 27), "mv": PiValue(F(1, 243), 3)},
 }
+
+
+def test_expected_rows_are_fresh_lists_of_shared_rows():
+    first = expected_rows(5)
+    second = expected_rows(5)
+    assert first == second and first is not second
+    first.clear()
+    first.append("junk")
+    third = expected_rows(5)
+    assert third == second and len(third) == 47
+    with pytest.raises(ValidationError):
+        expected_rows(6)
+
+
+def test_result_types_carry_no_instance_dict():
+    row = expected_rows(4)[0]
+    computed = compute_row(row, {})
+    for value in (row, computed, computed.mv, row.mv):
+        assert not hasattr(value, "__dict__")
+    with pytest.raises(AttributeError):
+        row.d = 3
 
 
 def test_row_counts():
