@@ -3,7 +3,6 @@ metrics on the sphere."""
 
 from .core import (
     PiValue,
-    Rational,
     Signature,
     ValidationError,
     WeightVector,

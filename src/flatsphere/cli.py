@@ -177,6 +177,8 @@ def cmd_table(npoints, as_csv, as_json, diff, columns, cache_path, verbose):
     if npoints not in (4, 5):
         _fail("--n must be 4 or 5")
     wanted = [c.strip() for c in columns.split(",") if c.strip()]
+    if not wanted:
+        _fail("--columns needs at least one of col3,ratio,mv")
     if any(c not in ("col3", "ratio", "mv") for c in wanted):
         _fail("--columns entries must be among col3,ratio,mv")
     cache = _load_cache(cache_path)

@@ -13,8 +13,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator
 
-Rational = Fraction
-
 
 class ValidationError(ValueError):
     """Raised when an input violates a domain invariant."""

@@ -4,7 +4,8 @@ Indices are 0-based throughout.  Four families of partitions of
 ``{0, ..., n-1}`` are enumerated, each with the derived data the recursion
 needs: the excess weights mu(I_j) - 1 of the heavy blocks, the induced
 lower-dimensional weight vectors, their minimal denominators, and the
-multiplicity flag epsilon for the four-block family.
+multiplicity flag epsilon for the four-block family.  Every split into two
+heavy blocks comes from ``two_block_splits``.
 """
 from __future__ import annotations
 
@@ -12,7 +13,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable
+from typing import Iterator, Sequence
 
 from .core import ValidationError, WeightVector
 
@@ -70,32 +71,52 @@ def _sort_key(record: PartitionRecord):
     return tuple(tuple(sorted(b)) for b in record.blocks)
 
 
-def _sub_vector(mu: WeightVector, heavy: Iterable[int]) -> WeightVector:
+def _sub_vector(mu: WeightVector, heavy: Sequence[int]) -> WeightVector:
     """Weight vector induced by a heavy block: (2 - mu(I), sorted mu_i for i in I)."""
-    heavy = sorted(heavy)
     first = 2 - mu.subset_sum(heavy)
-    rest = sorted(mu[i] for i in heavy)
+    rest = sorted([mu[i] for i in heavy])
     return WeightVector((first, *rest))
 
 
-def _heavy_denominator(mu: WeightVector, heavy: Iterable[int]) -> int:
+def _heavy_denominator(mu: WeightVector, heavy: Sequence[int]) -> int:
     """Smallest e with e*mu_i integral for every i in the heavy block."""
-    return math.lcm(*(mu[i].denominator for i in heavy))
+    return math.lcm(*[mu[i].denominator for i in heavy])
+
+
+def _record(mu: WeightVector, family: str, blocks, heavies, weights,
+            epsilon: int = 1) -> PartitionRecord:
+    """A record whose recursion data is derived from its heavy blocks and
+    their weights mu(I)."""
+    return PartitionRecord(
+        family=family,
+        blocks=tuple(map(frozenset, blocks)),
+        mu_bars=tuple([w - 1 for w in weights]),
+        block_sizes=tuple(map(len, heavies)),
+        sub_weights=tuple([_sub_vector(mu, h) for h in heavies]),
+        min_denoms=tuple([_heavy_denominator(mu, h) for h in heavies]),
+        epsilon=epsilon,
+    )
+
+
+def two_block_splits(indices: Sequence[int]) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """Each split of a sorted index list into two blocks of size >= 2, once.
+
+    The first block always holds ``indices[0]``; splits come by the size of
+    the first block, then in lexicographic order.
+    """
+    if len(indices) < 4:
+        return
+    anchor, others = indices[0], indices[1:]
+    for size in range(1, len(indices) - 2):
+        for tail in combinations(others, size):
+            yield (anchor, *tail), tuple([i for i in others if i not in tail])
 
 
 def enum_P(n: int) -> list[TwoBlockPartition]:
-    """All two-block partitions with both block sizes >= 2 (none for n < 4)."""
-    if n < 4:
-        return []
-    out = []
-    indices = range(n)
-    # dedup up to swap: keep the block containing index 0 second
-    for size in range(2, n - 1):
-        for block in combinations(range(1, n), size):
-            rest = frozenset(indices) - frozenset(block)
-            if len(rest) < 2:
-                continue
-            out.append(TwoBlockPartition(frozenset(block), rest))
+    """All two-block partitions with both block sizes >= 2 (none for n < 4);
+    the block containing index 0 is the second one."""
+    out = [TwoBlockPartition(frozenset(second), frozenset(first))
+           for first, second in two_block_splits(range(n))]
     out.sort(key=lambda p: tuple(sorted(p.light_block)))
     return out
 
@@ -127,17 +148,8 @@ def enum_T1a(mu) -> list[PartitionRecord]:
         light = mu.subset_sum(pair)
         if light >= 1 or light.denominator == 1:
             continue
-        heavy = sorted(set(range(n)) - set(pair))
-        out.append(
-            PartitionRecord(
-                family="T1a",
-                blocks=(frozenset(pair), frozenset(heavy)),
-                mu_bars=(mu.subset_sum(heavy) - 1,),
-                block_sizes=(len(heavy),),
-                sub_weights=(_sub_vector(mu, heavy),),
-                min_denoms=(_heavy_denominator(mu, heavy),),
-            )
-        )
+        heavy = [i for i in range(n) if i not in pair]
+        out.append(_record(mu, "T1a", (pair, heavy), (heavy,), (2 - light,)))
     out.sort(key=_sort_key)
     return out
 
@@ -151,24 +163,15 @@ def enum_T1b(mu) -> list[PartitionRecord]:
     for pair in combinations(range(n), 2):
         if mu.subset_sum(pair) != 1:
             continue
-        rest = set(range(n)) - set(pair)
-        for single in sorted(rest):
+        rest = [i for i in range(n) if i not in pair]
+        for single in rest:
             if mu[single] >= 0:
                 continue
-            heavy = sorted(rest - {single})
+            heavy = [i for i in rest if i != single]
             hw = mu.subset_sum(heavy)
             if hw <= 1 or hw.denominator == 1:
                 continue
-            out.append(
-                PartitionRecord(
-                    family="T1b",
-                    blocks=(frozenset(pair), frozenset({single}), frozenset(heavy)),
-                    mu_bars=(hw - 1,),
-                    block_sizes=(len(heavy),),
-                    sub_weights=(_sub_vector(mu, heavy),),
-                    min_denoms=(_heavy_denominator(mu, heavy),),
-                )
-            )
+            out.append(_record(mu, "T1b", (pair, (single,), heavy), (heavy,), (hw,)))
     out.sort(key=_sort_key)
     return out
 
@@ -183,33 +186,15 @@ def enum_T2a(mu) -> list[PartitionRecord]:
     for single in range(n):
         if mu[single] >= 0:
             continue
-        rest = sorted(set(range(n)) - {single})
-        anchor = rest[0]
-        others = rest[1:]
-        for size in range(1, len(rest)):
-            for tail in combinations(others, size - 1):
-                block1 = sorted((anchor, *tail))
-                block2 = sorted(set(rest) - set(block1))
-                if not block2:
-                    continue
-                w1, w2 = mu.subset_sum(block1), mu.subset_sum(block2)
-                if w1 <= 1 or w2 <= 1:
-                    continue
-                if w1.denominator == 1 or w2.denominator == 1:
-                    continue
-                out.append(
-                    PartitionRecord(
-                        family="T2a",
-                        blocks=(frozenset({single}), frozenset(block1),
-                                frozenset(block2)),
-                        mu_bars=(w1 - 1, w2 - 1),
-                        block_sizes=(len(block1), len(block2)),
-                        sub_weights=(_sub_vector(mu, block1),
-                                     _sub_vector(mu, block2)),
-                        min_denoms=(_heavy_denominator(mu, block1),
-                                    _heavy_denominator(mu, block2)),
-                    )
-                )
+        rest = [i for i in range(n) if i != single]
+        for block1, block2 in two_block_splits(rest):
+            w1, w2 = mu.subset_sum(block1), mu.subset_sum(block2)
+            if w1 <= 1 or w2 <= 1:
+                continue
+            if w1.denominator == 1 or w2.denominator == 1:
+                continue
+            out.append(_record(mu, "T2a", ((single,), block1, block2),
+                               (block1, block2), (w1, w2)))
     out.sort(key=_sort_key)
     return out
 
@@ -225,42 +210,21 @@ def enum_T2b(mu) -> list[PartitionRecord]:
     n = mu.n
     out = []
     for s1, s2 in combinations(range(n), 2):
-        rest = sorted(set(range(n)) - {s1, s2})
-        if len(rest) < 4:
-            continue
-        anchor = rest[0]
-        others = rest[1:]
-        for size in range(1, len(rest)):
-            for tail in combinations(others, size - 1):
-                block1 = sorted((anchor, *tail))
-                block2 = sorted(set(rest) - set(block1))
-                if not block2:
-                    continue
-                w1, w2 = mu.subset_sum(block1), mu.subset_sum(block2)
-                if w1 <= 1 or w2 <= 1:
-                    continue
-                if w1.denominator == 1 or w2.denominator == 1:
-                    continue
-                direct = mu[s1] + w1 == 1 and mu[s2] + w2 == 1
-                swapped = mu[s2] + w1 == 1 and mu[s1] + w2 == 1
-                if not (direct or swapped):
-                    continue
-                first, second = (s1, s2) if direct else (s2, s1)
-                epsilon = 2 if mu[s1] == mu[s2] else 1
-                out.append(
-                    PartitionRecord(
-                        family="T2b",
-                        blocks=(frozenset({first}), frozenset({second}),
-                                frozenset(block1), frozenset(block2)),
-                        mu_bars=(w1 - 1, w2 - 1),
-                        block_sizes=(len(block1), len(block2)),
-                        sub_weights=(_sub_vector(mu, block1),
-                                     _sub_vector(mu, block2)),
-                        min_denoms=(_heavy_denominator(mu, block1),
-                                    _heavy_denominator(mu, block2)),
-                        epsilon=epsilon,
-                    )
-                )
+        rest = [i for i in range(n) if i != s1 and i != s2]
+        for block1, block2 in two_block_splits(rest):
+            w1, w2 = mu.subset_sum(block1), mu.subset_sum(block2)
+            if w1 <= 1 or w2 <= 1:
+                continue
+            if w1.denominator == 1 or w2.denominator == 1:
+                continue
+            direct = mu[s1] + w1 == 1 and mu[s2] + w2 == 1
+            swapped = mu[s2] + w1 == 1 and mu[s1] + w2 == 1
+            if not (direct or swapped):
+                continue
+            first, second = (s1, s2) if direct else (s2, s1)
+            epsilon = 2 if mu[s1] == mu[s2] else 1
+            out.append(_record(mu, "T2b", ((first,), (second,), block1, block2),
+                               (block1, block2), (w1, w2), epsilon))
     out.sort(key=_sort_key)
     return out
 

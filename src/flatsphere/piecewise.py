@@ -13,6 +13,7 @@ from itertools import combinations
 from typing import Iterable, Mapping, Sequence
 
 from .core import ValidationError, WeightVector, _as_fraction
+from .partitions import two_block_splits
 
 
 class MultiPoly:
@@ -291,31 +292,23 @@ def an_polynomial(domain: SignDomain) -> MultiPoly:
                  - Fraction(1, n - 2) * mu_bar)
         piece = piece + alpha * sub_piece.substitute_linear(forms)
     for single in range(n):
-        rest = sorted(set(range(n)) - {single})
-        anchor, others = rest[0], rest[1:]
-        for size in range(2, len(rest) - 1):
-            for tail in combinations(others, size - 1):
-                block1 = sorted((anchor, *tail))
-                block2 = sorted(set(rest) - set(block1))
-                if len(block2) < 2:
-                    continue
-                if sample.subset_sum(block1) <= 1 or sample.subset_sum(block2) <= 1:
-                    continue
-                n1, n2 = len(block1), len(block2)
-                mb1 = MultiPoly.linear(
-                    -1, [1 if i in set(block1) else 0 for i in range(n)], n)
-                mb2 = MultiPoly.linear(
-                    -1, [1 if i in set(block2) else 0 for i in range(n)], n)
-                gamma = (
-                    Fraction(1, (n - 1) * (n - 2))
-                    * (n1 * n2 * (mb1 + mb2) - n1 * mb1 - n2 * mb2)
-                    - Fraction(1, n - 2) * (mb1 * mb2)
-                )
-                sub1, forms1 = _sub_data(sample, block1)
-                sub2, forms2 = _sub_data(sample, block2)
-                piece1 = an_polynomial(SignDomain(sub1)).substitute_linear(forms1)
-                piece2 = an_polynomial(SignDomain(sub2)).substitute_linear(forms2)
-                piece = piece - gamma * piece1 * piece2
+        rest = [i for i in range(n) if i != single]
+        for block1, block2 in two_block_splits(rest):
+            if sample.subset_sum(block1) <= 1 or sample.subset_sum(block2) <= 1:
+                continue
+            n1, n2 = len(block1), len(block2)
+            mb1 = MultiPoly.linear(-1, [1 if i in block1 else 0 for i in range(n)], n)
+            mb2 = MultiPoly.linear(-1, [1 if i in block2 else 0 for i in range(n)], n)
+            gamma = (
+                Fraction(1, (n - 1) * (n - 2))
+                * (n1 * n2 * (mb1 + mb2) - n1 * mb1 - n2 * mb2)
+                - Fraction(1, n - 2) * (mb1 * mb2)
+            )
+            sub1, forms1 = _sub_data(sample, block1)
+            sub2, forms2 = _sub_data(sample, block2)
+            piece1 = an_polynomial(SignDomain(sub1)).substitute_linear(forms1)
+            piece2 = an_polynomial(SignDomain(sub2)).substitute_linear(forms2)
+            piece = piece - gamma * piece1 * piece2
     return piece
 
 

@@ -24,7 +24,7 @@ from .core import (
     minimal_denominator,
     weights_from_signature,
 )
-from .partitions import enum_T1a, enum_T1b, enum_T2a, enum_T2b
+from .partitions import enum_T1a, enum_T1b, enum_T2a, enum_T2b, two_block_splits
 
 MemoCache = MutableMapping
 
@@ -248,34 +248,26 @@ def quad_V_recursive(kappa, memo: Optional[MemoCache] = None) -> Fraction:
     for s1, s2 in combinations(range(n), 2):
         if orders[s1] <= 0 or orders[s2] <= 0:
             continue
-        rest = sorted(set(range(n)) - {s1, s2})
-        anchor, others = rest[0], rest[1:]
-        for size in range(1, len(rest)):
-            for tail in combinations(others, size - 1):
-                block1 = sorted((anchor, *tail))
-                block2 = sorted(set(rest) - set(block1))
-                if not block2:
-                    continue
-                sum1 = sum(orders[i] for i in block1)
-                sum2 = sum(orders[i] for i in block2)
-                direct = sum1 + orders[s1] == -2 and sum2 + orders[s2] == -2
-                swapped = sum1 + orders[s2] == -2 and sum2 + orders[s1] == -2
-                if not (direct or swapped):
-                    continue
-                first, second = (s1, s2) if direct else (s2, s1)
-                eps = 2 if orders[s1] == orders[s2] else 1
-                n1, n2 = len(block1), len(block2)
-                sub1 = QuadSignature(
-                    (orders[first] - 2, *(orders[i] for i in block1)))
-                sub2 = QuadSignature(
-                    (orders[second] - 2, *(orders[i] for i in block2)))
-                value += (
-                    Fraction(eps * 2 * n1 * n2, (n - 1) * (n - 2))
-                    * orders[s1]
-                    * orders[s2]
-                    * quad_V_recursive(sub1, memo)
-                    * quad_V_recursive(sub2, memo)
-                )
+        rest = [i for i in range(n) if i != s1 and i != s2]
+        for block1, block2 in two_block_splits(rest):
+            sum1 = sum(orders[i] for i in block1)
+            sum2 = sum(orders[i] for i in block2)
+            direct = sum1 + orders[s1] == -2 and sum2 + orders[s2] == -2
+            swapped = sum1 + orders[s2] == -2 and sum2 + orders[s1] == -2
+            if not (direct or swapped):
+                continue
+            first, second = (s1, s2) if direct else (s2, s1)
+            eps = 2 if orders[s1] == orders[s2] else 1
+            n1, n2 = len(block1), len(block2)
+            sub1 = QuadSignature((orders[first] - 2, *(orders[i] for i in block1)))
+            sub2 = QuadSignature((orders[second] - 2, *(orders[i] for i in block2)))
+            value += (
+                Fraction(eps * 2 * n1 * n2, (n - 1) * (n - 2))
+                * orders[s1]
+                * orders[s2]
+                * quad_V_recursive(sub1, memo)
+                * quad_V_recursive(sub2, memo)
+            )
     if memo is not None:
         memo[key] = value
     return value

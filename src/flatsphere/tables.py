@@ -117,19 +117,9 @@ def _cell(value) -> str:
     return "unsupported" if value is None else str(value)
 
 
-def table_csv(n: int, cache=None) -> str:
-    """CSV rendering with columns (d, kappa, col3, ratio, mv_volume)."""
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["d", "kappa", "col3", "ratio", "mv_volume"])
-    for row in expected_rows(n):
-        computed = compute_row(row, cache)
-        writer.writerow([row.d, row.label_text(), str(computed.col3),
-                         _cell(computed.ratio), _cell(computed.mv)])
-    return buffer.getvalue()
-
-
 def table_json(n: int, cache=None) -> list[dict]:
+    """One dict of rendered cells per reference row, in table order; the CSV
+    and text renderings format these same cells."""
     out = []
     for row in expected_rows(n):
         computed = compute_row(row, cache)
@@ -143,11 +133,20 @@ def table_json(n: int, cache=None) -> list[dict]:
     return out
 
 
+def table_csv(n: int, cache=None) -> str:
+    """CSV rendering with columns (d, kappa, col3, ratio, mv_volume)."""
+    buffer = io.StringIO()
+    writer = csv.DictWriter(buffer, ["d", "kappa", "col3", "ratio", "mv_volume"],
+                            lineterminator="\n")
+    writer.writeheader()
+    writer.writerows(table_json(n, cache))
+    return buffer.getvalue()
+
+
 def table_text(n: int, cache=None) -> str:
     lines = [f"{'d':>2}  {'kappa':<16} {'col3':>8}  {'ratio':>12}  mv_volume"]
-    for row in expected_rows(n):
-        computed = compute_row(row, cache)
+    for cells in table_json(n, cache):
         lines.append(
-            f"{row.d:>2}  {row.label_text():<16} {str(computed.col3):>8}"
-            f"  {_cell(computed.ratio):>12}  {_cell(computed.mv)}")
+            f"{cells['d']:>2}  {cells['kappa']:<16} {cells['col3']:>8}"
+            f"  {cells['ratio']:>12}  {cells['mv_volume']}")
     return "\n".join(lines)

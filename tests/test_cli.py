@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -129,6 +130,15 @@ class TestTable:
         result = runner.invoke(main, ["table", "--n", "7"])
         assert result.exit_code == 1
 
+    @pytest.mark.parametrize("columns", ["", ",", " , "])
+    def test_diff_rejects_empty_column_list(self, runner, columns):
+        # an empty list would check nothing and report every row ok
+        result = runner.invoke(
+            main, ["table", "--n", "5", "--diff", "--columns", columns])
+        assert result.exit_code == 1
+        assert "--columns" in result.output
+        assert ": ok" not in result.output
+
 
 class TestCache:
     def test_cold_and_warm_identical(self, runner, tmp_path):
@@ -242,7 +252,21 @@ class TestPiecewise:
         assert "wall" in result.output
 
 
+EXPLAIN_PINNED = json.loads(
+    (Path(__file__).parent / "data" / "explain_pinned.json").read_text())
+
+
 class TestExplain:
+    @pytest.mark.parametrize("weights", sorted(EXPLAIN_PINNED))
+    def test_output_pinned(self, runner, weights):
+        # pins block order inside each record (which heavy block comes
+        # first, singletons before heavies) and record order, which the
+        # set-based oracle keys of the partition tests ignore; the three
+        # vectors give T1a, T1b, T2a and T2b records, T2b with epsilon 1 and 2
+        result = runner.invoke(main, ["explain", "--weights", weights])
+        assert result.exit_code == 0
+        assert result.output == EXPLAIN_PINNED[weights]
+
     def test_family_counts(self, runner):
         result = runner.invoke(
             main, ["explain", "--weights", "5/6,5/6,5/6,5/6,-4/3"])

@@ -11,9 +11,17 @@ from flatsphere.partitions import (
     enum_T1b,
     enum_T2a,
     enum_T2b,
+    two_block_splits,
 )
 
-from util import oracle_t1a, oracle_t1b, oracle_t2a, oracle_t2b, record_key
+from util import (
+    oracle_t1a,
+    oracle_t1b,
+    oracle_t2a,
+    oracle_t2b,
+    partitions_into,
+    record_key,
+)
 
 F = Fraction
 
@@ -30,6 +38,36 @@ INTERESTING = [
     "5/6,5/6,5/6,5/6,5/6,5/6,-3",
     "1/2,1/2,1/2,1/2,1/2,1/2,1/2,-3/2",
 ]
+
+
+class TestTwoBlockSplits:
+    @staticmethod
+    def _brute_force(indices):
+        return {frozenset(map(frozenset, blocks))
+                for blocks in partitions_into(indices, 2)
+                if all(len(b) >= 2 for b in blocks)}
+
+    @pytest.mark.parametrize("indices", [
+        *(list(range(k)) for k in range(4, 10)),
+        [1, 3, 4, 7, 8, 12],
+        [0, 2, 5, 6, 9],
+        [], [0], [0, 1], [2, 5, 7],
+    ])
+    def test_every_split_exactly_once(self, indices):
+        splits = list(two_block_splits(indices))
+        keys = [frozenset({frozenset(a), frozenset(b)}) for a, b in splits]
+        assert len(keys) == len(set(keys))
+        assert set(keys) == self._brute_force(indices)
+        for first, second in splits:
+            assert first[0] == indices[0]
+            assert list(first) == sorted(first) and list(second) == sorted(second)
+            assert sorted(first + second) == indices
+
+    def test_order_by_first_block_size_then_lexicographic(self):
+        firsts = [first for first, _ in two_block_splits([0, 1, 2, 3, 4])]
+        assert firsts == [(0, 1), (0, 2), (0, 3), (0, 4),
+                          (0, 1, 2), (0, 1, 3), (0, 1, 4),
+                          (0, 2, 3), (0, 2, 4), (0, 3, 4)]
 
 
 class TestEnumP:

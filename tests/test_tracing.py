@@ -1,0 +1,50 @@
+"""The benchmark's tracer must resolve every target it patches.
+
+``perfbench/tracing.py`` patches public functions by name; renaming or
+deleting one of them would make ``perfbench/run.py --trace 1`` fail, so the
+target list is checked here against the package.
+"""
+import importlib
+import types
+from pathlib import Path
+
+import flatsphere.recursion
+
+TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+
+
+def _load_tracing() -> types.ModuleType:
+    """Execute the tracer's source without importing it as a package module,
+    so nothing is written next to it."""
+    module = types.ModuleType("perfbench_tracing")
+    module.__file__ = str(TRACING)
+    exec(compile(TRACING.read_text(encoding="utf-8"), str(TRACING), "exec"),
+         module.__dict__)
+    return module
+
+
+def _resolve(module_name, path):
+    owner = importlib.import_module(f"flatsphere.{module_name}")
+    *owner_path, attr = path.split(".")
+    for part in owner_path:
+        owner = getattr(owner, part)
+    return vars(owner)[attr]
+
+
+def test_install_resolves_every_target_and_uninstall_restores():
+    tracing = _load_tracing()
+    original_a_n = flatsphere.recursion.a_n
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        originals = {}
+        for module_name, path, metric, _ in tracing.TARGETS:
+            patched = _resolve(module_name, path)
+            assert hasattr(patched, "__wrapped__"), f"{metric}: {path} not patched"
+            originals[module_name, path] = patched.__wrapped__
+        assert flatsphere.recursion.a_n is not original_a_n
+    finally:
+        tracer.uninstall()
+    assert flatsphere.recursion.a_n is original_a_n
+    for (module_name, path), original in originals.items():
+        assert _resolve(module_name, path) is original, path
