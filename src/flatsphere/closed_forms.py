@@ -7,7 +7,8 @@ import random
 from fractions import Fraction
 from typing import Sequence
 
-from .core import PiValue, ValidationError, _as_fraction
+from .core import (PiValue, ValidationError, _as_fraction, _scale_to_integers,
+                   _subset_sums)
 from .partitions import enum_P0
 
 
@@ -51,20 +52,6 @@ def rising_product(k: int, shift, x):
     return result
 
 
-def _subset_sums(xs: list) -> tuple[list, list[int]]:
-    """Sum and size of every subset of xs, indexed by bitmask."""
-    full = (1 << len(xs)) - 1
-    sums = [0] * (full + 1)
-    sizes = [0] * (full + 1)
-    for mask in range(1, full + 1):
-        low = mask & -mask
-        rest = mask ^ low
-        sums[mask] = xs[low.bit_length() - 1] + sums[rest] if rest else xs[
-            low.bit_length() - 1]
-        sizes[mask] = sizes[rest] + 1
-    return sums, sizes
-
-
 def f_nab(n: int, a, b, xs: Sequence):
     """Two-sided subset sum of shifted rising products over proper nonempty
     subsets.  Works over any commutative ring containing the inputs.
@@ -84,13 +71,8 @@ def f_nab(n: int, a, b, xs: Sequence):
 
 
 def _f_nab_rational(n: int, a, b, xs: list) -> Fraction:
-    den = math.lcm(*(v.denominator for v in (a, b, *xs)))
-
-    def scaled(v) -> int:
-        return v.numerator * (den // v.denominator)
-
-    big_a, big_b = scaled(a), scaled(b)
-    sums, sizes = _subset_sums([scaled(x) for x in xs])
+    den, (big_a, big_b, *scaled) = _scale_to_integers((a, b, *xs))
+    sums = _subset_sums(scaled)
     full = (1 << n) - 1
     total = 0
     for mask in range(1, full):
@@ -98,10 +80,10 @@ def _f_nab_rational(n: int, a, b, xs: list) -> Fraction:
         term = 1
         # D * (s + a + i) for i = 1..|mask|-1, then the same with b on comp
         left = sums[mask] + big_a
-        for i in range(1, sizes[mask]):
+        for i in range(1, mask.bit_count()):
             term *= left + i * den
         right = sums[comp] + big_b
-        for i in range(1, sizes[comp]):
+        for i in range(1, comp.bit_count()):
             term *= right + i * den
         total += term
     return Fraction(total, den ** (n - 2))
@@ -110,13 +92,13 @@ def _f_nab_rational(n: int, a, b, xs: list) -> Fraction:
 def _f_nab_ring(n: int, a, b, xs: list):
     """The ring-generic loop; the reference the integer path is tested
     against."""
-    sums, sizes = _subset_sums(xs)
+    sums = _subset_sums(xs)
     full = (1 << n) - 1
     total = 0
     for mask in range(1, full):
         comp = full ^ mask
-        left = rising_product(sizes[mask] - 1, a, sums[mask])
-        right = rising_product(sizes[comp] - 1, b, sums[comp])
+        left = rising_product(mask.bit_count() - 1, a, sums[mask])
+        right = rising_product(comp.bit_count() - 1, b, sums[comp])
         total = total + left * right
     return total
 

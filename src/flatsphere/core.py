@@ -193,6 +193,22 @@ def minimal_denominator(nu) -> int:
     return math.lcm(*(x.denominator for x in nu.entries))
 
 
+def _scale_to_integers(values) -> tuple[int, list[int]]:
+    """The common denominator D of exact rationals and the integers D * v."""
+    den = math.lcm(*(v.denominator for v in values))
+    return den, [v.numerator * (den // v.denominator) for v in values]
+
+
+def _subset_sums(xs) -> list:
+    """Sum of every subset of xs, indexed by bitmask (bit i stands for
+    xs[i]).  Ring-generic; on scaled integers it is the one subset-sum kernel
+    behind f_nab and the sign-domain wall tests."""
+    sums = [0]
+    for x in xs:
+        sums += [s + x for s in sums]
+    return sums
+
+
 def canonicalize(nu) -> WeightVector:
     """Sort the entries; value-equal vectors get identical memo keys."""
     nu = WeightVector.coerce(nu)

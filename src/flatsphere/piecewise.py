@@ -12,7 +12,8 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Mapping, Sequence
 
-from .core import ValidationError, WeightVector, _as_fraction
+from .core import (ValidationError, WeightVector, _as_fraction, _scale_to_integers,
+                   _subset_sums)
 from .partitions import two_block_splits
 
 
@@ -180,39 +181,43 @@ class WallError(ValidationError):
         self.subset = subset
 
 
-def _proper_subsets(n: int):
-    for size in range(1, n):
-        yield from combinations(range(n), size)
+def _mask(indices) -> int:
+    return sum(1 << i for i in indices)
 
 
 class SignDomain:
     """A chamber of the weight space, anchored by a generic rational sample.
 
     The sample must avoid every two-block comparison wall and every locus
-    where a proper subset of the weights sums to an integer.
+    where a proper subset of the weights sums to an integer.  Every test
+    reads the integer subset sums of the sample scaled by its common
+    denominator.
     """
 
     def __init__(self, sample):
         self.sample = WeightVector.coerce(sample)
         n = self.sample.n
-        signs: dict[frozenset[int], int] = {}
-        for subset in _proper_subsets(n):
-            total = self.sample.subset_sum(subset)
-            if total.denominator == 1:
-                if total == 1 and 2 <= len(subset) <= n - 2:
-                    comp = sorted(set(range(n)) - set(subset))
-                    raise WallError(
-                        f"sample lies on the wall {sorted(subset)}|{comp}",
-                        frozenset(subset),
-                    )
-                raise WallError(
-                    f"subset {sorted(subset)} has integral weight {total}",
-                    frozenset(subset),
-                )
-            if 2 <= len(subset) <= n - 2 and 0 not in subset:
-                gap = total - (2 - total)
-                signs[frozenset(subset)] = 1 if gap > 0 else -1
-        self.signs = signs
+        den, scaled = _scale_to_integers(self.sample.entries)
+        sums = _subset_sums(scaled)
+        integral = [mask for mask in range(1, (1 << n) - 1) if sums[mask] % den == 0]
+        if integral:
+            # report the first such subset in combinations order
+            subset = min(([i for i in range(n) if mask >> i & 1] for mask in integral),
+                         key=lambda s: (len(s), s))
+            total = sums[_mask(subset)] // den
+            if total == 1 and 2 <= len(subset) <= n - 2:
+                comp = sorted(set(range(n)) - set(subset))
+                raise WallError(f"sample lies on the wall {subset}|{comp}",
+                                frozenset(subset))
+            raise WallError(f"subset {subset} has integral weight {total}",
+                            frozenset(subset))
+        # the walls mu(I) = 1 with 2 <= |I| <= n - 2, one per complementary
+        # pair (the side without index 0); the sign is that of mu(I) - 1
+        self.signs: dict[frozenset[int], int] = {
+            frozenset(subset): 1 if sums[_mask(subset)] > den else -1
+            for size in range(2, n - 1)
+            for subset in combinations(range(1, n), size)
+        }
 
     @property
     def n(self) -> int:
@@ -224,8 +229,10 @@ class SignDomain:
         point = WeightVector.coerce(point)
         if point.n != self.n:
             return False
+        den, scaled = _scale_to_integers(point.entries)
+        sums = _subset_sums(scaled)
         for block, sign in self.signs.items():
-            gap = 2 * point.subset_sum(block) - 2
+            gap = sums[_mask(block)] - den
             if gap == 0 or (1 if gap > 0 else -1) != sign:
                 return False
         return True
@@ -254,25 +261,37 @@ def _a4_piece(sample: WeightVector) -> MultiPoly:
     return half - Fraction(1, 4) * total
 
 
-def _sub_data(sample: WeightVector, heavy: Sequence[int]):
-    """Sub-sample and substitution forms for a heavy block, index-ordered."""
+def _sub_piece(sample: WeightVector, heavy: Sequence[int], memo: dict) -> MultiPoly:
+    """The piece of a heavy block's sub-sample (2 - mu(heavy), mu_i for i in
+    heavy), in the variables of the full sample.
+
+    The memo maps each sorted sub-sample to its piece in sorted variables;
+    substituting through the sorting order renames it back.  Equal weights
+    need no care: swapping them fixes the chamber, so the piece is symmetric
+    in their variables.
+    """
     n = sample.n
-    heavy = sorted(heavy)
-    sub_sample = (2 - sample.subset_sum(heavy),
-                  *(sample[i] for i in heavy))
+    sub = (2 - sample.subset_sum(heavy), *(sample[i] for i in heavy))
     forms = [MultiPoly.linear(2, [-1 if i in heavy else 0 for i in range(n)], n)]
-    for i in heavy:
-        forms.append(MultiPoly.variable(i, n))
-    return WeightVector(sub_sample), forms
+    forms += [MultiPoly.variable(i, n) for i in heavy]
+    order = sorted(range(len(sub)), key=sub.__getitem__)
+    key = tuple(sub[j] for j in order)
+    piece = memo.get(key)
+    if piece is None:
+        piece = memo[key] = an_polynomial(SignDomain(key), _memo=memo)
+    return piece.substitute_linear([forms[j] for j in order])
 
 
-def an_polynomial(domain: SignDomain) -> MultiPoly:
+def an_polynomial(domain: SignDomain, *, _memo: dict | None = None) -> MultiPoly:
     """The polynomial piece of the volume function on a sign domain.
 
     Family membership is read off the sample's wall signs alone; terms whose
     integrality side conditions fail contribute sub-values that vanish, so
-    including them preserves the identity on the whole domain.
+    including them preserves the identity on the whole domain.  Each distinct
+    sub-piece is built once per top-level call, in a memo that the recursion
+    passes down as `_memo` and that dies with the call.
     """
+    memo = {} if _memo is None else _memo
     sample = domain.sample
     n = sample.n
     if n == 3:
@@ -283,14 +302,12 @@ def an_polynomial(domain: SignDomain) -> MultiPoly:
     for pair in combinations(range(n), 2):
         if sample.subset_sum(pair) >= 1:
             continue
-        heavy = sorted(set(range(n)) - set(pair))
-        sub_sample, forms = _sub_data(sample, heavy)
-        sub_piece = an_polynomial(SignDomain(sub_sample))
+        heavy = [i for i in range(n) if i not in pair]
         mu_bar = MultiPoly.linear(
-            -1, [1 if i in set(heavy) else 0 for i in range(n)], n)
+            -1, [1 if i in heavy else 0 for i in range(n)], n)
         alpha = (MultiPoly.constant(Fraction(n - 3, (n - 1) * (n - 2)), n)
                  - Fraction(1, n - 2) * mu_bar)
-        piece = piece + alpha * sub_piece.substitute_linear(forms)
+        piece = piece + alpha * _sub_piece(sample, heavy, memo)
     for single in range(n):
         rest = [i for i in range(n) if i != single]
         for block1, block2 in two_block_splits(rest):
@@ -304,10 +321,8 @@ def an_polynomial(domain: SignDomain) -> MultiPoly:
                 * (n1 * n2 * (mb1 + mb2) - n1 * mb1 - n2 * mb2)
                 - Fraction(1, n - 2) * (mb1 * mb2)
             )
-            sub1, forms1 = _sub_data(sample, block1)
-            sub2, forms2 = _sub_data(sample, block2)
-            piece1 = an_polynomial(SignDomain(sub1)).substitute_linear(forms1)
-            piece2 = an_polynomial(SignDomain(sub2)).substitute_linear(forms2)
+            piece1 = _sub_piece(sample, block1, memo)
+            piece2 = _sub_piece(sample, block2, memo)
             piece = piece - gamma * piece1 * piece2
     return piece
 

@@ -234,6 +234,10 @@ class TestCache:
         assert [p.name for p in tmp_path.iterdir()] == ["memo.json"]
 
 
+PIECES_PINNED = json.loads(
+    (Path(__file__).parent / "data" / "pieces_pinned.json").read_text())
+
+
 class TestPiecewise:
     def test_json_payload(self, runner):
         result = runner.invoke(
@@ -250,6 +254,15 @@ class TestPiecewise:
             main, ["piecewise", "--sample", "2/3,1/3,1/3,1/3,1/3"])
         assert result.exit_code == 1
         assert "wall" in result.output
+
+    @pytest.mark.parametrize(
+        "case", PIECES_PINNED["piecewise_cli"], ids=lambda case: case["sample"])
+    def test_output_pinned(self, runner, case):
+        # stdout as printed before the symbolic recursion was memoised; the
+        # samples cover n = 5..7, unsorted entries and repeated weights
+        result = runner.invoke(main, ["piecewise", "--sample", case["sample"]])
+        assert result.exit_code == 0
+        assert result.output == case["stdout"]
 
 
 EXPLAIN_PINNED = json.loads(

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,8 @@ from flatsphere.core import (
     ValidationError,
     WeightVector,
     _as_fraction,
+    _scale_to_integers,
+    _subset_sums,
     canonicalize,
     minimal_denominator,
     parse_rational,
@@ -87,6 +90,23 @@ class TestAsFraction:
         assert all(a is b for a, b in zip(w.entries, entries))
         assert all(a is b for a, b in zip(sorted(canonicalize(w).entries),
                                           sorted(entries)))
+
+
+class TestSubsetSums:
+    def test_matches_naive_sums(self):
+        rng = random.Random(3)
+        for n in range(7):
+            xs = [F(rng.randint(-20, 20), rng.randint(1, 9)) for _ in range(n)]
+            sums = _subset_sums(xs)
+            assert len(sums) == 1 << n
+            for mask in range(1 << n):
+                chosen = [xs[i] for i in range(n) if mask >> i & 1]
+                assert sums[mask] == sum(chosen, F(0)), (xs, mask)
+
+    def test_scale_to_integers(self):
+        den, ints = _scale_to_integers([F(1, 2), F(-2, 3), 5, F(0)])
+        assert den == 6 and ints == [3, -4, 30, 0]
+        assert all(type(k) is int for k in ints)
 
 
 class TestWeightsFromSignature:

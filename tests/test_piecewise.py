@@ -1,8 +1,11 @@
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from flatsphere import piecewise
 from flatsphere.core import ValidationError, WeightVector, parse_weights
 from flatsphere.piecewise import (
     MultiPoly,
@@ -19,6 +22,12 @@ F = Fraction
 
 GENERIC5 = [F(a, 11) for a in (9, 5, 4, 3, 1)]
 GENERIC6 = [F(a, 11) for a in (10, 4, 2, 2, 2, 2)]
+
+DATA = Path(__file__).parent / "data"
+# values printed before the symbolic recursion was memoised and before the
+# wall tests moved to integer subset sums
+PIECES_PINNED = json.loads((DATA / "pieces_pinned.json").read_text())
+SIGN_DOMAINS_PINNED = json.loads((DATA / "sign_domains_pinned.json").read_text())
 
 
 class TestMultiPoly:
@@ -137,6 +146,29 @@ class TestSignDomain:
         swapped = [GENERIC5[i] for i in (4, 1, 2, 3, 0)]
         assert not dom.same_pattern(swapped)
 
+    def test_generic_samples_pinned(self):
+        # n = 4..8; the signs are compared in insertion order, which callers
+        # that walk dom.signs (wall_continuity_check) depend on; the probes
+        # are jittered and permuted samples and points on exactly one wall
+        for case in SIGN_DOMAINS_PINNED["generic"]:
+            dom = SignDomain(parse_weights(case["sample"]))
+            signs = [[sorted(block), sign] for block, sign in dom.signs.items()]
+            assert signs == case["signs"], case["sample"]
+            assert dom.signs_json() == case["signs_json"], case["sample"]
+            for probe in case["probes"]:
+                got = dom.same_pattern(parse_weights(probe["point"]))
+                assert got is probe["same_pattern"], (case["sample"], probe["point"])
+
+    def test_on_wall_samples_pinned(self):
+        # n = 4..8, two-block walls and integral subsets; most samples have
+        # several offending subsets, and the first in combinations order
+        # (by size, then lexicographically) is the one reported
+        for case in SIGN_DOMAINS_PINNED["on_wall"]:
+            with pytest.raises(WallError) as err:
+                SignDomain(parse_weights(case["sample"]))
+            assert str(err.value) == case["message"], case["sample"]
+            assert err.value.subset == frozenset(case["subset"]), case["sample"]
+
 
 class TestAnPolynomial:
     def test_three_points_constant_one(self):
@@ -192,6 +224,36 @@ class TestAnPolynomial:
         assert point is not None
         assert piece.evaluate(point.entries) == 0
         assert a_n(point) == 0
+
+    @pytest.mark.parametrize("case", PIECES_PINNED["an_polynomial"],
+                             ids=lambda case: f"seed{case['seed']}")
+    def test_json_pinned(self, case):
+        sample = random_generic_sample(random.Random(case["seed"]), case["n"])
+        assert str(sample) == case["sample"]
+        assert an_polynomial(SignDomain(sample)).to_json() == case["terms"]
+
+    def test_each_sub_piece_built_once_per_call(self, monkeypatch):
+        # the recursion builds each sorted sub-sample once and keeps nothing
+        # between top-level calls, so a second call does the same work
+        built = []
+        original = piecewise.an_polynomial
+
+        def recording(domain, **kwargs):
+            built.append(domain.sample.entries)
+            return original(domain, **kwargs)
+
+        monkeypatch.setattr(piecewise, "an_polynomial", recording)
+        # without the memo this piece makes 100 calls for 50 sorted samples
+        sample = random_generic_sample(random.Random(1), 6)
+        first = piecewise.an_polynomial(SignDomain(sample))
+        per_call = len(built)
+        second = piecewise.an_polynomial(SignDomain(sample))
+        assert first == second
+        assert len(built) == 2 * per_call
+        assert built[per_call:] == built[:per_call]
+        sub_samples = built[1:per_call]
+        assert len(set(sub_samples)) == len(sub_samples)
+        assert all(list(s) == sorted(s) for s in sub_samples)
 
     def test_permutation_equivariance(self):
         sample = WeightVector(tuple(GENERIC5))

@@ -26,6 +26,8 @@ from flatsphere.recursion import (
     vol1,
 )
 
+from util import mcmullen_an
+
 F = Fraction
 
 
@@ -105,6 +107,51 @@ class TestJn:
                 continue
             mu = weights_from_signature(Signature(tuple(ks) + (last,), d))
             assert j_n(mu, cache).denominator == 1
+
+    @pytest.mark.parametrize("n", [6, 7, 8])
+    def test_integrality_on_random_signatures_larger_n(self, n):
+        rng = random.Random(50 + n)
+        cache = {}
+        checked = 0
+        while checked < 6:
+            d = rng.randint(2, 9)
+            ks = [rng.randint(1 - d, d) for _ in range(n - 1)]
+            last = -2 * d - sum(ks)
+            if last < 1 - d:
+                continue
+            mu = weights_from_signature(Signature(tuple(ks) + (last,), d))
+            assert j_n(mu, cache).denominator == 1, mu
+            checked += 1
+
+
+class TestMcMullenOracle:
+    @staticmethod
+    def _positive_weights(rng, n):
+        # n positive weights below 1 summing to 2: cut 2q into n parts
+        while True:
+            q = rng.choice((7, 12, 29, 60))
+            cuts = sorted(rng.sample(range(1, 2 * q), n - 1))
+            parts = [b - a for a, b in zip([0] + cuts, cuts + [2 * q])]
+            if max(parts) < q:
+                return [F(p, q) for p in parts]
+
+    def test_known_values(self):
+        assert mcmullen_an(parse_weights("1/2,1/2,1/2,1/2")) == F(1, 2)
+        assert mcmullen_an(parse_weights("2/3,1/3,1/3,1/3,1/3")) == F(1, 9)
+
+    @pytest.mark.parametrize("n", [6, 7, 8])
+    def test_matches_recursion_on_positive_weights(self, n):
+        rng = random.Random(300 + n)
+        cache = {}
+        for _ in range(3):
+            mu = self._positive_weights(rng, n)
+            assert mcmullen_an(mu) == a_n(mu, cache), mu
+
+    def test_differs_with_a_negative_weight(self):
+        # the limit stated in the oracle's docstring
+        mu = parse_weights("3/4,3/4,3/4,3/4,-1/2,-1/2")
+        assert a_n(mu) == F(3, 8)
+        assert mcmullen_an(mu) == F(9, 16)
 
 
 class TestDform:

@@ -6,9 +6,11 @@ target list is checked here against the package.
 """
 import importlib
 import types
+from fractions import Fraction
 from pathlib import Path
 
 import flatsphere.recursion
+from flatsphere import closed_forms, piecewise
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
@@ -48,3 +50,22 @@ def test_install_resolves_every_target_and_uninstall_restores():
     assert flatsphere.recursion.a_n is original_a_n
     for (module_name, path), original in originals.items():
         assert _resolve(module_name, path) is original, path
+
+
+def test_symbolic_layers_record_calls():
+    # `--trace 1` on the symbolic workload fails when the piecewise or the
+    # closed_forms layer records no call; one piece and one f_nab call must
+    # reach both, wherever their internals recurse
+    tracing = _load_tracing()
+    tracer = tracing.Tracer()
+    sample = [Fraction(a, 11) for a in (10, 4, 2, 2, 2, 2)]
+    try:
+        tracer.install()
+        piecewise.an_polynomial(piecewise.SignDomain(sample))
+        closed_forms.f_nab(5, Fraction(1), Fraction(2), [Fraction(k, 3) for k in range(5)])
+    finally:
+        tracer.uninstall()
+    for metric in ("piecewise.an_polynomial", "piecewise.sign_domain",
+                   "piecewise.substitute_linear", "piecewise.multipoly_mul",
+                   "closed_forms.f_nab"):
+        assert tracer.counts[metric] > 0, metric
