@@ -181,26 +181,19 @@ def cmd_table(npoints, as_csv, as_json, diff, columns, cache_path, verbose):
         _fail("--columns needs at least one of col3,ratio,mv")
     if any(c not in ("col3", "ratio", "mv") for c in wanted):
         _fail("--columns entries must be among col3,ratio,mv")
+    if as_csv and as_json:
+        _fail("pass either --csv or --json, not both")
+    if diff and (as_csv or as_json):
+        _fail("--diff prints its own report; drop --csv and --json")
     cache = _load_cache(cache_path)
     if diff:
-        failures = []
-        for row in tables.expected_rows(npoints):
-            computed = tables.compute_row(row, cache)
-            messages = [m for m in computed.mismatches()
-                        if m.split(" ", 1)[0] in wanted]
-            tag = f"d={row.d} ({row.label_text()})"
-            if messages:
-                failures.append(tag)
-                for m in messages:
-                    click.echo(f"{tag}: MISMATCH {m}")
-            elif computed.ratio is None and {"ratio", "mv"} & set(wanted):
-                click.echo(f"{tag}: ok (ratio/mv unsupported)")
-            else:
-                click.echo(f"{tag}: ok")
+        lines, failures = tables.diff_table(npoints, cache, wanted)
+        for line in lines:
+            click.echo(line)
         _report_cache(cache, verbose)
         _save_cache(cache_path, cache)
         if failures:
-            click.echo(f"{len(failures)} row(s) mismatched", err=True)
+            click.echo(f"{failures} row(s) mismatched", err=True)
             sys.exit(2)
         return
     if as_csv:
@@ -367,16 +360,17 @@ def cmd_check(suite_name, max_n, seed):
     if suite_name not in _SUITES:
         known = ", ".join(sorted(_SUITES))
         _fail(f"unknown suite {suite_name!r} (choose from {known})")
-    failures = 0
+    results = []
 
     def report(name: str, good: bool) -> bool:
-        nonlocal failures
         click.echo(f"{'ok  ' if good else 'FAIL'} {name}")
-        if not good:
-            failures += 1
+        results.append(good)
         return good
 
     _SUITES[suite_name](max_n, seed, report)
+    if not results:
+        _fail(f"suite {suite_name!r} ran no checks at --max-n {max_n}")
+    failures = results.count(False)
     if failures:
         click.echo(f"{failures} check(s) failed", err=True)
         sys.exit(2)

@@ -9,15 +9,12 @@ heavy blocks comes from ``two_block_splits``.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from typing import Iterator, Sequence
 
-from .core import ValidationError, WeightVector
-
-FAMILIES = ("T1a", "T1b", "T2a", "T2b")
+from .core import ValidationError, WeightVector, minimal_denominator
 
 
 @dataclass(frozen=True)
@@ -52,8 +49,12 @@ class PartitionRecord:
     mu_bars: tuple[Fraction, ...]
     block_sizes: tuple[int, ...]
     sub_weights: tuple[WeightVector, ...]
-    min_denoms: tuple[int, ...]
     epsilon: int = 1
+
+    @property
+    def min_denoms(self) -> tuple[int, ...]:
+        """Per sub-vector; 2 - mu(I) adds no denominator to the block's."""
+        return tuple([minimal_denominator(w) for w in self.sub_weights])
 
     def to_json(self) -> dict:
         return {
@@ -71,16 +72,10 @@ def _sort_key(record: PartitionRecord):
     return tuple(tuple(sorted(b)) for b in record.blocks)
 
 
-def _sub_vector(mu: WeightVector, heavy: Sequence[int]) -> WeightVector:
-    """Weight vector induced by a heavy block: (2 - mu(I), sorted mu_i for i in I)."""
-    first = 2 - mu.subset_sum(heavy)
-    rest = sorted([mu[i] for i in heavy])
-    return WeightVector((first, *rest))
-
-
-def _heavy_denominator(mu: WeightVector, heavy: Sequence[int]) -> int:
-    """Smallest e with e*mu_i integral for every i in the heavy block."""
-    return math.lcm(*[mu[i].denominator for i in heavy])
+def _sub_vector(mu: WeightVector, heavy: Sequence[int], weight) -> WeightVector:
+    """Weight vector induced by a heavy block of weight mu(I):
+    (2 - mu(I), sorted mu_i for i in I)."""
+    return WeightVector((2 - weight, *sorted([mu[i] for i in heavy])))
 
 
 def _record(mu: WeightVector, family: str, blocks, heavies, weights,
@@ -92,8 +87,7 @@ def _record(mu: WeightVector, family: str, blocks, heavies, weights,
         blocks=tuple(map(frozenset, blocks)),
         mu_bars=tuple([w - 1 for w in weights]),
         block_sizes=tuple(map(len, heavies)),
-        sub_weights=tuple([_sub_vector(mu, h) for h in heavies]),
-        min_denoms=tuple([_heavy_denominator(mu, h) for h in heavies]),
+        sub_weights=tuple([_sub_vector(mu, h, w) for h, w in zip(heavies, weights)]),
         epsilon=epsilon,
     )
 

@@ -14,7 +14,8 @@ from typing import Iterable, Mapping, Sequence
 
 from .core import (ValidationError, WeightVector, _as_fraction, _scale_to_integers,
                    _subset_sums)
-from .partitions import two_block_splits
+from .partitions import enum_T1a, enum_T2a
+from .recursion import _t1a_coeff, _t2a_coeff
 
 
 class MultiPoly:
@@ -282,14 +283,20 @@ def _sub_piece(sample: WeightVector, heavy: Sequence[int], memo: dict) -> MultiP
     return piece.substitute_linear([forms[j] for j in order])
 
 
+def _mu_bar(block, n: int) -> MultiPoly:
+    """The excess weight mu(block) - 1 as a linear form in n variables."""
+    return MultiPoly.linear(-1, [1 if i in block else 0 for i in range(n)], n)
+
+
 def an_polynomial(domain: SignDomain, *, _memo: dict | None = None) -> MultiPoly:
     """The polynomial piece of the volume function on a sign domain.
 
-    Family membership is read off the sample's wall signs alone; terms whose
-    integrality side conditions fail contribute sub-values that vanish, so
-    including them preserves the identity on the whole domain.  Each distinct
-    sub-piece is built once per top-level call, in a memo that the recursion
-    passes down as `_memo` and that dies with the call.
+    The terms are the sample's T1a and T2a records, weighted by the
+    recursion's coefficient functions on linear forms; elsewhere in the domain,
+    terms whose integrality side conditions fail contribute sub-values that
+    vanish, so the piece holds on the whole domain.  Each distinct sub-piece
+    is built once per top-level call, in a memo that the recursion passes
+    down as `_memo` and that dies with the call.
     """
     memo = {} if _memo is None else _memo
     sample = domain.sample
@@ -298,32 +305,18 @@ def an_polynomial(domain: SignDomain, *, _memo: dict | None = None) -> MultiPoly
         return MultiPoly.constant(1, 3)
     if n == 4:
         return _a4_piece(sample)
+    # The sample has no proper subset of integral weight, so T1b (a weight-1
+    # pair) and T2b (a singleton and a block of weight 1) are empty, and
+    # T2a's negative singleton follows from its two heavy blocks.
     piece = MultiPoly(n)
-    for pair in combinations(range(n), 2):
-        if sample.subset_sum(pair) >= 1:
-            continue
-        heavy = [i for i in range(n) if i not in pair]
-        mu_bar = MultiPoly.linear(
-            -1, [1 if i in heavy else 0 for i in range(n)], n)
-        alpha = (MultiPoly.constant(Fraction(n - 3, (n - 1) * (n - 2)), n)
-                 - Fraction(1, n - 2) * mu_bar)
-        piece = piece + alpha * _sub_piece(sample, heavy, memo)
-    for single in range(n):
-        rest = [i for i in range(n) if i != single]
-        for block1, block2 in two_block_splits(rest):
-            if sample.subset_sum(block1) <= 1 or sample.subset_sum(block2) <= 1:
-                continue
-            n1, n2 = len(block1), len(block2)
-            mb1 = MultiPoly.linear(-1, [1 if i in block1 else 0 for i in range(n)], n)
-            mb2 = MultiPoly.linear(-1, [1 if i in block2 else 0 for i in range(n)], n)
-            gamma = (
-                Fraction(1, (n - 1) * (n - 2))
-                * (n1 * n2 * (mb1 + mb2) - n1 * mb1 - n2 * mb2)
-                - Fraction(1, n - 2) * (mb1 * mb2)
-            )
-            piece1 = _sub_piece(sample, block1, memo)
-            piece2 = _sub_piece(sample, block2, memo)
-            piece = piece - gamma * piece1 * piece2
+    for rec in enum_T1a(sample):
+        heavy = sorted(rec.blocks[1])
+        piece = piece + _t1a_coeff(_mu_bar(heavy, n), n) * _sub_piece(sample, heavy, memo)
+    for rec in enum_T2a(sample):
+        block1, block2 = sorted(rec.blocks[1]), sorted(rec.blocks[2])
+        gamma = _t2a_coeff(_mu_bar(block1, n), _mu_bar(block2, n), *rec.block_sizes, n)
+        piece1, piece2 = _sub_piece(sample, block1, memo), _sub_piece(sample, block2, memo)
+        piece = piece - gamma * piece1 * piece2
     return piece
 
 

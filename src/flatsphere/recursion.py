@@ -40,17 +40,18 @@ def a4_closed(nu) -> Fraction:
     return Fraction(1, 2) - total / 4
 
 
-def _t1a_coeff(mu_bar: Fraction, n: int) -> Fraction:
-    return Fraction(n - 3, (n - 1) * (n - 2)) - mu_bar / (n - 2)
+# ring-generic: a_n passes Fractions, an_polynomial linear forms (MultiPoly)
+def _t1a_coeff(mu_bar, n: int):
+    return Fraction(n - 3, (n - 1) * (n - 2)) - Fraction(1, n - 2) * mu_bar
 
 
 def _t1b_coeff(mu_bar: Fraction, n: int) -> Fraction:
     return Fraction(n - 3, (n - 1) * (n - 2)) * mu_bar
 
 
-def _t2a_coeff(mb1, mb2, n1: int, n2: int, n: int) -> Fraction:
-    lead = Fraction(n1 * n2 * (mb1 + mb2) - mb1 * n1 - mb2 * n2, 1)
-    return lead / ((n - 1) * (n - 2)) - mb1 * mb2 / (n - 2)
+def _t2a_coeff(mb1, mb2, n1: int, n2: int, n: int):
+    lead = n1 * n2 * (mb1 + mb2) - n1 * mb1 - n2 * mb2
+    return Fraction(1, (n - 1) * (n - 2)) * lead - Fraction(1, n - 2) * (mb1 * mb2)
 
 
 def _t2b_coeff(mb1, mb2, n1: int, n2: int, eps: int, n: int) -> Fraction:

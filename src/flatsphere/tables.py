@@ -103,14 +103,23 @@ def compute_row(row: TableRow, cache=None) -> ComputedRow:
     return ComputedRow(row=row, col3=col3, ratio=ratio, mv=mv)
 
 
-def diff_table(n: int, cache=None) -> list[str]:
-    """Mismatch report lines against the embedded reference; empty if clean."""
-    problems = []
+def diff_table(n: int, cache, columns) -> tuple[list[str], int]:
+    """The report lines of ``table --diff`` (``ok`` per clean row, one
+    ``MISMATCH`` per differing cell) and the number of mismatched rows."""
+    lines = []
+    failures = 0
     for row in expected_rows(n):
         computed = compute_row(row, cache)
-        for message in computed.mismatches():
-            problems.append(f"d={row.d} ({row.label_text()}): {message}")
-    return problems
+        messages = [m for m in computed.mismatches() if m.split(" ", 1)[0] in columns]
+        tag = f"d={row.d} ({row.label_text()})"
+        if messages:
+            failures += 1
+            lines += [f"{tag}: MISMATCH {m}" for m in messages]
+        elif computed.ratio is None and {"ratio", "mv"} & set(columns):
+            lines.append(f"{tag}: ok (ratio/mv unsupported)")
+        else:
+            lines.append(f"{tag}: ok")
+    return lines, failures
 
 
 def _cell(value) -> str:

@@ -130,6 +130,19 @@ class TestTable:
         result = runner.invoke(main, ["table", "--n", "7"])
         assert result.exit_code == 1
 
+    def test_rejects_csv_with_json(self, runner):
+        result = runner.invoke(main, ["table", "--n", "4", "--csv", "--json"])
+        assert result.exit_code == 1
+        assert "--csv or --json" in result.output
+        assert "kappa" not in result.output
+
+    @pytest.mark.parametrize("fmt", ["--csv", "--json"])
+    def test_diff_rejects_output_format(self, runner, fmt):
+        result = runner.invoke(main, ["table", "--n", "4", "--diff", fmt])
+        assert result.exit_code == 1
+        assert "--diff" in result.output
+        assert ": ok" not in result.output
+
     @pytest.mark.parametrize("columns", ["", ",", " , "])
     def test_diff_rejects_empty_column_list(self, runner, columns):
         # an empty list would check nothing and report every row ok
@@ -301,6 +314,15 @@ class TestCheck:
         result = runner.invoke(main, ["check", "--suite", suite, *args])
         assert result.exit_code == 0, result.output
         assert "all checks passed" in result.output
+
+    @pytest.mark.parametrize("suite", ["kontsevich", "identity", "sympoly"])
+    def test_suite_running_no_checks_fails(self, runner, suite):
+        # below each suite's smallest n nothing is checked, which must not
+        # read as a pass
+        result = runner.invoke(main, ["check", "--suite", suite, "--max-n", "1"])
+        assert result.exit_code == 1
+        assert f"suite {suite!r} ran no checks at --max-n 1" in result.output
+        assert "all checks passed" not in result.output
 
     def test_oracle5(self, runner):
         result = runner.invoke(main, ["check", "--suite", "oracle5"])

@@ -1,5 +1,7 @@
+import math
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -20,6 +22,7 @@ from util import (
     oracle_t2a,
     oracle_t2b,
     partitions_into,
+    random_generic_sample,
     record_key,
 )
 
@@ -284,3 +287,47 @@ def test_records_serialize_to_json():
     assert data["epsilon"] == 2
     assert all(isinstance(b, list) for b in data["blocks"])
     assert data["min_denoms"] == [4, 4]
+
+
+def test_min_denoms_match_heavy_block_denominators():
+    # 2 - mu(I) adds no denominator beyond those of the weights in I
+    rng = random.Random(17)
+    vectors = [parse_weights(text) for text in INTERESTING]
+    vectors += [random_generic_sample(rng, n, q=12) for n in (5, 6, 7)]
+    for mu in vectors:
+        for enum, _ in ORACLES.values():
+            for rec in enum(mu):
+                heavies = rec.blocks[-len(rec.sub_weights):]
+                assert rec.min_denoms == tuple(
+                    math.lcm(*[mu[i].denominator for i in h]) for h in heavies)
+
+
+def _generic_samples(rng, sizes, per_size):
+    return [random_generic_sample(rng, n) for n in sizes for _ in range(per_size)]
+
+
+class TestGenericSamples:
+    """On a sample off every wall and every integral subset sum (a sign-domain
+    sample), the families reduce to what the symbolic recursion reads."""
+
+    SAMPLES = _generic_samples(random.Random(23), range(5, 9), 2)
+
+    @pytest.mark.parametrize("mu", SAMPLES, ids=str)
+    def test_t1b_and_t2b_empty(self, mu):
+        assert enum_T1b(mu) == []
+        assert enum_T2b(mu) == []
+
+    @pytest.mark.parametrize("mu", SAMPLES, ids=str)
+    def test_t1a_and_t2a_read_off_the_walls(self, mu):
+        n = mu.n
+        light_pairs = {frozenset(p) for p in combinations(range(n), 2)
+                       if mu.subset_sum(p) < 1}
+        assert {rec.blocks[0] for rec in enum_T1a(mu)} == light_pairs
+        heavy_splits = set()
+        for single in range(n):
+            rest = [i for i in range(n) if i != single]
+            for b1, b2 in two_block_splits(rest):
+                if mu.subset_sum(b1) > 1 and mu.subset_sum(b2) > 1:
+                    heavy_splits.add(((single,), b1, b2))
+        assert {(tuple(r.blocks[0]), tuple(sorted(r.blocks[1])), tuple(sorted(r.blocks[2])))
+                for r in enum_T2a(mu)} == heavy_splits

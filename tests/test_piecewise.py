@@ -14,7 +14,8 @@ from flatsphere.piecewise import (
     an_polynomial,
     wall_continuity_check,
 )
-from flatsphere.recursion import a4_closed, a_n
+from flatsphere.partitions import enum_T1a, enum_T2a
+from flatsphere.recursion import _t1a_coeff, _t2a_coeff, a4_closed, a_n
 
 from util import adjacent_domain_pair, integer_entry_point, random_generic_sample
 
@@ -268,6 +269,35 @@ class TestAnPolynomial:
                 new[perm.index(pos)] = exps[pos]
             relabeled[tuple(new)] = coeff
         assert piece_p == MultiPoly(5, relabeled)
+
+
+class TestCoefficientForms:
+    """The recursion's T1a/T2a coefficients, applied to the linear forms of
+    the excess weights, evaluate to their values on Fractions."""
+
+    @pytest.mark.parametrize("n", [5, 6, 7, 8])
+    def test_forms_match_fraction_values(self, n):
+        rng = random.Random(40 + n)
+        sample = random_generic_sample(rng, n)
+        points = [[F(rng.randint(-60, 60), rng.randint(1, 30)) for _ in range(n)]
+                  for _ in range(3)]
+
+        def mu_bar(block, point):
+            return sum(point[i] for i in block) - 1
+
+        for rec in enum_T1a(sample):
+            heavy = rec.blocks[1]
+            form = _t1a_coeff(piecewise._mu_bar(heavy, n), n)
+            for point in points:
+                assert form.evaluate(point) == _t1a_coeff(mu_bar(heavy, point), n)
+        for rec in enum_T2a(sample):
+            b1, b2 = rec.blocks[1], rec.blocks[2]
+            form = _t2a_coeff(piecewise._mu_bar(b1, n), piecewise._mu_bar(b2, n),
+                              len(b1), len(b2), n)
+            for point in points:
+                want = _t2a_coeff(mu_bar(b1, point), mu_bar(b2, point),
+                                  len(b1), len(b2), n)
+                assert form.evaluate(point) == want
 
 
 class TestWallContinuity:
