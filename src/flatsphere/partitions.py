@@ -52,6 +52,11 @@ class PartitionRecord:
     epsilon: int = 1
 
     @property
+    def heavy_blocks(self) -> tuple[frozenset[int], ...]:
+        """The trailing blocks I1 (and I2), one per sub-vector."""
+        return self.blocks[-len(self.block_sizes):]
+
+    @property
     def min_denoms(self) -> tuple[int, ...]:
         """Per sub-vector; 2 - mu(I) adds no denominator to the block's."""
         return tuple([minimal_denominator(w) for w in self.sub_weights])

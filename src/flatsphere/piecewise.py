@@ -15,7 +15,7 @@ from typing import Iterable, Mapping, Sequence
 from .core import (ValidationError, WeightVector, _as_fraction, _scale_to_integers,
                    _subset_sums)
 from .partitions import enum_T1a, enum_T2a
-from .recursion import _t1a_coeff, _t2a_coeff
+from .recursion import _coefficient
 
 
 class MultiPoly:
@@ -292,7 +292,7 @@ def an_polynomial(domain: SignDomain, *, _memo: dict | None = None) -> MultiPoly
     """The polynomial piece of the volume function on a sign domain.
 
     The terms are the sample's T1a and T2a records, weighted by the
-    recursion's coefficient functions on linear forms; elsewhere in the domain,
+    recursion's signed coefficients on linear forms; elsewhere in the domain,
     terms whose integrality side conditions fail contribute sub-values that
     vanish, so the piece holds on the whole domain.  Each distinct sub-piece
     is built once per top-level call, in a memo that the recursion passes
@@ -309,14 +309,12 @@ def an_polynomial(domain: SignDomain, *, _memo: dict | None = None) -> MultiPoly
     # pair) and T2b (a singleton and a block of weight 1) are empty, and
     # T2a's negative singleton follows from its two heavy blocks.
     piece = MultiPoly(n)
-    for rec in enum_T1a(sample):
-        heavy = sorted(rec.blocks[1])
-        piece = piece + _t1a_coeff(_mu_bar(heavy, n), n) * _sub_piece(sample, heavy, memo)
-    for rec in enum_T2a(sample):
-        block1, block2 = sorted(rec.blocks[1]), sorted(rec.blocks[2])
-        gamma = _t2a_coeff(_mu_bar(block1, n), _mu_bar(block2, n), *rec.block_sizes, n)
-        piece1, piece2 = _sub_piece(sample, block1, memo), _sub_piece(sample, block2, memo)
-        piece = piece - gamma * piece1 * piece2
+    for rec in enum_T1a(sample) + enum_T2a(sample):
+        term = _coefficient(rec.family, [_mu_bar(h, n) for h in rec.heavy_blocks],
+                            rec.block_sizes, rec.epsilon, n)
+        for heavy in rec.heavy_blocks:
+            term = term * _sub_piece(sample, sorted(heavy), memo)
+        piece = piece + term
     return piece
 
 

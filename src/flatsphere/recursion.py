@@ -20,7 +20,6 @@ from .core import (
     Signature,
     ValidationError,
     WeightVector,
-    canonicalize,
     minimal_denominator,
     weights_from_signature,
 )
@@ -40,22 +39,20 @@ def a4_closed(nu) -> Fraction:
     return Fraction(1, 2) - total / 4
 
 
-# ring-generic: a_n passes Fractions, an_polynomial linear forms (MultiPoly)
-def _t1a_coeff(mu_bar, n: int):
-    return Fraction(n - 3, (n - 1) * (n - 2)) - Fraction(1, n - 2) * mu_bar
-
-
-def _t1b_coeff(mu_bar: Fraction, n: int) -> Fraction:
-    return Fraction(n - 3, (n - 1) * (n - 2)) * mu_bar
-
-
-def _t2a_coeff(mb1, mb2, n1: int, n2: int, n: int):
-    lead = n1 * n2 * (mb1 + mb2) - n1 * mb1 - n2 * mb2
-    return Fraction(1, (n - 1) * (n - 2)) * lead - Fraction(1, n - 2) * (mb1 * mb2)
-
-
-def _t2b_coeff(mb1, mb2, n1: int, n2: int, eps: int, n: int) -> Fraction:
-    return Fraction(eps * n1 * n2, (n - 1) * (n - 2)) * mb1 * mb2
+def _coefficient(family: str, mu_bars, block_sizes, epsilon: int, n: int):
+    """The coefficient of a record's term, signed: T1b and T2a terms carry the
+    minus.  Ring-generic (only Fraction and int factors), so ``a_n`` passes
+    Fractions and ``an_polynomial`` linear forms (MultiPoly)."""
+    if family == "T1a":
+        return Fraction(n - 3, (n - 1) * (n - 2)) - Fraction(1, n - 2) * mu_bars[0]
+    if family == "T1b":
+        return Fraction(3 - n, (n - 1) * (n - 2)) * mu_bars[0]
+    mb1, mb2 = mu_bars
+    n1, n2 = block_sizes
+    if family == "T2a":
+        lead = n1 * n2 * (mb1 + mb2) - n1 * mb1 - n2 * mb2
+        return Fraction(1, n - 2) * (mb1 * mb2) - Fraction(1, (n - 1) * (n - 2)) * lead
+    return Fraction(epsilon * n1 * n2, (n - 1) * (n - 2)) * mb1 * mb2
 
 
 def a_n(mu, cache: Optional[MemoCache] = None) -> Fraction:
@@ -63,16 +60,18 @@ def a_n(mu, cache: Optional[MemoCache] = None) -> Fraction:
 
     Vanishes when any entry is an integer; equals 1 for n = 3 and the
     closed form for n = 4; for n >= 5 it is the four-family recursion with
-    denominator-free coefficients.
+    denominator-free coefficients.  ``cache`` maps sorted weight tuples to
+    values down the recursion; ``None`` gives this call a fresh one.
     """
     mu = WeightVector.coerce(mu)
     if any(x.denominator == 1 for x in mu):
         return Fraction(0)
-    key = canonicalize(mu).entries
-    if cache is not None:
-        hit = cache.get(key)
-        if hit is not None:
-            return hit
+    if cache is None:
+        cache = {}
+    key = tuple(sorted(mu.entries))
+    hit = cache.get(key)
+    if hit is not None:
+        return hit
     n = mu.n
     if n == 3:
         value = Fraction(1)
@@ -80,24 +79,15 @@ def a_n(mu, cache: Optional[MemoCache] = None) -> Fraction:
         value = a4_closed(mu)
     else:
         value = Fraction(0)
-        for rec in enum_T1a(mu):
-            value += _t1a_coeff(rec.mu_bars[0], n) * a_n(rec.sub_weights[0], cache)
-        for rec in enum_T1b(mu):
-            value -= _t1b_coeff(rec.mu_bars[0], n) * a_n(rec.sub_weights[0], cache)
-        for rec in enum_T2a(mu):
-            value -= (
-                _t2a_coeff(*rec.mu_bars, *rec.block_sizes, n)
-                * a_n(rec.sub_weights[0], cache)
-                * a_n(rec.sub_weights[1], cache)
-            )
-        for rec in enum_T2b(mu):
-            value += (
-                _t2b_coeff(*rec.mu_bars, *rec.block_sizes, rec.epsilon, n)
-                * a_n(rec.sub_weights[0], cache)
-                * a_n(rec.sub_weights[1], cache)
-            )
-    if cache is not None:
-        cache[key] = value
+        # looked up by name on each call, so wrappers bound to these names see it
+        for enum in (enum_T1a, enum_T1b, enum_T2a, enum_T2b):
+            for rec in enum(mu):
+                term = _coefficient(rec.family, rec.mu_bars, rec.block_sizes,
+                                    rec.epsilon, n)
+                for sub in rec.sub_weights:
+                    term *= a_n(sub, cache)
+                value += term
+    cache[key] = value
     return value
 
 
@@ -344,8 +334,9 @@ def a5_direct(mu, d: int) -> Fraction:
     return (d_squared + exceptional) / Fraction(d) ** 2
 
 
-def enumerate_odd_signatures(n: int, max_order: int = 9) -> list[QuadSignature]:
-    """All odd signatures with n entries in [-1, max_order], up to reordering."""
+def enumerate_odd_signatures(n: int) -> list[QuadSignature]:
+    """All odd signatures with n entries (each >= -1, summing to -4), up to
+    reordering."""
     if n % 2 or n < 4:
         return []
     out = []
@@ -356,7 +347,7 @@ def enumerate_odd_signatures(n: int, max_order: int = 9) -> list[QuadSignature]:
                 out.append(QuadSignature(acc + (-1,) * (n - len(acc))))
             return
         k = lo
-        while k <= min(remaining - (slots - 1), max_order):
+        while k <= remaining - (slots - 1):
             descend(slots - 1, remaining - k, k, acc + (k,))
             k += 2
 

@@ -47,15 +47,13 @@ class ComputedRow:
     ratio: Optional[Fraction]
     mv: Optional[PiValue]
 
-    def mismatches(self) -> list[str]:
-        out = []
-        if self.col3 != self.row.col3:
-            out.append(f"col3 computed {self.col3} != expected {self.row.col3}")
-        if self.ratio is not None and self.ratio != self.row.ratio:
-            out.append(f"ratio computed {self.ratio} != expected {self.row.ratio}")
-        if self.mv is not None and self.mv != self.row.mv:
-            out.append(f"mv computed {self.mv} != expected {self.row.mv}")
-        return out
+    def mismatches(self) -> list[tuple[str, str]]:
+        """(column, message) per differing cell; unsupported (None) cells are skipped."""
+        cells = (("col3", self.col3, self.row.col3),
+                 ("ratio", self.ratio, self.row.ratio),
+                 ("mv", self.mv, self.row.mv))
+        return [(column, f"{column} computed {got} != expected {want}")
+                for column, got, want in cells if got is not None and got != want]
 
 
 @functools.cache
@@ -110,7 +108,7 @@ def diff_table(n: int, cache, columns) -> tuple[list[str], int]:
     failures = 0
     for row in expected_rows(n):
         computed = compute_row(row, cache)
-        messages = [m for m in computed.mismatches() if m.split(" ", 1)[0] in columns]
+        messages = [m for column, m in computed.mismatches() if column in columns]
         tag = f"d={row.d} ({row.label_text()})"
         if messages:
             failures += 1

@@ -315,7 +315,8 @@ class TestCheck:
         assert result.exit_code == 0, result.output
         assert "all checks passed" in result.output
 
-    @pytest.mark.parametrize("suite", ["kontsevich", "identity", "sympoly"])
+    @pytest.mark.parametrize("suite", ["kontsevich", "identity", "sympoly",
+                                       "dform", "oracle5"])
     def test_suite_running_no_checks_fails(self, runner, suite):
         # below each suite's smallest n nothing is checked, which must not
         # read as a pass
@@ -323,6 +324,16 @@ class TestCheck:
         assert result.exit_code == 1
         assert f"suite {suite!r} ran no checks at --max-n 1" in result.output
         assert "all checks passed" not in result.output
+
+    def test_max_n_above_ceiling_notes_it_on_stderr(self, runner):
+        # sympoly checks n <= 8 only; stdout stays the plain report
+        result = runner.invoke(main, ["check", "--suite", "sympoly", "--max-n", "10"])
+        assert result.exit_code == 0, result.output
+        assert result.stderr == "note: suite 'sympoly' stops at n = 8, below --max-n 10\n"
+        assert result.stdout.endswith("ok   sympoly n=8\nall checks passed\n")
+        result = runner.invoke(main, ["check", "--suite", "sympoly", "--max-n", "3"])
+        assert result.exit_code == 0, result.output
+        assert result.stderr == ""
 
     def test_oracle5(self, runner):
         result = runner.invoke(main, ["check", "--suite", "oracle5"])

@@ -302,6 +302,20 @@ def test_min_denoms_match_heavy_block_denominators():
                     math.lcm(*[mu[i].denominator for i in h]) for h in heavies)
 
 
+def test_heavy_blocks_induce_the_sub_vectors():
+    # heavy block I, mu_bar and sub-vector (2 - mu(I), sorted mu_i for i in I)
+    # line up entry by entry
+    for mu in map(parse_weights, INTERESTING):
+        for enum, _ in ORACLES.values():
+            for rec in enum(mu):
+                assert len(rec.heavy_blocks) == len(rec.sub_weights)
+                for block, size, bar, sub in zip(rec.heavy_blocks, rec.block_sizes,
+                                                 rec.mu_bars, rec.sub_weights):
+                    weight = mu.subset_sum(block)
+                    assert len(block) == size and bar == weight - 1
+                    assert sub.entries == (2 - weight, *sorted(mu[i] for i in block))
+
+
 def _generic_samples(rng, sizes, per_size):
     return [random_generic_sample(rng, n) for n in sizes for _ in range(per_size)]
 

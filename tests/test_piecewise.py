@@ -15,7 +15,7 @@ from flatsphere.piecewise import (
     wall_continuity_check,
 )
 from flatsphere.partitions import enum_T1a, enum_T2a
-from flatsphere.recursion import _t1a_coeff, _t2a_coeff, a4_closed, a_n
+from flatsphere.recursion import _coefficient, a4_closed, a_n
 
 from util import adjacent_domain_pair, integer_entry_point, random_generic_sample
 
@@ -272,7 +272,7 @@ class TestAnPolynomial:
 
 
 class TestCoefficientForms:
-    """The recursion's T1a/T2a coefficients, applied to the linear forms of
+    """The recursion's signed coefficients, applied to the linear forms of
     the excess weights, evaluate to their values on Fractions."""
 
     @pytest.mark.parametrize("n", [5, 6, 7, 8])
@@ -285,18 +285,13 @@ class TestCoefficientForms:
         def mu_bar(block, point):
             return sum(point[i] for i in block) - 1
 
-        for rec in enum_T1a(sample):
-            heavy = rec.blocks[1]
-            form = _t1a_coeff(piecewise._mu_bar(heavy, n), n)
+        for rec in enum_T1a(sample) + enum_T2a(sample):
+            heavies = rec.heavy_blocks
+            form = _coefficient(rec.family, [piecewise._mu_bar(h, n) for h in heavies],
+                                rec.block_sizes, rec.epsilon, n)
             for point in points:
-                assert form.evaluate(point) == _t1a_coeff(mu_bar(heavy, point), n)
-        for rec in enum_T2a(sample):
-            b1, b2 = rec.blocks[1], rec.blocks[2]
-            form = _t2a_coeff(piecewise._mu_bar(b1, n), piecewise._mu_bar(b2, n),
-                              len(b1), len(b2), n)
-            for point in points:
-                want = _t2a_coeff(mu_bar(b1, point), mu_bar(b2, point),
-                                  len(b1), len(b2), n)
+                want = _coefficient(rec.family, [mu_bar(h, point) for h in heavies],
+                                    rec.block_sizes, rec.epsilon, n)
                 assert form.evaluate(point) == want
 
 

@@ -8,6 +8,7 @@ from flatsphere.core import (
     PiValue,
     Signature,
     ValidationError,
+    WeightVector,
     parse_weights,
     weights_from_signature,
 )
@@ -29,6 +30,16 @@ from flatsphere.recursion import (
 from util import mcmullen_an
 
 F = Fraction
+
+
+def _random_weights(rng, n):
+    """The weights of a seeded random level-d signature with n entries."""
+    while True:
+        d = rng.randint(2, 9)
+        ks = [rng.randint(1 - d, d) for _ in range(n - 1)]
+        last = -2 * d - sum(ks)
+        if last >= 1 - d:
+            return weights_from_signature(Signature(tuple(ks) + (last,), d))
 
 
 class TestA4Closed:
@@ -82,6 +93,28 @@ class TestAn:
         assert a_n(mu, cache) == a_n(mu) == a_n(mu, cache)
         assert cache
 
+    def test_memo_hit_builds_only_the_input_vector(self, monkeypatch):
+        mu = parse_weights("5/6,5/6,5/6,5/6,5/6,-5/6,-4/3")
+        memo = {}
+        value = a_n(mu, memo)
+        builds = []
+        original = WeightVector.__post_init__
+
+        def counting(self):
+            builds.append(self)
+            original(self)
+
+        monkeypatch.setattr(WeightVector, "__post_init__", counting)
+        assert a_n(tuple(mu.entries), memo) == value
+        assert len(builds) == 1
+
+    @pytest.mark.parametrize("n", [6, 7, 8])
+    def test_no_cache_equals_fresh_memo(self, n):
+        rng = random.Random(70 + n)
+        for _ in range(3):
+            mu = _random_weights(rng, n)
+            assert a_n(mu) == a_n(mu, {}), mu
+
     def test_permutation_invariance_spot(self):
         mu = parse_weights("2/3,1/3,1/3,1/3,1/3")
         base = a_n(mu)
@@ -112,16 +145,9 @@ class TestJn:
     def test_integrality_on_random_signatures_larger_n(self, n):
         rng = random.Random(50 + n)
         cache = {}
-        checked = 0
-        while checked < 6:
-            d = rng.randint(2, 9)
-            ks = [rng.randint(1 - d, d) for _ in range(n - 1)]
-            last = -2 * d - sum(ks)
-            if last < 1 - d:
-                continue
-            mu = weights_from_signature(Signature(tuple(ks) + (last,), d))
+        for _ in range(6):
+            mu = _random_weights(rng, n)
             assert j_n(mu, cache).denominator == 1, mu
-            checked += 1
 
 
 class TestMcMullenOracle:

@@ -5,7 +5,8 @@ from fractions import Fraction
 import pytest
 
 from flatsphere.core import PiValue, ValidationError
-from flatsphere.tables import compute_row, expected_rows, table_csv, table_json
+from flatsphere.tables import (ComputedRow, compute_row, expected_rows, table_csv,
+                               table_json)
 
 F = Fraction
 
@@ -111,3 +112,12 @@ def test_json_values_are_exact_strings():
         "ratio": "-1",
         "mv_volume": "1/8*pi^2",
     }
+
+
+def test_mismatches_name_their_column():
+    row = expected_rows(5)[0]
+    computed = ComputedRow(row=row, col3=row.col3 + 1, ratio=None, mv=row.mv * 2)
+    assert computed.mismatches() == [
+        ("col3", f"col3 computed {row.col3 + 1} != expected {row.col3}"),
+        ("mv", f"mv computed {row.mv * 2} != expected {row.mv}"),
+    ]

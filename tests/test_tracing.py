@@ -71,3 +71,21 @@ def test_symbolic_layers_record_calls():
                    "partitions.enum_T1a", "partitions.enum_T2a",
                    "closed_forms.f_nab"):
         assert tracer.counts[metric] > 0, metric
+
+
+def test_a_n_records_every_boundary_family():
+    # `--trace 1` counts records per family by wrapping the enumerators
+    # under their module names; a_n must call them through those names
+    tracing = _load_tracing()
+    tracer = tracing.Tracer()
+    mu = [Fraction(1, 3), Fraction(2, 3), Fraction(-1, 3), Fraction(5, 6),
+          Fraction(-1, 6), Fraction(-1, 6), Fraction(5, 6)]
+    try:
+        tracer.install()
+        flatsphere.recursion.a_n(mu, {})
+    finally:
+        tracer.uninstall()
+    top_level = {"T1a": 14, "T1b": 3, "T2a": 2, "T2b": 6}
+    for family, count in top_level.items():
+        assert tracer.counts[f"partitions.enum_{family}"] > 0, family
+        assert tracer.counts[f"partitions.records.{family}"] >= count, family
