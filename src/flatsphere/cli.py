@@ -206,6 +206,11 @@ def cmd_table(npoints, as_csv, as_json, diff, columns, cache_path, verbose):
     _save_cache(cache_path, cache)
 
 
+# one piece takes about 1.6 s at n = 8 and 7 s at n = 9 (Python 3.11 on a
+# 2-CPU VM), and several times more for every further weight
+PIECEWISE_MAX_N = 9
+
+
 @main.command("piecewise")
 @click.option("--sample", required=False, help="generic rational weight sample")
 @click.option("--pretty", is_flag=True, help="indent the JSON output")
@@ -215,6 +220,9 @@ def cmd_piecewise(sample, pretty):
         _fail("--sample is required")
     try:
         point = parse_weights(sample)
+        if point.n > PIECEWISE_MAX_N:
+            raise ValidationError(
+                f"piecewise takes at most n = {PIECEWISE_MAX_N} weights, got {point.n}")
         domain = piecewise.SignDomain(point)
     except ValidationError as exc:
         _fail(str(exc))

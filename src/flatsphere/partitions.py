@@ -37,7 +37,8 @@ class TwoBlockPartition:
 
 @dataclass(frozen=True)
 class PartitionRecord:
-    """One primary partition together with its recursion parameters.
+    """One primary partition of a weight vector (``source``) together with
+    its recursion parameters.
 
     ``blocks`` lays out the index sets family by family:
     T1a ``(I0, I1)``, T1b ``(I00, I01, I1)``, T2a ``(I0, I1, I2)``,
@@ -48,13 +49,21 @@ class PartitionRecord:
     blocks: tuple[frozenset[int], ...]
     mu_bars: tuple[Fraction, ...]
     block_sizes: tuple[int, ...]
-    sub_weights: tuple[WeightVector, ...]
+    source: WeightVector
     epsilon: int = 1
 
     @property
     def heavy_blocks(self) -> tuple[frozenset[int], ...]:
         """The trailing blocks I1 (and I2), one per sub-vector."""
         return self.blocks[-len(self.block_sizes):]
+
+    @property
+    def sub_weights(self) -> tuple[WeightVector, ...]:
+        """Per heavy block I, the induced vector (2 - mu(I), sorted mu_i for
+        i in I); built on access, so callers that never read it pay nothing."""
+        mu = self.source
+        return tuple([WeightVector((1 - mu_bar, *sorted([mu[i] for i in heavy])))
+                      for heavy, mu_bar in zip(self.heavy_blocks, self.mu_bars)])
 
     @property
     def min_denoms(self) -> tuple[int, ...]:
@@ -77,12 +86,6 @@ def _sort_key(record: PartitionRecord):
     return tuple(tuple(sorted(b)) for b in record.blocks)
 
 
-def _sub_vector(mu: WeightVector, heavy: Sequence[int], weight) -> WeightVector:
-    """Weight vector induced by a heavy block of weight mu(I):
-    (2 - mu(I), sorted mu_i for i in I)."""
-    return WeightVector((2 - weight, *sorted([mu[i] for i in heavy])))
-
-
 def _record(mu: WeightVector, family: str, blocks, heavies, weights,
             epsilon: int = 1) -> PartitionRecord:
     """A record whose recursion data is derived from its heavy blocks and
@@ -92,7 +95,7 @@ def _record(mu: WeightVector, family: str, blocks, heavies, weights,
         blocks=tuple(map(frozenset, blocks)),
         mu_bars=tuple([w - 1 for w in weights]),
         block_sizes=tuple(map(len, heavies)),
-        sub_weights=tuple([_sub_vector(mu, h, w) for h, w in zip(heavies, weights)]),
+        source=mu,
         epsilon=epsilon,
     )
 

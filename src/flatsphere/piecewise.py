@@ -8,8 +8,10 @@ family membership decided by a generic rational sample point.
 """
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from itertools import combinations
+from operator import add
 from typing import Iterable, Mapping, Sequence
 
 from .core import (ValidationError, WeightVector, _as_fraction, _scale_to_integers,
@@ -18,133 +20,186 @@ from .partitions import enum_T1a, enum_T2a
 from .recursion import _coefficient
 
 
+def _exponents(exps, nvars: int) -> tuple[int, ...]:
+    """A validated exponent vector: nvars non-negative ints."""
+    try:
+        exps = tuple(exps)
+    except TypeError as exc:
+        raise ValidationError(f"invalid exponent vector {exps!r}") from exc
+    if len(exps) != nvars:
+        raise ValidationError("exponent vector length mismatch")
+    for e in exps:
+        if type(e) is not int or e < 0:
+            raise ValidationError(f"exponents must be non-negative ints, got {e!r}")
+    return exps
+
+
+def _rational(value):
+    """An exact rational: ints pass as they are (they carry numerator and
+    denominator too), anything else through the validating conversion."""
+    return value if type(value) is int else _as_fraction(value)
+
+
+def _lowest(num: Mapping, den: int) -> tuple[dict, int]:
+    """Integer numerators over a positive denominator in lowest terms: zeros
+    dropped, the rest and den divided by one gcd."""
+    num = {e: c for e, c in num.items() if c}
+    g = math.gcd(den, *num.values())
+    if g != 1:
+        num = {e: c // g for e, c in num.items()}
+        den //= g
+    return num, den
+
+
+def _mul_into(out: dict, a: Mapping, b: Mapping) -> dict:
+    """Add the product of two integer term dicts into `out`."""
+    get = out.get
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            exps = tuple(map(add, e1, e2))
+            out[exps] = get(exps, 0) + c1 * c2
+    return out
+
+
 class MultiPoly:
     """Dense-exponent multivariate polynomial with exact rational coefficients.
 
-    Terms map fixed-length exponent tuples to nonzero Fractions.
+    Stored as integer numerators keyed by fixed-length exponent tuples
+    (``_num``) over one positive common denominator (``_den``), in lowest
+    terms and without zero numerators, so equal values have equal
+    representations.  ``terms`` gives the coefficients as Fractions.
     """
 
-    __slots__ = ("nvars", "terms")
+    __slots__ = ("nvars", "_num", "_den")
 
     def __init__(self, nvars: int, terms: Mapping[tuple[int, ...], Fraction] | None = None):
+        coeffs = {_exponents(exps, nvars): _rational(c) for exps, c in (terms or {}).items()}
+        den, nums = _scale_to_integers(coeffs.values())
         self.nvars = nvars
-        clean: dict[tuple[int, ...], Fraction] = {}
-        for exps, coeff in (terms or {}).items():
-            coeff = _as_fraction(coeff)
-            if coeff == 0:
-                continue
-            if len(exps) != nvars:
-                raise ValidationError("exponent vector length mismatch")
-            clean[tuple(int(e) for e in exps)] = coeff
-        self.terms = clean
+        self._num, self._den = _lowest(dict(zip(coeffs, nums)), den)
 
     @classmethod
-    def _exact(cls, nvars: int, terms: dict[tuple[int, ...], Fraction]) -> "MultiPoly":
-        """Result of internal arithmetic: the coefficients are already exact
-        Fractions on exponent tuples of length nvars, so only zeros are
-        dropped."""
+    def _exact(cls, nvars: int, num: dict, den: int = 1) -> "MultiPoly":
+        """Result of internal arithmetic: integer numerators on exponent
+        tuples of length nvars over a positive int, only brought to lowest
+        terms."""
         poly = cls.__new__(cls)
         poly.nvars = nvars
-        poly.terms = {e: c for e, c in terms.items() if c}
+        poly._num, poly._den = _lowest(num, den)
         return poly
+
+    @property
+    def terms(self) -> dict[tuple[int, ...], Fraction]:
+        """The nonzero coefficients as Fractions, in a new dict."""
+        den = self._den
+        return {e: Fraction(c, den) for e, c in self._num.items()}
 
     @classmethod
     def constant(cls, value, nvars: int) -> "MultiPoly":
-        return cls._exact(nvars, {(0,) * nvars: _as_fraction(value)})
+        value = _rational(value)
+        return cls._exact(nvars, {(0,) * nvars: value.numerator}, value.denominator)
 
     @classmethod
     def variable(cls, index: int, nvars: int) -> "MultiPoly":
         exps = [0] * nvars
         exps[index] = 1
-        return cls._exact(nvars, {tuple(exps): Fraction(1)})
+        return cls._exact(nvars, {tuple(exps): 1})
 
     @classmethod
     def linear(cls, const, coeffs: Sequence, nvars: int) -> "MultiPoly":
         """const + sum(coeffs[i] * x_i), built as one term dict."""
-        terms = {(0,) * nvars: _as_fraction(const)}
+        terms = {(0,) * nvars: _rational(const)}
         for i, c in enumerate(coeffs):
             exps = [0] * nvars
             exps[i] = 1
-            terms[tuple(exps)] = _as_fraction(c)
-        return cls._exact(nvars, terms)
+            terms[tuple(exps)] = _rational(c)
+        den, nums = _scale_to_integers(terms.values())
+        return cls._exact(nvars, dict(zip(terms, nums)), den)
 
-    def _check_compatible(self, other: "MultiPoly") -> None:
+    def _coerce(self, other) -> "MultiPoly":
+        if not isinstance(other, MultiPoly):
+            return MultiPoly.constant(other, self.nvars)
         if self.nvars != other.nvars:
             raise ValidationError("variable-count mismatch")
+        return other
 
     def __add__(self, other):
-        if not isinstance(other, MultiPoly):
-            other = MultiPoly.constant(other, self.nvars)
-        self._check_compatible(other)
-        terms = dict(self.terms)
-        for exps, coeff in other.terms.items():
-            terms[exps] = terms.get(exps, 0) + coeff
-        return MultiPoly._exact(self.nvars, terms)
+        other = self._coerce(other)
+        den = math.lcm(self._den, other._den)
+        m1, m2 = den // self._den, den // other._den
+        num = {e: c * m1 for e, c in self._num.items()}
+        for e, c in other._num.items():
+            num[e] = num.get(e, 0) + c * m2
+        return MultiPoly._exact(self.nvars, num, den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MultiPoly._exact(self.nvars, {e: -c for e, c in self.terms.items()})
+        return MultiPoly._exact(self.nvars, {e: -c for e, c in self._num.items()},
+                                self._den)
 
     def __sub__(self, other):
-        if not isinstance(other, MultiPoly):
-            other = MultiPoly.constant(other, self.nvars)
-        return self + (-other)
+        return self + (-self._coerce(other))
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
         if not isinstance(other, MultiPoly):
-            scalar = _as_fraction(other)
-            return MultiPoly._exact(self.nvars,
-                                    {e: c * scalar for e, c in self.terms.items()})
-        self._check_compatible(other)
-        terms: dict[tuple[int, ...], Fraction] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                exps = tuple(a + b for a, b in zip(e1, e2))
-                terms[exps] = terms.get(exps, 0) + c1 * c2
-        return MultiPoly._exact(self.nvars, terms)
+            scalar = _rational(other)
+            return MultiPoly._exact(
+                self.nvars, {e: c * scalar.numerator for e, c in self._num.items()},
+                self._den * scalar.denominator)
+        other = self._coerce(other)
+        return MultiPoly._exact(self.nvars, _mul_into({}, self._num, other._num),
+                                self._den * other._den)
 
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int):
         if exponent < 0:
             raise ValidationError("negative polynomial powers are undefined")
-        result = MultiPoly.constant(1, self.nvars)
+        num = {(0,) * self.nvars: 1}
         for _ in range(exponent):
-            result = result * self
-        return result
+            num = _mul_into({}, num, self._num)
+        return MultiPoly._exact(self.nvars, num, self._den ** exponent)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, MultiPoly):
             return NotImplemented
-        return self.nvars == other.nvars and self.terms == other.terms
+        return (self.nvars, self._den, self._num) == (other.nvars, other._den, other._num)
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._num
 
     def total_degree(self) -> int:
-        if not self.terms:
-            return 0
-        return max(sum(e) for e in self.terms)
+        return max(map(sum, self._num), default=0)
 
     def evaluate(self, point: Sequence) -> Fraction:
+        """The value at a rational point, in integers: with the point scaled
+        by its common denominator q, each term is padded by q to the total
+        degree, and the sum is divided once."""
         values = [_as_fraction(x) for x in point]
         if len(values) != self.nvars:
             raise ValidationError("evaluation point length mismatch")
-        total = Fraction(0)
-        for exps, coeff in self.terms.items():
-            term = coeff
-            for value, e in zip(values, exps):
+        q, scaled = _scale_to_integers(values)
+        degree = self.total_degree()
+        total = 0
+        for exps, c in self._num.items():
+            term = c * q ** (degree - sum(exps))
+            for x, e in zip(scaled, exps):
                 if e:
-                    term *= value ** e
+                    term *= x ** e
             total += term
-        return total
+        return Fraction(total, self._den * q ** degree)
 
     def substitute_linear(self, forms: Sequence["MultiPoly"]) -> "MultiPoly":
-        """Substitute a degree-<=1 polynomial for each variable."""
+        """Substitute a degree-<=1 polynomial for each variable.
+
+        The integer powers of each form's numerators are built once, up to
+        the top exponent of its variable, and every term is expanded
+        through them into one integer accumulator over one denominator.
+        """
         if len(forms) != self.nvars:
             raise ValidationError("need one substitution form per variable")
         if any(f.total_degree() > 1 for f in forms):
@@ -152,14 +207,34 @@ class MultiPoly:
         target_vars = forms[0].nvars if forms else 0
         if any(f.nvars != target_vars for f in forms):
             raise ValidationError("variable-count mismatch among forms")
-        result = MultiPoly(target_vars)
-        for exps, coeff in self.terms.items():
-            term = MultiPoly.constant(coeff, target_vars)
-            for form, e in zip(forms, exps):
-                for _ in range(e):
-                    term = term * form
-            result = result + term
-        return result
+        zero = (0,) * target_vars
+        tops = [max(col) for col in zip(*self._num)] or [0] * self.nvars
+        powers = []
+        for form, top in zip(forms, tops):
+            table = [{zero: 1}]
+            for _ in range(top):
+                table.append(_mul_into({}, table[-1], form._num))
+            powers.append(table)
+        # form j enters a term with exponent e as N_j**e / d_j**e; padding
+        # it by d_j**(top_j - e) puts every term over one denominator
+        padded = [(j, forms[j]._den, tops[j]) for j in range(self.nvars)
+                  if forms[j]._den != 1 and tops[j]]
+        den = self._den
+        for _, d, top in padded:
+            den *= d ** top
+        # multiply the single-term powers in first, so each term's partial
+        # product stays small until the widest factor
+        order = sorted(range(self.nvars), key=lambda j: len(forms[j]._num))
+        acc: dict[tuple[int, ...], int] = {}
+        for exps, c in self._num.items():
+            for j, d, top in padded:
+                c *= d ** (top - exps[j])
+            part = {zero: c}
+            factors = [powers[j][exps[j]] for j in order if exps[j]]
+            for factor in factors[:-1]:
+                part = _mul_into({}, part, factor)
+            _mul_into(acc, part, factors[-1] if factors else {zero: 1})
+        return MultiPoly._exact(target_vars, acc, den)
 
     def to_json(self) -> list:
         items = sorted(self.terms.items())
@@ -167,7 +242,7 @@ class MultiPoly:
 
     @classmethod
     def from_json(cls, nvars: int, data: Iterable) -> "MultiPoly":
-        return cls(nvars, {tuple(exps): Fraction(coeff) for exps, coeff in data})
+        return cls(nvars, {_exponents(exps, nvars): coeff for exps, coeff in data})
 
     def __repr__(self) -> str:
         return f"MultiPoly({self.nvars}, {self.terms!r})"
@@ -246,20 +321,44 @@ class SignDomain:
         return out
 
 
+# One exponent tuple per distinct monomial of the pieces an_polynomial
+# returns.  A tuple is most of a stored term's memory, so pieces that share
+# them cost about half as much to keep; the table holds at most C(2n-3, n)
+# tuples per n (5005 at n = 9).
+_EXPONENTS: dict[tuple[int, ...], tuple[int, ...]] = {}
+
+
+def _sum(polys: Iterable[MultiPoly], nvars: int) -> MultiPoly:
+    """The sum of polynomials in one integer accumulator, over the least
+    common multiple of their denominators, keyed by the shared exponent
+    tuples."""
+    acc: dict[tuple[int, ...], int] = {}
+    den = 1
+    for poly in polys:
+        if den % poly._den:
+            scale = poly._den // math.gcd(den, poly._den)
+            for exps in acc:
+                acc[exps] *= scale
+            den *= scale
+        m = den // poly._den
+        for exps, c in poly._num.items():
+            acc[exps] = acc.get(exps, 0) + c * m
+    share = _EXPONENTS.setdefault
+    return MultiPoly._exact(nvars, {share(e, e): c for e, c in acc.items()}, den)
+
+
 def _a4_piece(sample: WeightVector) -> MultiPoly:
-    half = MultiPoly.constant(Fraction(1, 2), 4)
-    total = MultiPoly(4)
+    """1/2 - (|d_1| + |d_2| + |d_3|)/4 with d_j = x_0 + x_j minus the other
+    two variables, each |d_j| opened with its sign at the sample (that of
+    mu_0 + mu_j - 1, as the weights sum to 2)."""
+    num = {(0, 0, 0, 0): 2}
     for j in (1, 2, 3):
-        coeffs = [Fraction(0)] * 4
-        coeffs[0] = coeffs[j] = Fraction(1)
-        for k in range(1, 4):
-            if k != j:
-                coeffs[k] = Fraction(-1)
-        gap = sample[0] + sample[j] - sum(
-            sample[k] for k in range(1, 4) if k != j)
-        sigma = 1 if gap > 0 else -1
-        total = total + sigma * MultiPoly.linear(0, coeffs, 4)
-    return half - Fraction(1, 4) * total
+        coeffs = [1 if k in (0, j) else -1 for k in range(4)]
+        sigma = 1 if sample[0] + sample[j] > 1 else -1
+        for k, c in enumerate(coeffs):
+            exps = (0,) * k + (1,) + (0,) * (3 - k)
+            num[exps] = num.get(exps, 0) - sigma * c
+    return MultiPoly._exact(4, num, 4)
 
 
 def _sub_piece(sample: WeightVector, heavy: Sequence[int], memo: dict) -> MultiPoly:
@@ -308,14 +407,14 @@ def an_polynomial(domain: SignDomain, *, _memo: dict | None = None) -> MultiPoly
     # The sample has no proper subset of integral weight, so T1b (a weight-1
     # pair) and T2b (a singleton and a block of weight 1) are empty, and
     # T2a's negative singleton follows from its two heavy blocks.
-    piece = MultiPoly(n)
+    terms = []
     for rec in enum_T1a(sample) + enum_T2a(sample):
         term = _coefficient(rec.family, [_mu_bar(h, n) for h in rec.heavy_blocks],
                             rec.block_sizes, rec.epsilon, n)
         for heavy in rec.heavy_blocks:
             term = term * _sub_piece(sample, sorted(heavy), memo)
-        piece = piece + term
-    return piece
+        terms.append(term)
+    return _sum(terms, n)
 
 
 def wall_continuity_check(domain_a: SignDomain, domain_b: SignDomain,

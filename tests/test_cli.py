@@ -268,6 +268,15 @@ class TestPiecewise:
         assert result.exit_code == 1
         assert "wall" in result.output
 
+    def test_sample_above_ceiling_rejected(self, runner):
+        # a generic n = 10 sample: one piece would take minutes, so the CLI
+        # stops at n = 9 and names the ceiling
+        sample = "-7/101,5/101,24/101,29/101,18/101,-62/101,86/101,86/101,18/101,5/101"
+        result = runner.invoke(main, ["piecewise", "--sample", sample])
+        assert result.exit_code == 1
+        assert "at most n = 9" in result.output
+        assert "wall" not in result.output
+
     @pytest.mark.parametrize(
         "case", PIECES_PINNED["piecewise_cli"], ids=lambda case: case["sample"])
     def test_output_pinned(self, runner, case):

@@ -316,6 +316,26 @@ def test_heavy_blocks_induce_the_sub_vectors():
                     assert sub.entries == (2 - weight, *sorted(mu[i] for i in block))
 
 
+def test_sub_vectors_built_on_access(monkeypatch):
+    # enumeration builds no sub-vector, so a caller that never reads them
+    # (an_polynomial) pays nothing; records of one vector still compare equal
+    built = []
+    original = WeightVector.__post_init__
+
+    def counting(self):
+        built.append(self)
+        original(self)
+
+    mu = parse_weights("1/3,2/3,-1/3,5/6,-1/6,-1/6,5/6")
+    monkeypatch.setattr(WeightVector, "__post_init__", counting)
+    records = [rec for enum, _ in ORACLES.values() for rec in enum(mu)]
+    assert records and not built
+    subs = [sub for rec in records for sub in rec.sub_weights]
+    assert len(built) == len(subs) == sum(len(rec.heavy_blocks) for rec in records)
+    again = [rec for enum, _ in ORACLES.values() for rec in enum(list(mu))]
+    assert again == records
+
+
 def _generic_samples(rng, sizes, per_size):
     return [random_generic_sample(rng, n) for n in sizes for _ in range(per_size)]
 

@@ -1,4 +1,5 @@
 import json
+import math
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -17,7 +18,19 @@ from flatsphere.piecewise import (
 from flatsphere.partitions import enum_T1a, enum_T2a
 from flatsphere.recursion import _coefficient, a4_closed, a_n
 
-from util import adjacent_domain_pair, integer_entry_point, random_generic_sample
+from util import (
+    adjacent_domain_pair,
+    integer_entry_point,
+    random_generic_sample,
+    random_linear_terms,
+    random_poly_terms,
+    ref_add,
+    ref_evaluate,
+    ref_mul,
+    ref_pow,
+    ref_scale,
+    ref_substitute_linear,
+)
 
 F = Fraction
 
@@ -124,6 +137,134 @@ class TestMultiPoly:
     def test_json_round_trip(self):
         p = MultiPoly(2, {(1, 0): F(1, 2), (0, 2): F(-3)})
         assert MultiPoly.from_json(2, p.to_json()) == p
+
+    def test_rejects_fractional_exponent(self):
+        # int(1.5) used to turn this into x_0 without a word
+        with pytest.raises(ValidationError):
+            MultiPoly(2, {(1.5, 0): 1})
+        with pytest.raises(ValidationError):
+            MultiPoly.from_json(2, [[[1.5, 0], "1"]])
+
+    def test_rejects_negative_exponent(self):
+        # used to give total_degree() == -1 and an evaluate that divides
+        with pytest.raises(ValidationError):
+            MultiPoly(2, {(-1, 0): 1})
+        with pytest.raises(ValidationError):
+            MultiPoly.from_json(2, [[[-1, 0], "1"]])
+
+    def test_rejects_text_exponent(self):
+        with pytest.raises(ValidationError):
+            MultiPoly(2, {("1", 0): 1})
+        with pytest.raises(ValidationError):
+            MultiPoly.from_json(2, [[["1", 0], "1"]])
+
+
+class TestMultiPolyRepresentation:
+    """Integer numerators over one denominator, against the Fraction-dict
+    reference in tests/util.py."""
+
+    @pytest.mark.parametrize("nvars", range(1, 8))
+    def test_arithmetic_matches_fraction_reference(self, nvars):
+        rng = random.Random(900 + nvars)
+        for _ in range(6):
+            a = random_poly_terms(rng, nvars)
+            b = random_poly_terms(rng, nvars, count=3)
+            p, q = MultiPoly(nvars, a), MultiPoly(nvars, b)
+            # the reference keeps the zero coefficients the constructor drops
+            assert p.terms == ref_add({}, a) and q.terms == ref_add({}, b)
+            scalar = F(rng.randint(-5, 5), rng.randint(1, 6))
+            assert (p + q).terms == ref_add(a, b)
+            assert (p - q).terms == ref_add(a, ref_scale(b, -1))
+            assert (-p).terms == ref_scale(a, -1)
+            assert (p * scalar).terms == ref_scale(a, scalar)
+            assert (3 * p).terms == ref_scale(a, 3)
+            assert (p + scalar).terms == ref_add(a, {(0,) * nvars: scalar})
+            assert (p * q).terms == ref_mul(a, b)
+            for k in range(4):
+                assert (q ** k).terms == ref_pow(b, k, nvars)
+            point = [F(rng.randint(-7, 7), rng.randint(1, 5)) for _ in range(nvars)]
+            assert p.evaluate(point) == ref_evaluate(a, point)
+
+    @pytest.mark.parametrize("nvars", range(1, 8))
+    def test_substitute_linear_matches_one_factor_at_a_time(self, nvars):
+        rng = random.Random(950 + nvars)
+        # top exponents above 1 put different powers of a form's denominator
+        # into different terms; fewer of them at larger n keeps this quick
+        degree = 3 if nvars <= 2 else 2 if nvars <= 4 else 1
+        for target in (nvars, 3):
+            p = MultiPoly(nvars, random_poly_terms(rng, nvars, count=6, degree=degree))
+            forms = [MultiPoly(target, random_linear_terms(rng, target))
+                     for _ in range(nvars)]
+            got = p.substitute_linear(forms)
+            assert got.nvars == target
+            assert got.terms == ref_substitute_linear(
+                p.terms, [f.terms for f in forms], target)
+        # the sub-piece forms: a renaming of the variables and 2 - (a block)
+        piece = MultiPoly(4, random_poly_terms(rng, 4, count=8, degree=2))
+        forms = [MultiPoly.variable(i, 4) for i in (2, 0, 3)]
+        forms.insert(1, MultiPoly.linear(2, [-1, 0, -1, -1], 4))
+        assert piece.substitute_linear(forms).terms == ref_substitute_linear(
+            piece.terms, [f.terms for f in forms], 4)
+
+    def test_equal_values_built_differently_compare_equal(self):
+        x, y = MultiPoly.variable(0, 2), MultiPoly.variable(1, 2)
+        pairs = [
+            (MultiPoly(2, {(1, 0): F(2, 4)}), MultiPoly(2, {(1, 0): F(1, 2)})),
+            (MultiPoly(2, {(0, 0): 3, (1, 1): 0}), MultiPoly.constant(3, 2)),
+            (x * F(1, 6) + x * F(1, 3), MultiPoly(2, {(1, 0): F(1, 2)})),
+            ((x + y) ** 2, x * x + 2 * x * y + y * y),
+            (MultiPoly.linear(F(1, 3), [F(2, 3), 0], 2) * 3,
+             MultiPoly.linear(1, [2, 0], 2)),
+            (MultiPoly.linear(0, [1, 1], 2).substitute_linear(
+                [MultiPoly.linear(F(1, 2), [1], 1), MultiPoly.linear(F(-1, 2), [1], 1)]),
+             2 * MultiPoly.variable(0, 1)),
+            (MultiPoly.from_json(2, [[[1, 0], "2/6"]]), x * F(1, 3)),
+        ]
+        for left, right in pairs:
+            assert left == right
+            assert left.terms == right.terms
+        assert x != y and x != MultiPoly.variable(0, 3)
+
+    def test_lowest_terms_after_cancellation(self):
+        x = MultiPoly.variable(0, 1)
+        zero = MultiPoly(1)
+        for p in (x - x, (x * F(1, 3)) - (x * F(1, 3)), (x + 1) * (x - 1) * 0):
+            assert p.is_zero() and p.terms == {} and p == zero
+        assert (x + 1) * (x - 1) == MultiPoly(1, {(2,): 1, (0,): -1})
+        assert (x * F(1, 3) + F(1, 6)) * 6 == 2 * x + 1
+        rng = random.Random(31)
+        for _ in range(20):
+            p = MultiPoly(3, random_poly_terms(rng, 3))
+            q = MultiPoly(3, random_poly_terms(rng, 3))
+            for result in (p + q, p * q, (p + q) - q, p * F(2, 3), q ** 2):
+                # one positive denominator, coprime to the numerators
+                assert result._den > 0
+                assert math.gcd(result._den, *result._num.values()) == 1
+            assert (p + q) - q == p
+
+    def test_terms_are_exact_nonzero_fractions(self):
+        rng = random.Random(32)
+        p = MultiPoly(3, random_poly_terms(rng, 3, count=8))
+        for poly in (p, p * p, p - 1, MultiPoly.linear(F(1, 2), [3, 0, F(-2, 5)], 3)):
+            terms = poly.terms
+            assert terms and all(type(c) is F and c != 0 for c in terms.values())
+            assert all(type(e) is int for exps in terms for e in exps)
+            # a fresh dict: changing it leaves the polynomial alone
+            terms.clear()
+            assert not poly.is_zero()
+
+    def test_rejects_floats(self):
+        x = MultiPoly.variable(0, 2)
+        with pytest.raises(ValidationError):
+            MultiPoly(2, {(1, 0): 0.5})
+        with pytest.raises(ValidationError):
+            MultiPoly.from_json(2, [[[1, 0], 0.5]])
+        with pytest.raises(ValidationError):
+            x + 0.5
+        with pytest.raises(ValidationError):
+            0.5 * x
+        with pytest.raises(ValidationError):
+            x.evaluate([0.5, 1])
 
 
 class TestSignDomain:

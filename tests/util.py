@@ -301,3 +301,82 @@ def _boundary_points(dom, wall, base, rng, count):
     if len(points) < count:
         return None
     return points
+
+
+# -- a Fraction-dict reference for MultiPoly ---------------------------------
+# Polynomials are {exponent tuple: nonzero Fraction} dicts; every operation
+# works coefficient by coefficient, as MultiPoly did before it kept integer
+# numerators over one denominator.
+
+def _ref_clean(terms):
+    return {exps: c for exps, c in terms.items() if c}
+
+
+def ref_add(p, q):
+    out = dict(p)
+    for exps, c in q.items():
+        out[exps] = out.get(exps, Fraction(0)) + c
+    return _ref_clean(out)
+
+
+def ref_scale(p, scalar):
+    return _ref_clean({exps: c * scalar for exps, c in p.items()})
+
+
+def ref_mul(p, q):
+    out = {}
+    for e1, c1 in p.items():
+        for e2, c2 in q.items():
+            exps = tuple(a + b for a, b in zip(e1, e2))
+            out[exps] = out.get(exps, Fraction(0)) + c1 * c2
+    return _ref_clean(out)
+
+
+def ref_pow(p, k, nvars):
+    out = {(0,) * nvars: Fraction(1)}
+    for _ in range(k):
+        out = ref_mul(out, p)
+    return out
+
+
+def ref_evaluate(p, point):
+    total = Fraction(0)
+    for exps, c in p.items():
+        term = c
+        for x, e in zip(point, exps):
+            term *= Fraction(x) ** e
+        total += term
+    return total
+
+
+def ref_substitute_linear(p, forms, target_vars):
+    """Substitute the form dicts for the variables one factor at a time:
+    each term starts as its constant and is multiplied by its form once per
+    unit of exponent."""
+    out = {}
+    for exps, c in p.items():
+        term = {(0,) * target_vars: c}
+        for form, e in zip(forms, exps):
+            for _ in range(e):
+                term = ref_mul(term, form)
+        out = ref_add(out, term)
+    return out
+
+
+def random_poly_terms(rng: random.Random, nvars: int, count: int = 5, degree: int = 2):
+    """Seeded {exponents: Fraction} terms; some coefficients may be zero."""
+    terms = {}
+    for _ in range(count):
+        exps = tuple(rng.randint(0, degree) for _ in range(nvars))
+        terms[exps] = Fraction(rng.randint(-6, 6), rng.choice((1, 2, 3, 4, 6, 9)))
+    return terms
+
+
+def random_linear_terms(rng: random.Random, nvars: int):
+    """A seeded degree-<=1 form {exponents: Fraction} in nvars variables."""
+    terms = {(0,) * nvars: Fraction(rng.randint(-4, 4), rng.choice((1, 2, 3, 5)))}
+    for i in range(nvars):
+        if rng.random() < 0.6:
+            exps = tuple(int(k == i) for k in range(nvars))
+            terms[exps] = Fraction(rng.randint(-3, 3), rng.choice((1, 2, 7)))
+    return terms
