@@ -1,5 +1,6 @@
-"""Double factorials, the odd-order volume constants, and two exact
-combinatorial identities used as executable checks."""
+"""Double factorials, the odd-order volume constants, two exact
+combinatorial identities used as executable checks, and McMullen's
+partition sum for a_n as an oracle independent of the recursion."""
 from __future__ import annotations
 
 import math
@@ -7,8 +8,8 @@ import random
 from fractions import Fraction
 from typing import Sequence
 
-from .core import (PiValue, ValidationError, _as_fraction, _scale_to_integers,
-                   _subset_sums)
+from .core import (PiValue, ValidationError, WeightVector, _as_fraction,
+                   _scale_to_integers, _subset_sums)
 from .partitions import enum_P0
 
 
@@ -151,3 +152,50 @@ def f_p22_bridge(kappa, minus_ones: int = 0) -> tuple[Fraction, Fraction]:
         rhs += math.factorial(q) * f_nab(len(p_orders), Fraction(2), Fraction(2),
                                          p_orders)
     return Fraction(lhs), rhs
+
+
+def partitions_into(items, k):
+    """All set partitions of `items` into exactly k nonempty blocks, each
+    once, as lists of sets."""
+    items = list(items)
+    if k <= 0:
+        return
+    if k == 1:
+        yield [set(items)]
+        return
+    if len(items) < k:
+        return
+    first, rest = items[0], items[1:]
+    for p in partitions_into(rest, k - 1):
+        yield [{first}] + [set(b) for b in p]
+    for p in partitions_into(rest, k):
+        for i in range(len(p)):
+            q = [set(b) for b in p]
+            q[i].add(first)
+            yield q
+
+
+def mcmullen_an(mu) -> Fraction:
+    """a_n from McMullen's partition sum (C. McMullen, "The Gauss-Bonnet
+    theorem for cone manifolds and volumes of moduli spaces", Amer. J. Math.
+    2017):
+
+        (-1)^(n+1)/(n-2) * sum_P (-1)^(|P|+1) (|P|-3)! prod_{B in P} max(0, 1 - mu(B))^(|B|-1)
+
+    over the set partitions P of the n indices into at least three blocks.
+    It enumerates with `partitions_into` and shares no code with the
+    recursion.  Valid for all-positive weights only: the formula is known to
+    differ from a_n when some weight is negative (3/4,3/4,3/4,3/4,-1/2,-1/2
+    gives 9/16 against a_n = 3/8).
+    """
+    mu = WeightVector.coerce(mu)
+    n = mu.n
+    total = Fraction(0)
+    for k in range(3, n + 1):
+        for blocks in partitions_into(range(n), k):
+            term = Fraction((-1) ** (k + 1) * math.factorial(k - 3))
+            for block in blocks:
+                weight = sum((mu[i] for i in block), Fraction(0))
+                term *= max(Fraction(0), 1 - weight) ** (len(block) - 1)
+            total += term
+    return (-1) ** (n + 1) * total / (n - 2)

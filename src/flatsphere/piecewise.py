@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import combinations
-from operator import add
+from operator import add, itemgetter
 from typing import Iterable, Mapping, Sequence
 
 from .core import (ValidationError, WeightVector, _as_fraction, _scale_to_integers,
@@ -32,6 +32,11 @@ def _exponents(exps, nvars: int) -> tuple[int, ...]:
         if type(e) is not int or e < 0:
             raise ValidationError(f"exponents must be non-negative ints, got {e!r}")
     return exps
+
+
+def _unit(i: int, n: int) -> tuple[int, ...]:
+    """The exponent vector of x_i among n variables."""
+    return (0,) * i + (1,) + (0,) * (n - 1 - i)
 
 
 def _rational(value):
@@ -101,18 +106,19 @@ class MultiPoly:
 
     @classmethod
     def variable(cls, index: int, nvars: int) -> "MultiPoly":
-        exps = [0] * nvars
-        exps[index] = 1
-        return cls._exact(nvars, {tuple(exps): 1})
+        if type(index) is not int or not 0 <= index < nvars:
+            raise ValidationError(f"variable index {index!r} is not in 0..{nvars - 1}")
+        return cls._exact(nvars, {_unit(index, nvars): 1})
 
     @classmethod
     def linear(cls, const, coeffs: Sequence, nvars: int) -> "MultiPoly":
         """const + sum(coeffs[i] * x_i), built as one term dict."""
+        if len(coeffs) > nvars:
+            raise ValidationError(
+                f"{len(coeffs)} coefficients for a form in {nvars} variables")
         terms = {(0,) * nvars: _rational(const)}
         for i, c in enumerate(coeffs):
-            exps = [0] * nvars
-            exps[i] = 1
-            terms[tuple(exps)] = _rational(c)
+            terms[_unit(i, nvars)] = _rational(c)
         den, nums = _scale_to_integers(terms.values())
         return cls._exact(nvars, dict(zip(terms, nums)), den)
 
@@ -361,30 +367,61 @@ def _a4_piece(sample: WeightVector) -> MultiPoly:
     return MultiPoly._exact(4, num, 4)
 
 
-def _sub_piece(sample: WeightVector, heavy: Sequence[int], memo: dict) -> MultiPoly:
-    """The piece of a heavy block's sub-sample (2 - mu(heavy), mu_i for i in
-    heavy), in the variables of the full sample.
+def _sub_piece(sample: WeightVector, heavy: Sequence[int], mu_bar: Fraction,
+               memo: dict) -> MultiPoly:
+    """The piece of a heavy block's sub-sample (1 - mu_bar, mu_i for i in
+    heavy), with mu_bar = mu(heavy) - 1, in the variables of the full sample.
 
-    The memo maps each sorted sub-sample to its piece in sorted variables;
-    substituting through the sorting order renames it back.  Equal weights
-    need no care: swapping them fixes the chamber, so the piece is symmetric
-    in their variables.
+    The memo maps each sorted sub-sample to its piece in sorted variables.
+    Each sorted variable is renamed back: a weight mu_i becomes x_i, which
+    only moves its exponent, and 1 - mu_bar becomes the composite
+    2 - sum(x_i for i in heavy), whose integer powers are built once.  Every
+    term is expanded into one integer accumulator over the piece's
+    denominator.  Equal weights need no care: swapping them fixes the
+    chamber, so the piece is symmetric in their variables.
     """
     n = sample.n
-    sub = (2 - sample.subset_sum(heavy), *(sample[i] for i in heavy))
-    forms = [MultiPoly.linear(2, [-1 if i in heavy else 0 for i in range(n)], n)]
-    forms += [MultiPoly.variable(i, n) for i in heavy]
+    sub = (1 - mu_bar, *(sample[i] for i in heavy))
     order = sorted(range(len(sub)), key=sub.__getitem__)
     key = tuple(sub[j] for j in order)
     piece = memo.get(key)
     if piece is None:
         piece = memo[key] = an_polynomial(SignDomain(key), _memo=memo)
-    return piece.substitute_linear([forms[j] for j in order])
+    # sorted variable j is the composite when order[j] == 0, else
+    # x_heavy[order[j] - 1]; the renaming reads each x_i's exponent from its
+    # sorted position, the other x_i read a 0 appended after them
+    where = [len(sub)] * n
+    for j, k in enumerate(order):
+        if k:
+            where[heavy[k - 1]] = j
+    rename = itemgetter(*where)
+    slot = order.index(0)
+    composite = {(0,) * n: 2}
+    for i in heavy:
+        composite[_unit(i, n)] = -1
+    powers = [{(0,) * n: 1}]
+    for _ in range(max((exps[slot] for exps in piece._num), default=0)):
+        powers.append(_mul_into({}, powers[-1], composite))
+    acc: dict[tuple[int, ...], int] = {}
+    get = acc.get
+    for exps, c in piece._num.items():
+        base = rename((*exps, 0))
+        power = exps[slot]
+        if not power:
+            acc[base] = get(base, 0) + c
+            continue
+        for comp_exps, comp_c in powers[power].items():
+            out = tuple(map(add, base, comp_exps))
+            acc[out] = get(out, 0) + c * comp_c
+    return MultiPoly._exact(n, acc, piece._den)
 
 
 def _mu_bar(block, n: int) -> MultiPoly:
     """The excess weight mu(block) - 1 as a linear form in n variables."""
-    return MultiPoly.linear(-1, [1 if i in block else 0 for i in range(n)], n)
+    num = {(0,) * n: -1}
+    for i in block:
+        num[_unit(i, n)] = 1
+    return MultiPoly._exact(n, num)
 
 
 def an_polynomial(domain: SignDomain, *, _memo: dict | None = None) -> MultiPoly:
@@ -411,8 +448,8 @@ def an_polynomial(domain: SignDomain, *, _memo: dict | None = None) -> MultiPoly
     for rec in enum_T1a(sample) + enum_T2a(sample):
         term = _coefficient(rec.family, [_mu_bar(h, n) for h in rec.heavy_blocks],
                             rec.block_sizes, rec.epsilon, n)
-        for heavy in rec.heavy_blocks:
-            term = term * _sub_piece(sample, sorted(heavy), memo)
+        for heavy, mu_bar in zip(rec.heavy_blocks, rec.mu_bars):
+            term = term * _sub_piece(sample, sorted(heavy), mu_bar, memo)
         terms.append(term)
     return _sum(terms, n)
 

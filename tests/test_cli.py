@@ -318,6 +318,7 @@ class TestCheck:
         ("kontsevich", ["--max-n", "6"]),
         ("sympoly", ["--max-n", "4"]),
         ("dform", ["--max-n", "5", "--seed", "2"]),
+        ("mcmullen", ["--max-n", "6"]),
     ])
     def test_suites_pass(self, runner, suite, args):
         result = runner.invoke(main, ["check", "--suite", suite, *args])
@@ -343,6 +344,12 @@ class TestCheck:
         result = runner.invoke(main, ["check", "--suite", "sympoly", "--max-n", "3"])
         assert result.exit_code == 0, result.output
         assert result.stderr == ""
+
+    def test_mcmullen_starts_at_four_points(self, runner):
+        result = runner.invoke(main, ["check", "--suite", "mcmullen", "--max-n", "3"])
+        assert result.exit_code == 1
+        assert "suite 'mcmullen' ran no checks at --max-n 3" in result.output
+        assert "all checks passed" not in result.output
 
     def test_oracle5(self, runner):
         result = runner.invoke(main, ["check", "--suite", "oracle5"])

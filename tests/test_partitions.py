@@ -5,6 +5,7 @@ from itertools import combinations
 
 import pytest
 
+from flatsphere.closed_forms import partitions_into
 from flatsphere.core import ValidationError, WeightVector, parse_weights
 from flatsphere.partitions import (
     enum_P,
@@ -21,7 +22,6 @@ from util import (
     oracle_t1b,
     oracle_t2a,
     oracle_t2b,
-    partitions_into,
     random_generic_sample,
     record_key,
 )

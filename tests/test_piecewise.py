@@ -129,6 +129,13 @@ class TestMultiPoly:
             MultiPoly.linear(0, [1, 0.25], 2)
         with pytest.raises(ValidationError):
             MultiPoly.linear(0, ["x"], 2)
+        # variable(-1, 3) used to give x_2 without a word, and the others a
+        # bare IndexError
+        for index in (-1, 3, True):
+            with pytest.raises(ValidationError):
+                MultiPoly.variable(index, 3)
+        with pytest.raises(ValidationError):
+            MultiPoly.linear(0, [1, 2, 3, 4], 3)
 
     def test_variable_count_mismatch(self):
         with pytest.raises(ValidationError):
@@ -410,6 +417,29 @@ class TestAnPolynomial:
                 new[perm.index(pos)] = exps[pos]
             relabeled[tuple(new)] = coeff
         assert piece_p == MultiPoly(5, relabeled)
+
+
+class TestSubPiece:
+    @pytest.mark.parametrize("n", [5, 6, 7])
+    def test_renaming_matches_substitute_linear(self, n):
+        # the renamed sub-piece against the general substitution of the
+        # sorted piece: the composite 2 - sum(x_i, i in heavy) and the
+        # variables x_i, in sorted order
+        rng = random.Random(70 + n)
+        for _ in range(2):
+            sample = random_generic_sample(rng, n)
+            memo = {}
+            for rec in enum_T1a(sample) + enum_T2a(sample):
+                for block, mu_bar in zip(rec.heavy_blocks, rec.mu_bars):
+                    heavy = sorted(block)
+                    got = piecewise._sub_piece(sample, heavy, mu_bar, memo)
+                    sub = (2 - sample.subset_sum(heavy), *(sample[i] for i in heavy))
+                    order = sorted(range(len(sub)), key=sub.__getitem__)
+                    piece = memo[tuple(sub[j] for j in order)]
+                    forms = [MultiPoly.linear(2, [-1 if i in heavy else 0
+                                                  for i in range(n)], n)]
+                    forms += [MultiPoly.variable(i, n) for i in heavy]
+                    assert got == piece.substitute_linear([forms[j] for j in order])
 
 
 class TestCoefficientForms:

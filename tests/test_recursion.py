@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import pytest
 
+from flatsphere.cli import _random_positive_weights
+from flatsphere.closed_forms import mcmullen_an
 from flatsphere.core import (
     PiValue,
     Signature,
@@ -26,8 +28,6 @@ from flatsphere.recursion import (
     recursive_rhs_dform,
     vol1,
 )
-
-from util import mcmullen_an
 
 F = Fraction
 
@@ -151,16 +151,6 @@ class TestJn:
 
 
 class TestMcMullenOracle:
-    @staticmethod
-    def _positive_weights(rng, n):
-        # n positive weights below 1 summing to 2: cut 2q into n parts
-        while True:
-            q = rng.choice((7, 12, 29, 60))
-            cuts = sorted(rng.sample(range(1, 2 * q), n - 1))
-            parts = [b - a for a, b in zip([0] + cuts, cuts + [2 * q])]
-            if max(parts) < q:
-                return [F(p, q) for p in parts]
-
     def test_known_values(self):
         assert mcmullen_an(parse_weights("1/2,1/2,1/2,1/2")) == F(1, 2)
         assert mcmullen_an(parse_weights("2/3,1/3,1/3,1/3,1/3")) == F(1, 9)
@@ -170,7 +160,7 @@ class TestMcMullenOracle:
         rng = random.Random(300 + n)
         cache = {}
         for _ in range(3):
-            mu = self._positive_weights(rng, n)
+            mu = _random_positive_weights(rng, n)
             assert mcmullen_an(mu) == a_n(mu, cache), mu
 
     def test_differs_with_a_negative_weight(self):

@@ -1,32 +1,12 @@
 """Shared test helpers: naive oracles and generic-point generators."""
 from __future__ import annotations
 
-import math
 import random
 from fractions import Fraction
 
+from flatsphere.closed_forms import partitions_into
 from flatsphere.core import WeightVector
 from flatsphere.piecewise import SignDomain, WallError
-
-
-def partitions_into(items, k):
-    """All set partitions of `items` into exactly k nonempty blocks."""
-    items = list(items)
-    if k <= 0:
-        return
-    if k == 1:
-        yield [set(items)]
-        return
-    if len(items) < k:
-        return
-    first, rest = items[0], items[1:]
-    for p in partitions_into(rest, k - 1):
-        yield [{first}] + [set(b) for b in p]
-    for p in partitions_into(rest, k):
-        for i in range(len(p)):
-            q = [set(b) for b in p]
-            q[i].add(first)
-            yield q
 
 
 def _msum(mu, block):
@@ -35,30 +15,6 @@ def _msum(mu, block):
 
 def _is_int(x: Fraction) -> bool:
     return x.denominator == 1
-
-
-def mcmullen_an(mu) -> Fraction:
-    """a_n from McMullen's partition sum (C. McMullen, "The Gauss-Bonnet
-    theorem for cone manifolds and volumes of moduli spaces", Amer. J. Math.
-    2017):
-
-        (-1)^(n+1)/(n-2) * sum_P (-1)^(|P|+1) (|P|-3)! prod_{B in P} max(0, 1 - mu(B))^(|B|-1)
-
-    over the set partitions P of the n indices into at least three blocks.
-    It enumerates with `partitions_into` and shares no code with the
-    recursion.  Valid for all-positive weights only: the formula is known to
-    differ from a_n when some weight is negative.
-    """
-    mu = WeightVector.coerce(mu)
-    n = mu.n
-    total = Fraction(0)
-    for k in range(3, n + 1):
-        for blocks in partitions_into(range(n), k):
-            term = Fraction((-1) ** (k + 1) * math.factorial(k - 3))
-            for block in blocks:
-                term *= max(Fraction(0), 1 - _msum(mu, block)) ** (len(block) - 1)
-            total += term
-    return (-1) ** (n + 1) * total / (n - 2)
 
 
 def oracle_t1a(mu: WeightVector):
