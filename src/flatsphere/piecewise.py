@@ -8,9 +8,10 @@ family membership decided by a generic rational sample point.
 """
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from operator import add, itemgetter
 from typing import Iterable, Mapping, Sequence
 
@@ -18,6 +19,13 @@ from .core import (ValidationError, WeightVector, _as_fraction, _scale_to_intege
                    _subset_sums)
 from .partitions import enum_T1a, enum_T2a
 from .recursion import _coefficient
+
+
+def _nvars(nvars) -> int:
+    """A validated variable count: a non-negative int, not a bool."""
+    if type(nvars) is not int or nvars < 0:
+        raise ValidationError(f"variable count must be a non-negative int, got {nvars!r}")
+    return nvars
 
 
 def _exponents(exps, nvars: int) -> tuple[int, ...]:
@@ -78,6 +86,7 @@ class MultiPoly:
     __slots__ = ("nvars", "_num", "_den")
 
     def __init__(self, nvars: int, terms: Mapping[tuple[int, ...], Fraction] | None = None):
+        nvars = _nvars(nvars)
         coeffs = {_exponents(exps, nvars): _rational(c) for exps, c in (terms or {}).items()}
         den, nums = _scale_to_integers(coeffs.values())
         self.nvars = nvars
@@ -101,11 +110,13 @@ class MultiPoly:
 
     @classmethod
     def constant(cls, value, nvars: int) -> "MultiPoly":
+        nvars = _nvars(nvars)
         value = _rational(value)
         return cls._exact(nvars, {(0,) * nvars: value.numerator}, value.denominator)
 
     @classmethod
     def variable(cls, index: int, nvars: int) -> "MultiPoly":
+        nvars = _nvars(nvars)
         if type(index) is not int or not 0 <= index < nvars:
             raise ValidationError(f"variable index {index!r} is not in 0..{nvars - 1}")
         return cls._exact(nvars, {_unit(index, nvars): 1})
@@ -113,6 +124,7 @@ class MultiPoly:
     @classmethod
     def linear(cls, const, coeffs: Sequence, nvars: int) -> "MultiPoly":
         """const + sum(coeffs[i] * x_i), built as one term dict."""
+        nvars = _nvars(nvars)
         if len(coeffs) > nvars:
             raise ValidationError(
                 f"{len(coeffs)} coefficients for a form in {nvars} variables")
@@ -163,8 +175,9 @@ class MultiPoly:
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int):
-        if exponent < 0:
-            raise ValidationError("negative polynomial powers are undefined")
+        if type(exponent) is not int or exponent < 0:
+            raise ValidationError(
+                f"polynomial powers need a non-negative int exponent, got {exponent!r}")
         num = {(0,) * self.nvars: 1}
         for _ in range(exponent):
             num = _mul_into({}, num, self._num)
@@ -248,6 +261,7 @@ class MultiPoly:
 
     @classmethod
     def from_json(cls, nvars: int, data: Iterable) -> "MultiPoly":
+        nvars = _nvars(nvars)
         return cls(nvars, {_exponents(exps, nvars): coeff for exps, coeff in data})
 
     def __repr__(self) -> str:
@@ -271,9 +285,10 @@ class SignDomain:
     """A chamber of the weight space, anchored by a generic rational sample.
 
     The sample must avoid every two-block comparison wall and every locus
-    where a proper subset of the weights sums to an integer.  Every test
-    reads the integer subset sums of the sample scaled by its common
-    denominator.
+    where a proper subset of the weights sums to an integer; both are
+    checked at construction.  Every test reads the integer subset sums of
+    the sample scaled by its common denominator, which the domain keeps
+    (``_sums`` by bitmask, over ``_den``).
     """
 
     def __init__(self, sample):
@@ -293,12 +308,18 @@ class SignDomain:
                                 frozenset(subset))
             raise WallError(f"subset {subset} has integral weight {total}",
                             frozenset(subset))
-        # the walls mu(I) = 1 with 2 <= |I| <= n - 2, one per complementary
-        # pair (the side without index 0); the sign is that of mu(I) - 1
-        self.signs: dict[frozenset[int], int] = {
+        self._den, self._sums = den, sums
+
+    @functools.cached_property
+    def signs(self) -> dict[frozenset[int], int]:
+        """The walls mu(I) = 1 with 2 <= |I| <= n - 2, one per complementary
+        pair (the side without index 0), each with the sign of mu(I) - 1;
+        built on first access."""
+        sums, den = self._sums, self._den
+        return {
             frozenset(subset): 1 if sums[_mask(subset)] > den else -1
-            for size in range(2, n - 1)
-            for subset in combinations(range(1, n), size)
+            for size in range(2, self.n - 1)
+            for subset in combinations(range(1, self.n), size)
         }
 
     @property
@@ -367,26 +388,30 @@ def _a4_piece(sample: WeightVector) -> MultiPoly:
     return MultiPoly._exact(4, num, 4)
 
 
-def _sub_piece(sample: WeightVector, heavy: Sequence[int], mu_bar: Fraction,
-               memo: dict) -> MultiPoly:
-    """The piece of a heavy block's sub-sample (1 - mu_bar, mu_i for i in
-    heavy), with mu_bar = mu(heavy) - 1, in the variables of the full sample.
+def _sub_piece(domain: SignDomain, heavy: Sequence[int], memo: dict) -> MultiPoly:
+    """The piece of a heavy block's sub-sample (2 - mu(heavy), mu_i for i in
+    heavy) in the variables of the full sample.
 
-    The memo maps each sorted sub-sample to its piece in sorted variables.
-    Each sorted variable is renamed back: a weight mu_i becomes x_i, which
-    only moves its exponent, and 1 - mu_bar becomes the composite
-    2 - sum(x_i for i in heavy), whose integer powers are built once.  Every
-    term is expanded into one integer accumulator over the piece's
-    denominator.  Equal weights need no care: swapping them fixes the
-    chamber, so the piece is symmetric in their variables.
+    The sub-sample is read off the domain's integer subset sums; sorted as
+    ints and divided, with the denominator, by their gcd, it gives one
+    canonical memo key (denominator, sorted numerators), and Fractions are
+    built only when the key is new.  The memo maps each key to its piece in
+    sorted variables.  Each sorted variable is renamed back: a weight mu_i
+    becomes x_i, which only moves its exponent, and 2 - mu(heavy) becomes
+    the composite 2 - sum(x_i for i in heavy), whose integer powers are built
+    once.  Every term is expanded into one integer accumulator over the
+    piece's denominator.  Equal weights need no care: swapping them fixes
+    the chamber, so the piece is symmetric in their variables.
     """
-    n = sample.n
-    sub = (1 - mu_bar, *(sample[i] for i in heavy))
+    n, sums, den = domain.n, domain._sums, domain._den
+    sub = (2 * den - sums[_mask(heavy)], *(sums[1 << i] for i in heavy))
     order = sorted(range(len(sub)), key=sub.__getitem__)
-    key = tuple(sub[j] for j in order)
+    g = math.gcd(den, *sub)
+    key = (den // g, *(sub[j] // g for j in order))
     piece = memo.get(key)
     if piece is None:
-        piece = memo[key] = an_polynomial(SignDomain(key), _memo=memo)
+        sub_sample = tuple(Fraction(k, key[0]) for k in key[1:])
+        piece = memo[key] = an_polynomial(SignDomain(sub_sample), _memo=memo)
     # sorted variable j is the composite when order[j] == 0, else
     # x_heavy[order[j] - 1]; the renaming reads each x_i's exponent from its
     # sorted position, the other x_i read a 0 appended after them
@@ -416,12 +441,42 @@ def _sub_piece(sample: WeightVector, heavy: Sequence[int], mu_bar: Fraction,
     return MultiPoly._exact(n, acc, piece._den)
 
 
-def _mu_bar(block, n: int) -> MultiPoly:
-    """The excess weight mu(block) - 1 as a linear form in n variables."""
-    num = {(0,) * n: -1}
-    for i in block:
-        num[_unit(i, n)] = 1
-    return MultiPoly._exact(n, num)
+def _template(family: str, block_sizes: tuple[int, ...], epsilon: int,
+              n: int) -> tuple[int, list[tuple[tuple[int, ...], int]]]:
+    """A record's signed coefficient as a polynomial in its block weights
+    u_j = mu(I_j) = mu_bar_j + 1, over one integer denominator.
+
+    The coefficient is affine in each mu_bar, so the coefficient of the
+    product of u_j over j in S follows by inclusion-exclusion from its
+    values at the corners of the unit cube, which ``_coefficient`` gives on
+    Fractions.  Returns the denominator and the nonzero (S, numerator)
+    pairs.
+    """
+    k = len(block_sizes)
+    corners = [s for size in range(k + 1) for s in combinations(range(k), size)]
+    value = {s: _coefficient(family, [Fraction(0 if j in s else -1) for j in range(k)],
+                             block_sizes, epsilon, n)
+             for s in corners}
+    coeffs = [sum((-1) ** (len(s) - len(t)) * value[t]
+                  for t in corners if set(t) <= set(s))
+              for s in corners]
+    den, nums = _scale_to_integers(coeffs)
+    return den, [(s, c) for s, c in zip(corners, nums) if c]
+
+
+def _from_template(template, blocks: Sequence, n: int) -> MultiPoly:
+    """A template evaluated at u_j = sum(x_i for i in blocks[j]): the
+    blocks are disjoint, so each choice of one index per block in S is its
+    own monomial."""
+    den, parts = template
+    num = {}
+    for s, c in parts:
+        for choice in product(*[blocks[j] for j in s]):
+            exps = [0] * n
+            for i in choice:
+                exps[i] = 1
+            num[tuple(exps)] = c
+    return MultiPoly._exact(n, num, den)
 
 
 def an_polynomial(domain: SignDomain, *, _memo: dict | None = None) -> MultiPoly:
@@ -431,8 +486,10 @@ def an_polynomial(domain: SignDomain, *, _memo: dict | None = None) -> MultiPoly
     recursion's signed coefficients on linear forms; elsewhere in the domain,
     terms whose integrality side conditions fail contribute sub-values that
     vanish, so the piece holds on the whole domain.  Each distinct sub-piece
-    is built once per top-level call, in a memo that the recursion passes
-    down as `_memo` and that dies with the call.
+    is built once per top-level call, and each coefficient template once per
+    family, n and block sizes, in a memo that the recursion passes down as
+    `_memo` and that dies with the call: sub-pieces sit under their integer
+    keys, templates under keys that start with the family name.
     """
     memo = {} if _memo is None else _memo
     sample = domain.sample
@@ -446,10 +503,15 @@ def an_polynomial(domain: SignDomain, *, _memo: dict | None = None) -> MultiPoly
     # T2a's negative singleton follows from its two heavy blocks.
     terms = []
     for rec in enum_T1a(sample) + enum_T2a(sample):
-        term = _coefficient(rec.family, [_mu_bar(h, n) for h in rec.heavy_blocks],
-                            rec.block_sizes, rec.epsilon, n)
-        for heavy, mu_bar in zip(rec.heavy_blocks, rec.mu_bars):
-            term = term * _sub_piece(sample, sorted(heavy), mu_bar, memo)
+        shape = (rec.family, n, rec.block_sizes, rec.epsilon)
+        template = memo.get(shape)
+        if template is None:
+            template = memo[shape] = _template(rec.family, rec.block_sizes,
+                                               rec.epsilon, n)
+        heavies = [sorted(h) for h in rec.heavy_blocks]
+        term = _from_template(template, heavies, n)
+        for heavy in heavies:
+            term = term * _sub_piece(domain, heavy, memo)
         terms.append(term)
     return _sum(terms, n)
 

@@ -21,6 +21,7 @@ from flatsphere.recursion import _coefficient, a4_closed, a_n
 from util import (
     adjacent_domain_pair,
     integer_entry_point,
+    mu_bar_form,
     random_generic_sample,
     random_linear_terms,
     random_poly_terms,
@@ -42,6 +43,15 @@ DATA = Path(__file__).parent / "data"
 # wall tests moved to integer subset sums
 PIECES_PINNED = json.loads((DATA / "pieces_pinned.json").read_text())
 SIGN_DOMAINS_PINNED = json.loads((DATA / "sign_domains_pinned.json").read_text())
+
+
+def _subset_sums(xs):
+    return [sum(x for i, x in enumerate(xs) if mask >> i & 1)
+            for mask in range(1 << len(xs))]
+
+
+def _subset_floors(xs):
+    return [math.floor(s) for s in _subset_sums(xs)]
 
 
 class TestMultiPoly:
@@ -136,6 +146,33 @@ class TestMultiPoly:
                 MultiPoly.variable(index, 3)
         with pytest.raises(ValidationError):
             MultiPoly.linear(0, [1, 2, 3, 4], 3)
+
+    @pytest.mark.parametrize("build", [
+        lambda: MultiPoly(-1, {}),
+        lambda: MultiPoly("2", {}),
+        lambda: MultiPoly(True, {(1,): 1}),
+        lambda: MultiPoly.from_json(-3, []),
+        lambda: MultiPoly.constant(1, -1),
+        lambda: MultiPoly.constant(1, 2.0),
+        lambda: MultiPoly.variable(0, 2.0),
+        lambda: MultiPoly.linear(0, [1], "2"),
+    ], ids=["negative", "text", "bool", "from_json_negative", "constant_negative",
+            "constant_float", "variable_float", "linear_text"])
+    def test_rejects_invalid_variable_count(self, build):
+        # each of these used to build a junk polynomial, or raise a bare
+        # TypeError
+        with pytest.raises(ValidationError):
+            build()
+
+    @pytest.mark.parametrize("exponent", [2.0, 1.5, "2", True, -1],
+                             ids=["float", "fraction_float", "text", "bool", "negative"])
+    def test_rejects_invalid_power(self, exponent):
+        # floats and text used to raise a bare TypeError, True to give p ** 1
+        with pytest.raises(ValidationError):
+            MultiPoly.linear(1, [1, 2], 2) ** exponent
+
+    def test_zero_variables_accepted(self):
+        assert MultiPoly(0, {(): 3}) == MultiPoly.constant(3, 0)
 
     def test_variable_count_mismatch(self):
         with pytest.raises(ValidationError):
@@ -289,6 +326,17 @@ class TestSignDomain:
             SignDomain(parse_weights("0,5/6,5/6,5/6,-1/2"))
         assert err.value.subset == frozenset({0})
 
+    def test_signs_built_on_first_access(self):
+        # construction checks the walls but leaves the signs to whoever
+        # reads them; the integer subset sums stay on the domain
+        dom = SignDomain(GENERIC5)
+        assert "signs" not in vars(dom)
+        assert dom._den == 11
+        assert dom._sums[0b10011] == 9 + 5 + 1
+        signs = dom.signs
+        assert len(signs) == 10 and dom.signs is signs
+        assert signs[frozenset({1, 2})] == -1 and signs[frozenset({1, 2, 3})] == 1
+
     def test_same_pattern(self):
         dom = SignDomain(GENERIC5)
         assert dom.same_pattern(GENERIC5)
@@ -311,7 +359,8 @@ class TestSignDomain:
     def test_on_wall_samples_pinned(self):
         # n = 4..8, two-block walls and integral subsets; most samples have
         # several offending subsets, and the first in combinations order
-        # (by size, then lexicographically) is the one reported
+        # (by size, then lexicographically) is the one reported, by the
+        # constructor, with no read of the signs
         for case in SIGN_DOMAINS_PINNED["on_wall"]:
             with pytest.raises(WallError) as err:
                 SignDomain(parse_weights(case["sample"]))
@@ -418,28 +467,80 @@ class TestAnPolynomial:
             relabeled[tuple(new)] = coeff
         assert piece_p == MultiPoly(5, relabeled)
 
+    @pytest.mark.parametrize("n", [5, 6, 7])
+    def test_piece_depends_only_on_chamber(self, n):
+        # a piece is fixed by the floors of the subset sums of its sample: a
+        # second sample over another denominator with the same floors gives
+        # the same polynomial, although no sub-sample of the two is shared
+        rng = random.Random(80 + n)
+        for _ in range(2):
+            sample = random_generic_sample(rng, n)
+            floors = _subset_floors(sample.entries)
+            while True:
+                shift = [rng.randint(-4, 4) for _ in range(n - 1)]
+                shift.append(-sum(shift))
+                other = [x + F(k, 7 * 101) for x, k in zip(sample.entries, shift)]
+                if (max(other) < 1 and any(shift)
+                        and _subset_floors(other) == floors
+                        and not any(s.denominator == 1
+                                    for s in _subset_sums(other)[1:-1])):
+                    break
+            assert an_polynomial(SignDomain(other)) == an_polynomial(SignDomain(sample))
+
 
 class TestSubPiece:
     @pytest.mark.parametrize("n", [5, 6, 7])
     def test_renaming_matches_substitute_linear(self, n):
         # the renamed sub-piece against the general substitution of the
         # sorted piece: the composite 2 - sum(x_i, i in heavy) and the
-        # variables x_i, in sorted order
+        # variables x_i, in sorted order; the memo holds the sorted piece
+        # under the least common denominator of the sorted sub-sample and
+        # its numerators, so the sub-samples of a sample over 30 whose
+        # weights share a factor with it meet at reduced keys
         rng = random.Random(70 + n)
-        for _ in range(2):
-            sample = random_generic_sample(rng, n)
+        for q in (101, 101, 30):
+            sample = random_generic_sample(rng, n, q)
+            domain = SignDomain(sample)
             memo = {}
             for rec in enum_T1a(sample) + enum_T2a(sample):
-                for block, mu_bar in zip(rec.heavy_blocks, rec.mu_bars):
+                for block in rec.heavy_blocks:
                     heavy = sorted(block)
-                    got = piecewise._sub_piece(sample, heavy, mu_bar, memo)
+                    got = piecewise._sub_piece(domain, heavy, memo)
                     sub = (2 - sample.subset_sum(heavy), *(sample[i] for i in heavy))
                     order = sorted(range(len(sub)), key=sub.__getitem__)
-                    piece = memo[tuple(sub[j] for j in order)]
+                    sorted_sub = [sub[j] for j in order]
+                    den = math.lcm(*(x.denominator for x in sorted_sub))
+                    piece = memo[(den, *(int(x * den) for x in sorted_sub))]
                     forms = [MultiPoly.linear(2, [-1 if i in heavy else 0
                                                   for i in range(n)], n)]
                     forms += [MultiPoly.variable(i, n) for i in heavy]
                     assert got == piece.substitute_linear([forms[j] for j in order])
+            if q == 30:
+                assert any(key[0] < q for key in memo if type(key[0]) is int)
+
+
+class TestCoefficientTemplate:
+    """The coefficient an_polynomial builds from a per-shape template is the
+    recursion's coefficient applied to the linear forms mu(I) - 1."""
+
+    @pytest.mark.parametrize("n", [5, 6, 7, 8, 9])
+    def test_template_matches_coefficient_on_forms(self, n):
+        rng = random.Random(60 + n)
+        # T1a has one heavy block of n - 2 weights; T2a two heavy blocks
+        # that share the n - 1 weights besides the negative singleton
+        shapes = [("T1a", (n - 2,))]
+        shapes += [("T2a", (n1, n - 1 - n1)) for n1 in range(2, n - 2)]
+        for family, sizes in shapes:
+            template = piecewise._template(family, sizes, 1, n)
+            for _ in range(3):
+                indices = rng.sample(range(n), n)
+                blocks, start = [], n - sum(sizes)
+                for size in sizes:
+                    blocks.append(sorted(indices[start:start + size]))
+                    start += size
+                want = _coefficient(family, [mu_bar_form(b, n) for b in blocks],
+                                    sizes, 1, n)
+                assert piecewise._from_template(template, blocks, n) == want
 
 
 class TestCoefficientForms:
@@ -458,7 +559,7 @@ class TestCoefficientForms:
 
         for rec in enum_T1a(sample) + enum_T2a(sample):
             heavies = rec.heavy_blocks
-            form = _coefficient(rec.family, [piecewise._mu_bar(h, n) for h in heavies],
+            form = _coefficient(rec.family, [mu_bar_form(h, n) for h in heavies],
                                 rec.block_sizes, rec.epsilon, n)
             for point in points:
                 want = _coefficient(rec.family, [mu_bar(h, point) for h in heavies],

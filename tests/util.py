@@ -6,7 +6,7 @@ from fractions import Fraction
 
 from flatsphere.closed_forms import partitions_into
 from flatsphere.core import WeightVector
-from flatsphere.piecewise import SignDomain, WallError
+from flatsphere.piecewise import MultiPoly, SignDomain, WallError
 
 
 def _msum(mu, block):
@@ -121,6 +121,12 @@ def random_generic_sample(rng: random.Random, n: int, q: int = 101) -> WeightVec
                 break
         if good:
             return WeightVector(tuple(Fraction(a, q) for a in nums))
+
+
+def mu_bar_form(block, n: int) -> MultiPoly:
+    """The excess weight mu(block) - 1 as a linear form in n variables, the
+    reference for the coefficient templates of an_polynomial."""
+    return MultiPoly.linear(-1, [1 if i in block else 0 for i in range(n)], n)
 
 
 def integer_entry_point(domain: SignDomain, rng: random.Random | None = None):
