@@ -172,7 +172,7 @@ class PiValue:
         if not m:
             raise ValidationError(f"invalid pi-value {text!r}")
         power = int(m.group("pow")) if m.group("pow") else 0
-        return cls(Fraction(m.group("coeff")), power)
+        return cls(m.group("coeff"), power)
 
 
 @functools.lru_cache(maxsize=4096)

@@ -19,6 +19,7 @@ from .core import (
     Signature,
     ValidationError,
     _as_fraction,
+    _scale_to_integers,
     weights_from_signature,
 )
 from .recursion import vol1
@@ -57,9 +58,7 @@ class Cyclo24:
     __slots__ = ("_num", "_den")
 
     def __init__(self, coeffs: Sequence[Fraction]):
-        coeffs = [_as_fraction(c) for c in coeffs]
-        den = math.lcm(*(c.denominator for c in coeffs))
-        nums = [c.numerator * (den // c.denominator) for c in coeffs]
+        den, nums = _scale_to_integers([_as_fraction(c) for c in coeffs])
         self._num, self._den = _lowest(_reduce(nums), den)
 
     @classmethod
@@ -81,6 +80,8 @@ class Cyclo24:
 
     @classmethod
     def zeta_pow(cls, m: int) -> "Cyclo24":
+        if type(m) is not int:
+            raise ValidationError(f"zeta powers need an int exponent, got {m!r}")
         m %= 24
         raw = [0] * (m + 1)
         raw[m] = 1
@@ -148,6 +149,9 @@ class Cyclo24:
         return Cyclo24._exact(cofactor, norm)
 
     def __pow__(self, exponent: int) -> "Cyclo24":
+        if type(exponent) is not int:
+            raise ValidationError(
+                f"cyclotomic powers need an int exponent, got {exponent!r}")
         if exponent < 0:
             return self.inverse() ** (-exponent)
         result = CY_ONE
@@ -223,9 +227,7 @@ def _lowest(num, den: int) -> tuple[tuple[int, ...], int]:
 def _coerce_cyclo(value) -> Cyclo24:
     if isinstance(value, Cyclo24):
         return value
-    if isinstance(value, float):
-        raise ValidationError("floats are not accepted in exact arithmetic")
-    value = Fraction(value)
+    value = _as_fraction(value)
     return Cyclo24._exact([value.numerator] + [0] * (_DEGREE - 1),
                           value.denominator)
 
@@ -493,6 +495,8 @@ def area_form(kappa: Signature) -> HermitianForm:
 def lattice_index(constraint: Sequence[QuadInt]) -> int:
     """Index of the projected period lattice in the full quadratic lattice:
     the norm quotient N(c_last) / N(gcd(c_1, ..., c_last))."""
+    if not constraint:
+        raise ValidationError("empty constraint")
     if any(c.is_zero() for c in constraint):
         raise ValidationError("zero constraint entry")
     last = constraint[-1]

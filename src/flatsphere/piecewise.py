@@ -128,11 +128,10 @@ class MultiPoly:
         if len(coeffs) > nvars:
             raise ValidationError(
                 f"{len(coeffs)} coefficients for a form in {nvars} variables")
-        terms = {(0,) * nvars: _rational(const)}
+        terms = {(0,) * nvars: const}
         for i, c in enumerate(coeffs):
-            terms[_unit(i, nvars)] = _rational(c)
-        den, nums = _scale_to_integers(terms.values())
-        return cls._exact(nvars, dict(zip(terms, nums)), den)
+            terms[_unit(i, nvars)] = c
+        return cls(nvars, terms)
 
     def _coerce(self, other) -> "MultiPoly":
         if not isinstance(other, MultiPoly):
@@ -213,12 +212,9 @@ class MultiPoly:
         return Fraction(total, self._den * q ** degree)
 
     def substitute_linear(self, forms: Sequence["MultiPoly"]) -> "MultiPoly":
-        """Substitute a degree-<=1 polynomial for each variable.
-
-        The integer powers of each form's numerators are built once, up to
-        the top exponent of its variable, and every term is expanded
-        through them into one integer accumulator over one denominator.
-        """
+        """Substitute a degree-<=1 polynomial for each variable: every term is
+        its coefficient times the forms' powers, which are built once per
+        call up to the top exponent of their variable."""
         if len(forms) != self.nvars:
             raise ValidationError("need one substitution form per variable")
         if any(f.total_degree() > 1 for f in forms):
@@ -226,34 +222,15 @@ class MultiPoly:
         target_vars = forms[0].nvars if forms else 0
         if any(f.nvars != target_vars for f in forms):
             raise ValidationError("variable-count mismatch among forms")
-        zero = (0,) * target_vars
         tops = [max(col) for col in zip(*self._num)] or [0] * self.nvars
-        powers = []
-        for form, top in zip(forms, tops):
-            table = [{zero: 1}]
-            for _ in range(top):
-                table.append(_mul_into({}, table[-1], form._num))
-            powers.append(table)
-        # form j enters a term with exponent e as N_j**e / d_j**e; padding
-        # it by d_j**(top_j - e) puts every term over one denominator
-        padded = [(j, forms[j]._den, tops[j]) for j in range(self.nvars)
-                  if forms[j]._den != 1 and tops[j]]
-        den = self._den
-        for _, d, top in padded:
-            den *= d ** top
-        # multiply the single-term powers in first, so each term's partial
-        # product stays small until the widest factor
-        order = sorted(range(self.nvars), key=lambda j: len(forms[j]._num))
-        acc: dict[tuple[int, ...], int] = {}
-        for exps, c in self._num.items():
-            for j, d, top in padded:
-                c *= d ** (top - exps[j])
-            part = {zero: c}
-            factors = [powers[j][exps[j]] for j in order if exps[j]]
-            for factor in factors[:-1]:
-                part = _mul_into({}, part, factor)
-            _mul_into(acc, part, factors[-1] if factors else {zero: 1})
-        return MultiPoly._exact(target_vars, acc, den)
+        powers = [[form ** e for e in range(top + 1)] for form, top in zip(forms, tops)]
+        result = MultiPoly(target_vars)
+        for exps, c in self.terms.items():
+            term = MultiPoly.constant(c, target_vars)
+            for table, e in zip(powers, exps):
+                term = term * table[e]
+            result = result + term
+        return result
 
     def to_json(self) -> list:
         items = sorted(self.terms.items())
@@ -279,6 +256,14 @@ class WallError(ValidationError):
 
 def _mask(indices) -> int:
     return sum(1 << i for i in indices)
+
+
+def _wall_gaps(point: WeightVector, blocks) -> dict:
+    """For each block I, mu(I) - 1 at the point scaled by the common
+    denominator of its weights: an integer with the sign of mu(I) - 1."""
+    den, scaled = _scale_to_integers(point.entries)
+    sums = _subset_sums(scaled)
+    return {block: sums[_mask(block)] - den for block in blocks}
 
 
 class SignDomain:
@@ -332,13 +317,8 @@ class SignDomain:
         point = WeightVector.coerce(point)
         if point.n != self.n:
             return False
-        den, scaled = _scale_to_integers(point.entries)
-        sums = _subset_sums(scaled)
-        for block, sign in self.signs.items():
-            gap = sums[_mask(block)] - den
-            if gap == 0 or (1 if gap > 0 else -1) != sign:
-                return False
-        return True
+        gaps = _wall_gaps(point, self.signs)
+        return all(gaps[block] * sign > 0 for block, sign in self.signs.items())
 
     def signs_json(self) -> list[dict]:
         out = []
@@ -444,24 +424,17 @@ def _sub_piece(domain: SignDomain, heavy: Sequence[int], memo: dict) -> MultiPol
 def _template(family: str, block_sizes: tuple[int, ...], epsilon: int,
               n: int) -> tuple[int, list[tuple[tuple[int, ...], int]]]:
     """A record's signed coefficient as a polynomial in its block weights
-    u_j = mu(I_j) = mu_bar_j + 1, over one integer denominator.
-
-    The coefficient is affine in each mu_bar, so the coefficient of the
-    product of u_j over j in S follows by inclusion-exclusion from its
-    values at the corners of the unit cube, which ``_coefficient`` gives on
-    Fractions.  Returns the denominator and the nonzero (S, numerator)
-    pairs.
+    u_j = mu(I_j) = mu_bar_j + 1, over one integer denominator:
+    ``_coefficient`` on the forms u_j - 1, one variable per block.  The
+    coefficient is affine in each mu_bar, so each term is the product of the
+    u_j over a set S of blocks.  Returns the denominator and the (S,
+    numerator) pairs.
     """
     k = len(block_sizes)
-    corners = [s for size in range(k + 1) for s in combinations(range(k), size)]
-    value = {s: _coefficient(family, [Fraction(0 if j in s else -1) for j in range(k)],
-                             block_sizes, epsilon, n)
-             for s in corners}
-    coeffs = [sum((-1) ** (len(s) - len(t)) * value[t]
-                  for t in corners if set(t) <= set(s))
-              for s in corners]
-    den, nums = _scale_to_integers(coeffs)
-    return den, [(s, c) for s, c in zip(corners, nums) if c]
+    forms = [MultiPoly.variable(j, k) - 1 for j in range(k)]
+    poly = _coefficient(family, forms, block_sizes, epsilon, n)
+    return poly._den, [(tuple(j for j in range(k) if exps[j]), c)
+                       for exps, c in poly._num.items()]
 
 
 def _from_template(template, blocks: Sequence, n: int) -> MultiPoly:
@@ -535,13 +508,11 @@ def wall_continuity_check(domain_a: SignDomain, domain_b: SignDomain,
     piece_b = an_polynomial(domain_b)
     for raw in boundary_samples:
         point = WeightVector.coerce(raw)
-        if 2 * point.subset_sum(wall) - 2 != 0:
+        gaps = _wall_gaps(point, domain_a.signs)
+        if gaps[wall] != 0:
             raise ValidationError(f"sample {point} is not on the common wall")
-        for block, sign in domain_a.signs.items():
-            if block == wall:
-                continue
-            gap = 2 * point.subset_sum(block) - 2
-            if gap == 0:
+        for block, gap in gaps.items():
+            if block != wall and gap == 0:
                 raise ValidationError(
                     f"sample {point} sits on a second wall {sorted(block)}")
         if piece_a.evaluate(point.entries) != piece_b.evaluate(point.entries):

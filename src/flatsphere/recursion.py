@@ -108,6 +108,8 @@ def recursive_rhs_dform(mu, d: int, cache: Optional[MemoCache] = None) -> Fracti
     """
     mu = WeightVector.coerce(mu)
     n = mu.n
+    if type(d) is not int or d < 1:
+        raise ValidationError(f"the level d must be a positive int, got {d!r}")
     if any((d * x).denominator != 1 for x in mu):
         raise ValidationError(f"{d} is not a common denominator of the weights")
     if n < 5:
@@ -207,16 +209,20 @@ def quad_V_closed(kappa) -> Fraction:
 
 
 def quad_V_recursive(kappa, memo: Optional[MemoCache] = None) -> Fraction:
-    """The quadratic two-family recursion, evaluated on integer orders only."""
+    """The quadratic two-family recursion, evaluated on integer orders only.
+
+    ``memo`` maps sorted order tuples to values down the recursion; ``None``
+    gives this call a fresh one."""
     kappa = QuadSignature.coerce(kappa)
     n = kappa.n
     if n == 4:
         return Fraction(1)  # only (-1,-1,-1,-1) exists at n = 4
+    if memo is None:
+        memo = {}
     key = tuple(sorted(kappa.orders))
-    if memo is not None:
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
+    hit = memo.get(key)
+    if hit is not None:
+        return hit
     orders = kappa.orders
     value = Fraction(0)
     # pair of simple poles plus a positive singleton
@@ -259,8 +265,7 @@ def quad_V_recursive(kappa, memo: Optional[MemoCache] = None) -> Fraction:
                 * quad_V_recursive(sub1, memo)
                 * quad_V_recursive(sub2, memo)
             )
-    if memo is not None:
-        memo[key] = value
+    memo[key] = value
     return value
 
 
@@ -293,6 +298,8 @@ def a5_direct(mu, d: int) -> Fraction:
     mu = WeightVector.coerce(mu)
     if mu.n != 5:
         raise ValidationError("a5_direct needs exactly 5 weights")
+    if type(d) is not int or d < 1:
+        raise ValidationError(f"the level d must be a positive int, got {d!r}")
     if any((d * x).denominator != 1 for x in mu):
         raise ValidationError(f"{d} is not a common denominator of the weights")
     pairs = [frozenset(p) for p in combinations(range(5), 2)]
@@ -336,30 +343,19 @@ def a5_direct(mu, d: int) -> Fraction:
 
 def enumerate_odd_signatures(n: int) -> list[QuadSignature]:
     """All odd signatures with n entries (each >= -1, summing to -4), up to
-    reordering."""
-    if n % 2 or n < 4:
-        return []
-    out = []
+    reordering: by the number of positive orders, then their nondecreasing
+    tuple, each followed by the -1 entries."""
 
-    def descend(slots: int, remaining: int, lo: int, acc: tuple[int, ...]):
-        if slots == 0:
-            if remaining == 0:
-                out.append(QuadSignature(acc + (-1,) * (n - len(acc))))
+    def parts(count: int, total: int, lo: int):
+        """Nondecreasing odd tuples of `count` parts >= lo summing to total."""
+        if count == 0:
+            if total == 0:
+                yield ()
             return
-        k = lo
-        while k <= remaining - (slots - 1):
-            descend(slots - 1, remaining - k, k, acc + (k,))
-            k += 2
+        for k in range(lo, total + 1, 2):
+            for rest in parts(count - 1, total - k, k):
+                yield (k, *rest)
 
-    for positives in range(0, n - 3):
-        # q entries equal to -1, the rest positive odd summing to q - 4
-        q = n - positives
-        target = q - 4
-        if positives == 0:
-            if n == 4:
-                out.append(QuadSignature((-1, -1, -1, -1)))
-            continue
-        if target < positives:  # each positive is >= 1
-            continue
-        descend(positives, target, 1, ())
-    return out
+    # with p positive orders, the other n - p entries are -1
+    return [QuadSignature((*pos, *(-1,) * (n - p)))
+            for p in range(n - 3) for pos in parts(p, n - p - 4, 1)]

@@ -192,6 +192,10 @@ class TestPiValue:
         assert str(PiValue(F(-2), 0)) == "-2"
         assert PiValue.parse("-2") == PiValue(F(-2), 0)
 
+    def test_parse_rejects_zero_denominator(self):
+        with pytest.raises(ValidationError):
+            PiValue.parse("1/0*pi^2")
+
     def test_product(self):
         v = PiValue(F("1/2"), 1) * PiValue(F(3), 2)
         assert v == PiValue(F("3/2"), 3)

@@ -190,6 +190,15 @@ class TestCyclo24Representation:
         with pytest.raises(ZeroDivisionError):
             Cyclo24([0]).inverse()
 
+    @pytest.mark.parametrize("exponent", [2.0, 1.5, True])
+    def test_power_needs_an_int_exponent(self, exponent):
+        with pytest.raises(ValidationError):
+            CY_I ** exponent
+
+    def test_zeta_pow_needs_an_int(self):
+        with pytest.raises(ValidationError):
+            Cyclo24.zeta_pow(1.5)
+
 
 class TestQuadInt:
     def test_norms(self):
@@ -335,6 +344,10 @@ class TestLatticeIndex:
     def test_zero_entry_rejected(self):
         with pytest.raises(ValidationError):
             lattice_index([QuadInt(0, 0, False), QuadInt(1, 0, False)])
+
+    def test_empty_constraint_rejected(self):
+        with pytest.raises(ValidationError):
+            lattice_index([])
 
     def test_adjudicated_row_determinant_and_index(self):
         # the five-point level-6 row with orders (-4,-4,-4,-3,3): the golden

@@ -605,3 +605,17 @@ class TestWallContinuity:
         dom_a, dom_b, wall, _ = built
         with pytest.raises(ValidationError):
             wall_continuity_check(dom_a, dom_b, [dom_a.sample])
+
+    def test_rejects_point_on_a_second_wall(self):
+        # with mu_k = mu_i for an i inside the wall W and a k > 0 outside
+        # it, the point is on W and on W - {i} + {k}; index 0 takes up the
+        # difference, which keeps mu(W) = 1
+        rng = random.Random(22)
+        sample = random_generic_sample(rng, 5)
+        dom_a, dom_b, wall, points = adjacent_domain_pair(rng, sample)
+        point = list(points[0])
+        i, k = min(wall), min(set(range(1, 5)) - wall)
+        point[0] += point[k] - point[i]
+        point[k] = point[i]
+        with pytest.raises(ValidationError, match="second wall"):
+            wall_continuity_check(dom_a, dom_b, [point])

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from flatsphere import recursion
 from flatsphere.cli import _random_positive_weights
 from flatsphere.closed_forms import mcmullen_an
 from flatsphere.core import (
@@ -28,6 +29,7 @@ from flatsphere.recursion import (
     recursive_rhs_dform,
     vol1,
 )
+from util import ref_odd_signatures
 
 F = Fraction
 
@@ -195,6 +197,11 @@ class TestDform:
         with pytest.raises(ValidationError):
             recursive_rhs_dform(parse_weights("1/2,1/2,1/2,1/2"), 2)
 
+    @pytest.mark.parametrize("d", [0, -3, 3.0])
+    def test_rejects_bad_level(self, d):
+        with pytest.raises(ValidationError):
+            recursive_rhs_dform(parse_weights("2/3,1/3,1/3,1/3,1/3"), d)
+
 
 class TestVol1:
     def test_quadratic_pillow(self):
@@ -235,6 +242,25 @@ class TestQuadV:
         assert quad_V(orders) == expected
         assert quad_V_closed(orders) == expected
         assert quad_V_recursive(orders) == expected
+
+    def test_no_memo_shares_a_fresh_one(self, monkeypatch):
+        # without a memo the call makes one and passes it down, so it makes
+        # as many recursive calls as with an explicit fresh memo
+        kappa = (1, 1, 1, -1, -1, -1, -1, -1, -1, -1)
+        original = recursion.quad_V_recursive
+        calls = []
+
+        def counting(kappa, memo=None):
+            calls.append(kappa)
+            return original(kappa, memo)
+
+        monkeypatch.setattr(recursion, "quad_V_recursive", counting)
+        counts = []
+        for memo in (None, {}):
+            calls.clear()
+            assert recursion.quad_V_recursive(kappa, memo) == quad_V_closed(kappa)
+            counts.append(len(calls))
+        assert counts[0] == counts[1]
 
     def test_sign_pattern(self):
         for n in (4, 6, 8):
@@ -287,6 +313,17 @@ class TestA5Direct:
     def test_rejects_bad_denominator(self):
         with pytest.raises(ValidationError):
             a5_direct(parse_weights("2/3,1/3,1/3,1/3,1/3"), 2)
+
+    @pytest.mark.parametrize("d", [0, -3, 3.0])
+    def test_rejects_bad_level(self, d):
+        with pytest.raises(ValidationError):
+            a5_direct(parse_weights("2/3,1/3,1/3,1/3,1/3"), d)
+
+
+def test_enumerate_odd_signatures_matches_brute_force():
+    # check --suite kontsevich and identity print in this order
+    for n in range(15):
+        assert [k.orders for k in enumerate_odd_signatures(n)] == ref_odd_signatures(n)
 
 
 def test_enumerate_odd_signatures_counts():

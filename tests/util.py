@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 from flatsphere.closed_forms import partitions_into
 from flatsphere.core import WeightVector
@@ -342,3 +343,15 @@ def random_linear_terms(rng: random.Random, nvars: int):
             exps = tuple(int(k == i) for k in range(nvars))
             terms[exps] = Fraction(rng.randint(-3, 3), rng.choice((1, 2, 7)))
     return terms
+
+
+def ref_odd_signatures(n: int) -> list[tuple[int, ...]]:
+    """Brute force over every multiset of n odd orders >= -1 summing to -4:
+    each as its positive orders, nondecreasing, then its -1 entries, sorted
+    by the number of positive orders and then lexicographically."""
+    out = []
+    for orders in combinations_with_replacement(range(-1, n, 2), n):
+        if sum(orders) == -4:
+            poles = orders.count(-1)
+            out.append(orders[poles:] + orders[:poles])
+    return sorted(out, key=lambda k: (n - k.count(-1), k))
