@@ -206,8 +206,8 @@ def cmd_table(npoints, as_csv, as_json, diff, columns, cache_path, verbose):
     _save_cache(cache_path, cache)
 
 
-# one piece takes about 0.8 s at n = 8 and 5 s at n = 9 (Python 3.11 on a
-# shared 2-CPU VM), and several times more for every further weight
+# one piece takes about 0.3 s at n = 8, 2 s at n = 9 and 49 s (119 MB) at
+# n = 10 (Python 3.11 on a shared 2-CPU VM), so n = 10 is not interactive
 PIECEWISE_MAX_N = 9
 
 

@@ -91,10 +91,12 @@ class Signature:
     level: int
 
     def __post_init__(self) -> None:
-        if any(not isinstance(k, int) for k in self.orders):
+        if any(type(k) is not int for k in self.orders):
             raise ValidationError("orders must be integers")
         orders = tuple(self.orders)
         object.__setattr__(self, "orders", orders)
+        if type(self.level) is not int:
+            raise ValidationError(f"level d must be an int, got {self.level!r}")
         if self.level < 1:
             raise ValidationError("level d must be >= 1")
         if len(orders) < 3:

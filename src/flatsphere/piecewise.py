@@ -17,7 +17,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .core import (ValidationError, WeightVector, _as_fraction, _scale_to_integers,
                    _subset_sums)
-from .partitions import enum_T1a, enum_T2a
+from .partitions import two_block_splits
 from .recursion import _coefficient
 
 
@@ -277,9 +277,34 @@ class SignDomain:
     """
 
     def __init__(self, sample):
-        self.sample = WeightVector.coerce(sample)
-        n = self.sample.n
-        den, scaled = _scale_to_integers(self.sample.entries)
+        sample = WeightVector.coerce(sample)
+        den, scaled = _scale_to_integers(sample.entries)
+        self._anchor(den, scaled)
+        self.sample = sample
+
+    @classmethod
+    def _from_integers(cls, den: int, nums: Sequence[int]) -> "SignDomain":
+        """The domain of the sample nums / den, built and checked in
+        integers: the checks of ``WeightVector`` and of the constructor,
+        with the same errors, and Fractions only if ``sample`` is read."""
+        if type(den) is not int or den < 1:
+            raise ValidationError(f"a denominator must be a positive int, got {den!r}")
+        if len(nums) < 3:
+            raise ValidationError("a weight vector needs at least 3 entries")
+        bad = [k for k in nums if k >= den]
+        if bad:
+            raise ValidationError(f"every weight must be < 1, got {Fraction(bad[0], den)}")
+        if sum(nums) != 2 * den:
+            raise ValidationError(f"weights must sum to 2, got {Fraction(sum(nums), den)}")
+        g = math.gcd(den, *nums)
+        domain = cls.__new__(cls)
+        domain._anchor(den // g, [k // g for k in nums])
+        return domain
+
+    def _anchor(self, den: int, scaled: Sequence[int]) -> None:
+        """Keep the subset sums of a weight vector scaled to integers over
+        its common denominator, once no proper subset is integral."""
+        n = len(scaled)
         sums = _subset_sums(scaled)
         integral = [mask for mask in range(1, (1 << n) - 1) if sums[mask] % den == 0]
         if integral:
@@ -293,7 +318,14 @@ class SignDomain:
                                 frozenset(subset))
             raise WallError(f"subset {subset} has integral weight {total}",
                             frozenset(subset))
-        self._den, self._sums = den, sums
+        self.n, self._den, self._sums = n, den, sums
+
+    @functools.cached_property
+    def sample(self) -> WeightVector:
+        """The anchoring sample; a domain built from integers makes it on
+        first read."""
+        return WeightVector(tuple(Fraction(self._sums[1 << i], self._den)
+                                  for i in range(self.n)))
 
     @functools.cached_property
     def signs(self) -> dict[frozenset[int], int]:
@@ -306,10 +338,6 @@ class SignDomain:
             for size in range(2, self.n - 1)
             for subset in combinations(range(1, self.n), size)
         }
-
-    @property
-    def n(self) -> int:
-        return self.sample.n
 
     def same_pattern(self, point) -> bool:
         """Does a rational point satisfy all of this domain's strict wall
@@ -354,14 +382,14 @@ def _sum(polys: Iterable[MultiPoly], nvars: int) -> MultiPoly:
     return MultiPoly._exact(nvars, {share(e, e): c for e, c in acc.items()}, den)
 
 
-def _a4_piece(sample: WeightVector) -> MultiPoly:
+def _a4_piece(domain: SignDomain) -> MultiPoly:
     """1/2 - (|d_1| + |d_2| + |d_3|)/4 with d_j = x_0 + x_j minus the other
     two variables, each |d_j| opened with its sign at the sample (that of
     mu_0 + mu_j - 1, as the weights sum to 2)."""
     num = {(0, 0, 0, 0): 2}
     for j in (1, 2, 3):
         coeffs = [1 if k in (0, j) else -1 for k in range(4)]
-        sigma = 1 if sample[0] + sample[j] > 1 else -1
+        sigma = 1 if domain._sums[1 | 1 << j] > domain._den else -1
         for k, c in enumerate(coeffs):
             exps = (0,) * k + (1,) + (0,) * (3 - k)
             num[exps] = num.get(exps, 0) - sigma * c
@@ -374,12 +402,12 @@ def _sub_piece(domain: SignDomain, heavy: Sequence[int], memo: dict) -> MultiPol
 
     The sub-sample is read off the domain's integer subset sums; sorted as
     ints and divided, with the denominator, by their gcd, it gives one
-    canonical memo key (denominator, sorted numerators), and Fractions are
-    built only when the key is new.  The memo maps each key to its piece in
-    sorted variables.  Each sorted variable is renamed back: a weight mu_i
-    becomes x_i, which only moves its exponent, and 2 - mu(heavy) becomes
-    the composite 2 - sum(x_i for i in heavy), whose integer powers are built
-    once.  Every term is expanded into one integer accumulator over the
+    canonical memo key (denominator, sorted numerators), and a new key
+    becomes a sub-domain built in integers, with no Fractions.  The memo
+    maps each key to its piece in sorted variables.  Each sorted variable is
+    renamed back: a weight mu_i becomes x_i, which only moves its exponent,
+    and 2 - mu(heavy) becomes the composite 2 - sum(x_i for i in heavy),
+    whose integer powers are built once.  Every term is expanded into one integer accumulator over the
     piece's denominator.  Equal weights need no care: swapping them fixes
     the chamber, so the piece is symmetric in their variables.
     """
@@ -390,8 +418,8 @@ def _sub_piece(domain: SignDomain, heavy: Sequence[int], memo: dict) -> MultiPol
     key = (den // g, *(sub[j] // g for j in order))
     piece = memo.get(key)
     if piece is None:
-        sub_sample = tuple(Fraction(k, key[0]) for k in key[1:])
-        piece = memo[key] = an_polynomial(SignDomain(sub_sample), _memo=memo)
+        sub_domain = SignDomain._from_integers(key[0], key[1:])
+        piece = memo[key] = an_polynomial(sub_domain, _memo=memo)
     # sorted variable j is the composite when order[j] == 0, else
     # x_heavy[order[j] - 1]; the renaming reads each x_i's exponent from its
     # sorted position, the other x_i read a 0 appended after them
@@ -452,6 +480,32 @@ def _from_template(template, blocks: Sequence, n: int) -> MultiPoly:
     return MultiPoly._exact(n, num, den)
 
 
+def _boundary_terms(domain: SignDomain) -> list[tuple[str, tuple[tuple[int, ...], ...]]]:
+    """The sample's T1a and T2a records as (family, heavy blocks), read off
+    the integer subset sums in the order of ``enum_T1a`` then ``enum_T2a``.
+
+    T1a is a pair of weight below 1 with the rest as its heavy block; T2a a
+    negative singleton with a split of the rest into two blocks of weight
+    above 1.  The sample has no proper subset of integral weight, so no test
+    needs an integrality check, and T1b (a weight-1 pair) and T2b (a
+    singleton and a block of weight 1) are empty.
+    """
+    n, sums, den = domain.n, domain._sums, domain._den
+    everyone = range(n)
+    terms = [("T1a", (tuple(i for i in everyone if i not in pair),))
+             for pair in combinations(everyone, 2) if sums[_mask(pair)] < den]
+    t2a = []
+    for single in everyone:
+        if sums[1 << single] >= 0:
+            continue
+        rest = [i for i in everyone if i != single]
+        for blocks in two_block_splits(rest):
+            if all(sums[_mask(block)] > den for block in blocks):
+                t2a.append((single, *blocks))
+    t2a.sort()
+    return terms + [("T2a", (block1, block2)) for _, block1, block2 in t2a]
+
+
 def an_polynomial(domain: SignDomain, *, _memo: dict | None = None) -> MultiPoly:
     """The polynomial piece of the volume function on a sign domain.
 
@@ -465,23 +519,18 @@ def an_polynomial(domain: SignDomain, *, _memo: dict | None = None) -> MultiPoly
     keys, templates under keys that start with the family name.
     """
     memo = {} if _memo is None else _memo
-    sample = domain.sample
-    n = sample.n
+    n = domain.n
     if n == 3:
         return MultiPoly.constant(1, 3)
     if n == 4:
-        return _a4_piece(sample)
-    # The sample has no proper subset of integral weight, so T1b (a weight-1
-    # pair) and T2b (a singleton and a block of weight 1) are empty, and
-    # T2a's negative singleton follows from its two heavy blocks.
+        return _a4_piece(domain)
     terms = []
-    for rec in enum_T1a(sample) + enum_T2a(sample):
-        shape = (rec.family, n, rec.block_sizes, rec.epsilon)
+    for family, heavies in _boundary_terms(domain):
+        block_sizes = tuple(map(len, heavies))
+        shape = (family, n, block_sizes)
         template = memo.get(shape)
         if template is None:
-            template = memo[shape] = _template(rec.family, rec.block_sizes,
-                                               rec.epsilon, n)
-        heavies = [sorted(h) for h in rec.heavy_blocks]
+            template = memo[shape] = _template(family, block_sizes, 1, n)
         term = _from_template(template, heavies, n)
         for heavy in heavies:
             term = term * _sub_piece(domain, heavy, memo)
@@ -508,6 +557,9 @@ def wall_continuity_check(domain_a: SignDomain, domain_b: SignDomain,
     piece_b = an_polynomial(domain_b)
     for raw in boundary_samples:
         point = WeightVector.coerce(raw)
+        if point.n != domain_a.n:
+            raise ValidationError(
+                f"sample {point} has {point.n} weights, the domains {domain_a.n}")
         gaps = _wall_gaps(point, domain_a.signs)
         if gaps[wall] != 0:
             raise ValidationError(f"sample {point} is not on the common wall")

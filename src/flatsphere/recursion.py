@@ -171,7 +171,7 @@ class QuadSignature:
     orders: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if any(not isinstance(k, int) for k in self.orders):
+        if any(type(k) is not int for k in self.orders):
             raise ValidationError("orders must be integers")
         orders = tuple(self.orders)
         object.__setattr__(self, "orders", orders)

@@ -64,6 +64,19 @@ class TestSignature:
         with pytest.raises(ValidationError):
             Signature((-3, -1, -1, 1), 2)
 
+    def test_rejects_level_that_is_not_an_int(self):
+        with pytest.raises(ValidationError, match="level"):
+            Signature((-1, -1, -1, -1), 2.0)
+
+    def test_rejects_bool_level(self):
+        with pytest.raises(ValidationError, match="level"):
+            Signature((-1, -1, -1, -1), True)
+
+    def test_rejects_bool_order(self):
+        # True counts as 1, so these orders would otherwise pass every check
+        with pytest.raises(ValidationError, match="integers"):
+            Signature((True, -1, -1, -1, -1, -1), 2)
+
 
 class TestAsFraction:
     def test_exact_fraction_returned_unchanged(self):

@@ -337,6 +337,47 @@ class TestSignDomain:
         assert len(signs) == 10 and dom.signs is signs
         assert signs[frozenset({1, 2})] == -1 and signs[frozenset({1, 2, 3})] == 1
 
+    @pytest.mark.parametrize("q", [101, 30])
+    def test_from_integers_matches_fraction_sample(self, q):
+        # over 30 some weights share a factor with the denominator, and the
+        # ints are also passed scaled by 3; both reduce to the Fraction
+        # sample's least common denominator
+        rng = random.Random(q)
+        for n in (3, 4, 5, 6, 7):
+            sample = random_generic_sample(rng, n, q)
+            want = SignDomain(sample)
+            den = math.lcm(*(x.denominator for x in sample))
+            nums = [int(x * den) for x in sample]
+            for scale in (1, 3):
+                got = SignDomain._from_integers(scale * den, [scale * k for k in nums])
+                assert "sample" not in vars(got)
+                assert (got.n, got._den, got._sums) == (want.n, want._den, want._sums)
+                assert got.sample == want.sample
+
+    @pytest.mark.parametrize("sample", ["2/3,1/3,1/3,1/3,1/3", "0,5/6,5/6,5/6,-1/2",
+                                        "1/2,1/2,1/2,1/2", "1/3,1/3,1/3,1/4,3/4"])
+    def test_from_integers_raises_the_same_wall_error(self, sample):
+        mu = parse_weights(sample)
+        den = math.lcm(*(x.denominator for x in mu))
+        with pytest.raises(WallError) as want:
+            SignDomain(mu)
+        with pytest.raises(WallError) as got:
+            SignDomain._from_integers(den, [int(x * den) for x in mu])
+        assert str(got.value) == str(want.value)
+        assert got.value.subset == want.value.subset
+
+    @pytest.mark.parametrize("den, nums", [(11, (9, 5)), (11, (11, 5, 4, 2, -1)),
+                                           (11, (9, 5, 4, 3, 2)), (0, (-1, -1, 2)),
+                                           (-11, (-9, -5, -8)), (True, (1, 1, 0))])
+    def test_from_integers_rejects_what_is_not_a_weight_vector(self, den, nums):
+        with pytest.raises(ValidationError) as got:
+            SignDomain._from_integers(den, nums)
+        if type(den) is int and den > 0:
+            # the error a Fraction sample gets from WeightVector
+            with pytest.raises(ValidationError) as want:
+                SignDomain([F(k, den) for k in nums])
+            assert str(got.value) == str(want.value)
+
     def test_same_pattern(self):
         dom = SignDomain(GENERIC5)
         assert dom.same_pattern(GENERIC5)
@@ -488,6 +529,23 @@ class TestAnPolynomial:
             assert an_polynomial(SignDomain(other)) == an_polynomial(SignDomain(sample))
 
 
+class TestBoundaryTerms:
+    @pytest.mark.parametrize("n", [5, 6, 7, 8, 9])
+    def test_masks_match_enumerators(self, n):
+        # the enumerators are the oracle: the same families and heavy
+        # blocks, in the same order, T1a before T2a
+        rng = random.Random(50 + n)
+        families = set()
+        for _ in range(4):
+            sample = random_generic_sample(rng, n)
+            want = [(rec.family, tuple(tuple(sorted(h)) for h in rec.heavy_blocks))
+                    for rec in enum_T1a(sample) + enum_T2a(sample)]
+            got = piecewise._boundary_terms(SignDomain(sample))
+            assert got == want, str(sample)
+            families.update(family for family, _ in got)
+        assert families == {"T1a", "T2a"}
+
+
 class TestSubPiece:
     @pytest.mark.parametrize("n", [5, 6, 7])
     def test_renaming_matches_substitute_linear(self, n):
@@ -591,6 +649,13 @@ class TestWallContinuity:
             expected = a4_closed(point)
             assert piece_a.evaluate(point.entries) == expected
             assert piece_b.evaluate(point.entries) == expected
+
+    def test_rejects_point_of_another_length(self):
+        rng = random.Random(21)
+        sample = random_generic_sample(rng, 5)
+        dom_a, dom_b, _, _ = adjacent_domain_pair(rng, sample)
+        with pytest.raises(ValidationError, match="4 weights"):
+            wall_continuity_check(dom_a, dom_b, [[F(1, 2)] * 4])
 
     def test_rejects_same_domain(self):
         dom = SignDomain(GENERIC5)

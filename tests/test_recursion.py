@@ -224,6 +224,11 @@ class TestQuadSignature:
         with pytest.raises(ValidationError):
             QuadSignature((-1, -1, -1, -1, -1, -1))
 
+    def test_rejects_bool_order(self):
+        # True counts as 1, an odd order, so the orders would sum to -4
+        with pytest.raises(ValidationError, match="integers"):
+            QuadSignature((True, -1, -1, -1, -1, -1))
+
 
 class TestQuadV:
     def test_base(self):

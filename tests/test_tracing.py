@@ -65,12 +65,10 @@ def test_symbolic_layers_record_calls():
         closed_forms.f_nab(5, Fraction(1), Fraction(2), [Fraction(k, 3) for k in range(5)])
     finally:
         tracer.uninstall()
-    # the piece takes its boundary terms from the partitions layer; it maps
-    # sub-pieces by renaming, not through MultiPoly.substitute_linear
+    # the piece maps sub-pieces by renaming, not through
+    # MultiPoly.substitute_linear
     for metric in ("piecewise.an_polynomial", "piecewise.sign_domain",
-                   "piecewise.multipoly_mul",
-                   "partitions.enum_T1a", "partitions.enum_T2a",
-                   "closed_forms.f_nab"):
+                   "piecewise.multipoly_mul", "closed_forms.f_nab"):
         assert tracer.counts[metric] > 0, metric
 
 
