@@ -15,8 +15,8 @@ from .partitions import enum_P0
 
 def double_factorial(k: int) -> int:
     """k!! with the convention 0!! = (-1)!! = 1."""
-    if k < -1:
-        raise ValidationError("double factorial needs k >= -1")
+    if type(k) is not int or k < -1:
+        raise ValidationError(f"double factorial needs an int k >= -1, got {k!r}")
     result = 1
     while k > 1:
         result *= k
@@ -26,8 +26,8 @@ def double_factorial(k: int) -> int:
 
 def v_kontsevich(k: int) -> PiValue:
     """The per-singularity factor k!!/(k+1)!! * pi**k * (pi if k odd else 2)."""
-    if k < -1:
-        raise ValidationError("v(k) needs k >= -1")
+    if type(k) is not int or k < -1:
+        raise ValidationError(f"v(k) needs an int k >= -1, got {k!r}")
     ratio = Fraction(double_factorial(k), double_factorial(k + 1))
     if k % 2:  # odd, including k = -1
         return PiValue(ratio, k + 1)
@@ -61,13 +61,15 @@ def f_nab(n: int, a, b, xs: Sequence):
     integers: the inputs are scaled by their common denominator D, every
     term is a product of exactly n - 2 integer linear factors, and the total
     is divided by D**(n-2) once.  Any other input (a MultiPoly, say) takes
-    the ring-generic loop.
+    the ring-generic loop; a float raises ``ValidationError``.
     """
     if n < 2 or len(xs) != n:
         raise ValidationError("f_nab needs n = len(xs) >= 2")
     xs = list(xs)
     if all(isinstance(v, (int, Fraction)) for v in (a, b, *xs)):
         return _f_nab_rational(n, a, b, xs)
+    if any(isinstance(v, float) for v in (a, b, *xs)):
+        raise ValidationError("floats are not accepted; pass exact rationals")
     return _f_nab_ring(n, a, b, xs)
 
 
@@ -132,8 +134,10 @@ def f_p22_bridge(kappa, minus_ones: int = 0) -> tuple[Fraction, Fraction]:
     q = n - |P|.
     """
     orders = tuple(getattr(kappa, "orders", kappa))
-    if not 0 <= minus_ones <= 2:
-        raise ValidationError("at most two simple-pole indices may join P")
+    if type(minus_ones) is not int or not 0 <= minus_ones <= 2:
+        raise ValidationError(
+            f"at most two simple-pole indices may join P: minus_ones is an int "
+            f"in 0..2, got {minus_ones!r}")
     n = len(orders)
     p_indices = [i for i in range(n) if orders[i] > 0]
     poles = [i for i in range(n) if orders[i] == -1]

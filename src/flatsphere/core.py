@@ -126,8 +126,9 @@ class PiValue:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "coefficient", _as_fraction(self.coefficient))
-        if not isinstance(self.pi_power, int) or self.pi_power < 0:
-            raise ValidationError("pi_power must be a non-negative integer")
+        if type(self.pi_power) is not int or self.pi_power < 0:
+            raise ValidationError(
+                f"pi_power must be a non-negative int, got {self.pi_power!r}")
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PiValue):

@@ -251,8 +251,9 @@ class QuadInt:
     omega: bool
 
     def __post_init__(self) -> None:
-        if not isinstance(self.a, int) or not isinstance(self.b, int):
-            raise ValidationError("quadratic integers need integer parts")
+        if type(self.a) is not int or type(self.b) is not int:
+            raise ValidationError(
+                f"quadratic integers need int parts, got {self.a!r} and {self.b!r}")
 
     def norm(self) -> int:
         if self.omega:

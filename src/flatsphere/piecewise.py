@@ -279,31 +279,6 @@ class SignDomain:
     def __init__(self, sample):
         sample = WeightVector.coerce(sample)
         den, scaled = _scale_to_integers(sample.entries)
-        self._anchor(den, scaled)
-        self.sample = sample
-
-    @classmethod
-    def _from_integers(cls, den: int, nums: Sequence[int]) -> "SignDomain":
-        """The domain of the sample nums / den, built and checked in
-        integers: the checks of ``WeightVector`` and of the constructor,
-        with the same errors, and Fractions only if ``sample`` is read."""
-        if type(den) is not int or den < 1:
-            raise ValidationError(f"a denominator must be a positive int, got {den!r}")
-        if len(nums) < 3:
-            raise ValidationError("a weight vector needs at least 3 entries")
-        bad = [k for k in nums if k >= den]
-        if bad:
-            raise ValidationError(f"every weight must be < 1, got {Fraction(bad[0], den)}")
-        if sum(nums) != 2 * den:
-            raise ValidationError(f"weights must sum to 2, got {Fraction(sum(nums), den)}")
-        g = math.gcd(den, *nums)
-        domain = cls.__new__(cls)
-        domain._anchor(den // g, [k // g for k in nums])
-        return domain
-
-    def _anchor(self, den: int, scaled: Sequence[int]) -> None:
-        """Keep the subset sums of a weight vector scaled to integers over
-        its common denominator, once no proper subset is integral."""
         n = len(scaled)
         sums = _subset_sums(scaled)
         integral = [mask for mask in range(1, (1 << n) - 1) if sums[mask] % den == 0]
@@ -318,14 +293,7 @@ class SignDomain:
                                 frozenset(subset))
             raise WallError(f"subset {subset} has integral weight {total}",
                             frozenset(subset))
-        self.n, self._den, self._sums = n, den, sums
-
-    @functools.cached_property
-    def sample(self) -> WeightVector:
-        """The anchoring sample; a domain built from integers makes it on
-        first read."""
-        return WeightVector(tuple(Fraction(self._sums[1 << i], self._den)
-                                  for i in range(self.n)))
+        self.sample, self.n, self._den, self._sums = sample, n, den, sums
 
     @functools.cached_property
     def signs(self) -> dict[frozenset[int], int]:
@@ -382,44 +350,44 @@ def _sum(polys: Iterable[MultiPoly], nvars: int) -> MultiPoly:
     return MultiPoly._exact(nvars, {share(e, e): c for e, c in acc.items()}, den)
 
 
-def _a4_piece(domain: SignDomain) -> MultiPoly:
+def _a4_piece(sums: list[int], den: int) -> MultiPoly:
     """1/2 - (|d_1| + |d_2| + |d_3|)/4 with d_j = x_0 + x_j minus the other
     two variables, each |d_j| opened with its sign at the sample (that of
     mu_0 + mu_j - 1, as the weights sum to 2)."""
     num = {(0, 0, 0, 0): 2}
     for j in (1, 2, 3):
         coeffs = [1 if k in (0, j) else -1 for k in range(4)]
-        sigma = 1 if domain._sums[1 | 1 << j] > domain._den else -1
+        sigma = 1 if sums[1 | 1 << j] > den else -1
         for k, c in enumerate(coeffs):
             exps = (0,) * k + (1,) + (0,) * (3 - k)
             num[exps] = num.get(exps, 0) - sigma * c
     return MultiPoly._exact(4, num, 4)
 
 
-def _sub_piece(domain: SignDomain, heavy: Sequence[int], memo: dict) -> MultiPoly:
+def _sub_piece(n: int, sums: list[int], den: int, heavy: Sequence[int],
+               memo: dict) -> MultiPoly:
     """The piece of a heavy block's sub-sample (2 - mu(heavy), mu_i for i in
     heavy) in the variables of the full sample.
 
-    The sub-sample is read off the domain's integer subset sums; sorted as
-    ints and divided, with the denominator, by their gcd, it gives one
-    canonical memo key (denominator, sorted numerators), and a new key
-    becomes a sub-domain built in integers, with no Fractions.  The memo
-    maps each key to its piece in sorted variables.  Each sorted variable is
-    renamed back: a weight mu_i becomes x_i, which only moves its exponent,
-    and 2 - mu(heavy) becomes the composite 2 - sum(x_i for i in heavy),
-    whose integer powers are built once.  Every term is expanded into one integer accumulator over the
-    piece's denominator.  Equal weights need no care: swapping them fixes
-    the chamber, so the piece is symmetric in their variables.
+    The sub-sample is read off the integer subset sums, over the sample's
+    own denominator D; its sorted numerators are its memo key, and a new key
+    is built by ``_piece`` from the subset sums of the sorted ints.  The memo maps each key to its piece
+    in sorted variables.  Each sorted variable is renamed back: a weight
+    mu_i becomes x_i, which only moves its exponent, and 2 - mu(heavy)
+    becomes the composite 2 - sum(x_i for i in heavy), whose integer powers
+    are built once.  Every term is expanded into one integer accumulator
+    over the piece's denominator.  Equal weights need no care: swapping them
+    fixes the chamber, so the piece is symmetric in their variables.
+
+    The sorted memo and the renaming stay because they share work that a
+    recursion in the sample's own variables repeats (see README).
     """
-    n, sums, den = domain.n, domain._sums, domain._den
     sub = (2 * den - sums[_mask(heavy)], *(sums[1 << i] for i in heavy))
     order = sorted(range(len(sub)), key=sub.__getitem__)
-    g = math.gcd(den, *sub)
-    key = (den // g, *(sub[j] // g for j in order))
+    key = tuple(sub[j] for j in order)
     piece = memo.get(key)
     if piece is None:
-        sub_domain = SignDomain._from_integers(key[0], key[1:])
-        piece = memo[key] = an_polynomial(sub_domain, _memo=memo)
+        piece = memo[key] = _piece(len(key), _subset_sums(key), den, memo)
     # sorted variable j is the composite when order[j] == 0, else
     # x_heavy[order[j] - 1]; the renaming reads each x_i's exponent from its
     # sorted position, the other x_i read a 0 appended after them
@@ -480,9 +448,11 @@ def _from_template(template, blocks: Sequence, n: int) -> MultiPoly:
     return MultiPoly._exact(n, num, den)
 
 
-def _boundary_terms(domain: SignDomain) -> list[tuple[str, tuple[tuple[int, ...], ...]]]:
+def _boundary_terms(n: int, sums: list[int],
+                    den: int) -> list[tuple[str, tuple[tuple[int, ...], ...]]]:
     """The sample's T1a and T2a records as (family, heavy blocks), read off
-    the integer subset sums in the order of ``enum_T1a`` then ``enum_T2a``.
+    its integer subset sums over den in the order of ``enum_T1a`` then
+    ``enum_T2a``.
 
     T1a is a pair of weight below 1 with the rest as its heavy block; T2a a
     negative singleton with a split of the rest into two blocks of weight
@@ -490,7 +460,6 @@ def _boundary_terms(domain: SignDomain) -> list[tuple[str, tuple[tuple[int, ...]
     needs an integrality check, and T1b (a weight-1 pair) and T2b (a
     singleton and a block of weight 1) are empty.
     """
-    n, sums, den = domain.n, domain._sums, domain._den
     everyone = range(n)
     terms = [("T1a", (tuple(i for i in everyone if i not in pair),))
              for pair in combinations(everyone, 2) if sums[_mask(pair)] < den]
@@ -506,26 +475,23 @@ def _boundary_terms(domain: SignDomain) -> list[tuple[str, tuple[tuple[int, ...]
     return terms + [("T2a", (block1, block2)) for _, block1, block2 in t2a]
 
 
-def an_polynomial(domain: SignDomain, *, _memo: dict | None = None) -> MultiPoly:
-    """The polynomial piece of the volume function on a sign domain.
+def _piece(n: int, sums: list[int], den: int, memo: dict) -> MultiPoly:
+    """The piece of the sample whose integer subset sums over den are
+    ``sums``: its T1a and T2a terms, each sub-piece taken from the memo.
 
-    The terms are the sample's T1a and T2a records, weighted by the
-    recursion's signed coefficients on linear forms; elsewhere in the domain,
-    terms whose integrality side conditions fail contribute sub-values that
-    vanish, so the piece holds on the whole domain.  Each distinct sub-piece
-    is built once per top-level call, and each coefficient template once per
-    family, n and block sizes, in a memo that the recursion passes down as
-    `_memo` and that dies with the call: sub-pieces sit under their integer
-    keys, templates under keys that start with the family name.
+    A sub-sample (2D - s(I), s_i for i in I) of a heavy block I needs none
+    of the checks of ``SignDomain``: it has at least 3 entries, each below
+    D, summing to 2D, and each of its proper nonempty subset sums is s(K) or
+    2D - s(K) for a nonempty K inside I, a proper subset of the sample, so
+    none is a multiple of D.  Every key of one call is over the same D, so
+    equal sub-samples meet at equal keys without a gcd.
     """
-    memo = {} if _memo is None else _memo
-    n = domain.n
     if n == 3:
         return MultiPoly.constant(1, 3)
     if n == 4:
-        return _a4_piece(domain)
+        return _a4_piece(sums, den)
     terms = []
-    for family, heavies in _boundary_terms(domain):
+    for family, heavies in _boundary_terms(n, sums, den):
         block_sizes = tuple(map(len, heavies))
         shape = (family, n, block_sizes)
         template = memo.get(shape)
@@ -533,9 +499,24 @@ def an_polynomial(domain: SignDomain, *, _memo: dict | None = None) -> MultiPoly
             template = memo[shape] = _template(family, block_sizes, 1, n)
         term = _from_template(template, heavies, n)
         for heavy in heavies:
-            term = term * _sub_piece(domain, heavy, memo)
+            term = term * _sub_piece(n, sums, den, heavy, memo)
         terms.append(term)
     return _sum(terms, n)
+
+
+def an_polynomial(domain: SignDomain) -> MultiPoly:
+    """The polynomial piece of the volume function on a sign domain.
+
+    The terms are the sample's T1a and T2a records, weighted by the
+    recursion's signed coefficients on linear forms; elsewhere in the domain,
+    terms whose integrality side conditions fail contribute sub-values that
+    vanish, so the piece holds on the whole domain.  Each distinct sub-piece
+    is built once per call, and each coefficient template once per family,
+    n and block sizes, in one memo that dies with the call: sub-pieces sit
+    under their sorted integer sub-samples, templates under keys that start
+    with the family name.
+    """
+    return _piece(domain.n, domain._sums, domain._den, {})
 
 
 def wall_continuity_check(domain_a: SignDomain, domain_b: SignDomain,

@@ -33,6 +33,16 @@ class TestDoubleFactorial:
         with pytest.raises(ValidationError):
             double_factorial(-2)
 
+    def test_rejects_float(self):
+        # without the check 5.0 gives 15.0
+        with pytest.raises(ValidationError):
+            double_factorial(5.0)
+
+    def test_rejects_bool(self):
+        # without the check True gives 1
+        with pytest.raises(ValidationError):
+            double_factorial(True)
+
 
 class TestVKontsevich:
     def test_examples(self):
@@ -40,6 +50,11 @@ class TestVKontsevich:
         assert v_kontsevich(0) == PiValue(F(2), 0)
         assert v_kontsevich(1) == PiValue(F(1, 2), 2)
         assert v_kontsevich(2) == PiValue(F(4, 3), 2)
+
+    def test_rejects_float(self):
+        # without the check 3.0 raises a bare TypeError
+        with pytest.raises(ValidationError):
+            v_kontsevich(3.0)
 
 
 class TestIdentity:
@@ -108,6 +123,16 @@ class TestFnab:
         with pytest.raises(ValidationError):
             f_nab(1, F(0), F(0), [F(1)])
 
+    def test_rejects_float_shift(self):
+        # the ring loop would give 31.5
+        with pytest.raises(ValidationError):
+            f_nab(3, 0.5, 0, [1, 2, 3])
+
+    def test_rejects_float_entry(self):
+        # the ring loop would give 30.0
+        with pytest.raises(ValidationError):
+            f_nab(3, 0, 0, [1.0, 2, 3])
+
 
 class TestSumDependence:
     def test_small_cases(self):
@@ -144,6 +169,16 @@ class TestBridge:
     def test_three_poles_rejected(self):
         with pytest.raises(ValidationError):
             f_p22_bridge((-1, -1, -1, -1), minus_ones=3)
+
+    def test_bool_minus_ones_rejected(self):
+        # without the check True is taken for 1
+        with pytest.raises(ValidationError):
+            f_p22_bridge((-1, -1, -1, -1), minus_ones=True)
+
+    def test_float_minus_ones_rejected(self):
+        # without the check 1.0 raises a bare TypeError
+        with pytest.raises(ValidationError):
+            f_p22_bridge((-1, -1, -1, -1), minus_ones=1.0)
 
 
 def test_kontsevich_product_matches_aez_form():

@@ -209,6 +209,11 @@ class TestPiValue:
         with pytest.raises(ValidationError):
             PiValue.parse("1/0*pi^2")
 
+    def test_bool_power_rejected(self):
+        # without the check it prints 1*pi^True
+        with pytest.raises(ValidationError):
+            PiValue(1, True)
+
     def test_product(self):
         v = PiValue(F("1/2"), 1) * PiValue(F(3), 2)
         assert v == PiValue(F("3/2"), 3)

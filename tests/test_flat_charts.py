@@ -206,6 +206,11 @@ class TestQuadInt:
         assert QuadInt(2, 1, True).norm() == 3
         assert QuadInt(1, -1, True).norm() == 3
 
+    def test_bool_part_rejected(self):
+        # without the check it prints True+0i
+        with pytest.raises(ValidationError):
+            QuadInt(True, 0, False)
+
     def test_euclidean_division(self):
         rng = random.Random(10)
         for omega in (False, True):

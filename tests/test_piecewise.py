@@ -337,47 +337,6 @@ class TestSignDomain:
         assert len(signs) == 10 and dom.signs is signs
         assert signs[frozenset({1, 2})] == -1 and signs[frozenset({1, 2, 3})] == 1
 
-    @pytest.mark.parametrize("q", [101, 30])
-    def test_from_integers_matches_fraction_sample(self, q):
-        # over 30 some weights share a factor with the denominator, and the
-        # ints are also passed scaled by 3; both reduce to the Fraction
-        # sample's least common denominator
-        rng = random.Random(q)
-        for n in (3, 4, 5, 6, 7):
-            sample = random_generic_sample(rng, n, q)
-            want = SignDomain(sample)
-            den = math.lcm(*(x.denominator for x in sample))
-            nums = [int(x * den) for x in sample]
-            for scale in (1, 3):
-                got = SignDomain._from_integers(scale * den, [scale * k for k in nums])
-                assert "sample" not in vars(got)
-                assert (got.n, got._den, got._sums) == (want.n, want._den, want._sums)
-                assert got.sample == want.sample
-
-    @pytest.mark.parametrize("sample", ["2/3,1/3,1/3,1/3,1/3", "0,5/6,5/6,5/6,-1/2",
-                                        "1/2,1/2,1/2,1/2", "1/3,1/3,1/3,1/4,3/4"])
-    def test_from_integers_raises_the_same_wall_error(self, sample):
-        mu = parse_weights(sample)
-        den = math.lcm(*(x.denominator for x in mu))
-        with pytest.raises(WallError) as want:
-            SignDomain(mu)
-        with pytest.raises(WallError) as got:
-            SignDomain._from_integers(den, [int(x * den) for x in mu])
-        assert str(got.value) == str(want.value)
-        assert got.value.subset == want.value.subset
-
-    @pytest.mark.parametrize("den, nums", [(11, (9, 5)), (11, (11, 5, 4, 2, -1)),
-                                           (11, (9, 5, 4, 3, 2)), (0, (-1, -1, 2)),
-                                           (-11, (-9, -5, -8)), (True, (1, 1, 0))])
-    def test_from_integers_rejects_what_is_not_a_weight_vector(self, den, nums):
-        with pytest.raises(ValidationError) as got:
-            SignDomain._from_integers(den, nums)
-        if type(den) is int and den > 0:
-            # the error a Fraction sample gets from WeightVector
-            with pytest.raises(ValidationError) as want:
-                SignDomain([F(k, den) for k in nums])
-            assert str(got.value) == str(want.value)
-
     def test_same_pattern(self):
         dom = SignDomain(GENERIC5)
         assert dom.same_pattern(GENERIC5)
@@ -475,20 +434,21 @@ class TestAnPolynomial:
         # the recursion builds each sorted sub-sample once and keeps nothing
         # between top-level calls, so a second call does the same work
         built = []
-        original = piecewise.an_polynomial
+        original = piecewise._piece
 
-        def recording(domain, **kwargs):
-            built.append(domain.sample.entries)
-            return original(domain, **kwargs)
+        def recording(n, sums, den, memo):
+            built.append(tuple(F(sums[1 << i], den) for i in range(n)))
+            return original(n, sums, den, memo)
 
-        monkeypatch.setattr(piecewise, "an_polynomial", recording)
-        # without the memo this piece makes 100 calls for 50 sorted samples
+        monkeypatch.setattr(piecewise, "_piece", recording)
+        # without the memo this piece makes 100 builds for 50 sorted samples
         sample = random_generic_sample(random.Random(1), 6)
-        first = piecewise.an_polynomial(SignDomain(sample))
+        first = an_polynomial(SignDomain(sample))
         per_call = len(built)
-        second = piecewise.an_polynomial(SignDomain(sample))
+        second = an_polynomial(SignDomain(sample))
         assert first == second
         assert len(built) == 2 * per_call
+        assert built[0] == tuple(sample)
         assert built[per_call:] == built[:per_call]
         sub_samples = built[1:per_call]
         assert len(set(sub_samples)) == len(sub_samples)
@@ -540,7 +500,8 @@ class TestBoundaryTerms:
             sample = random_generic_sample(rng, n)
             want = [(rec.family, tuple(tuple(sorted(h)) for h in rec.heavy_blocks))
                     for rec in enum_T1a(sample) + enum_T2a(sample)]
-            got = piecewise._boundary_terms(SignDomain(sample))
+            domain = SignDomain(sample)
+            got = piecewise._boundary_terms(domain.n, domain._sums, domain._den)
             assert got == want, str(sample)
             families.update(family for family, _ in got)
         assert families == {"T1a", "T2a"}
@@ -552,29 +513,25 @@ class TestSubPiece:
         # the renamed sub-piece against the general substitution of the
         # sorted piece: the composite 2 - sum(x_i, i in heavy) and the
         # variables x_i, in sorted order; the memo holds the sorted piece
-        # under the least common denominator of the sorted sub-sample and
-        # its numerators, so the sub-samples of a sample over 30 whose
-        # weights share a factor with it meet at reduced keys
+        # under the sorted numerators of the sub-sample over the sample's
+        # denominator
         rng = random.Random(70 + n)
         for q in (101, 101, 30):
             sample = random_generic_sample(rng, n, q)
             domain = SignDomain(sample)
+            den = domain._den
             memo = {}
             for rec in enum_T1a(sample) + enum_T2a(sample):
                 for block in rec.heavy_blocks:
                     heavy = sorted(block)
-                    got = piecewise._sub_piece(domain, heavy, memo)
+                    got = piecewise._sub_piece(n, domain._sums, den, heavy, memo)
                     sub = (2 - sample.subset_sum(heavy), *(sample[i] for i in heavy))
                     order = sorted(range(len(sub)), key=sub.__getitem__)
-                    sorted_sub = [sub[j] for j in order]
-                    den = math.lcm(*(x.denominator for x in sorted_sub))
-                    piece = memo[(den, *(int(x * den) for x in sorted_sub))]
+                    piece = memo[tuple(int(sub[j] * den) for j in order)]
                     forms = [MultiPoly.linear(2, [-1 if i in heavy else 0
                                                   for i in range(n)], n)]
                     forms += [MultiPoly.variable(i, n) for i in heavy]
                     assert got == piece.substitute_linear([forms[j] for j in order])
-            if q == 30:
-                assert any(key[0] < q for key in memo if type(key[0]) is int)
 
 
 class TestCoefficientTemplate:
