@@ -63,6 +63,8 @@ def f_nab(n: int, a, b, xs: Sequence):
     is divided by D**(n-2) once.  Any other input (a MultiPoly, say) takes
     the ring-generic loop; a float raises ``ValidationError``.
     """
+    if type(n) is not int:
+        raise ValidationError(f"f_nab needs an int n, got {n!r}")
     if n < 2 or len(xs) != n:
         raise ValidationError("f_nab needs n = len(xs) >= 2")
     xs = list(xs)
@@ -112,6 +114,11 @@ def _random_fraction(rng: random.Random) -> Fraction:
 
 def sum_dependence_check(n: int, a, b, trials: int, seed: int = 0) -> bool:
     """True iff f_nab agrees on `trials` random pairs with equal entry sums."""
+    if type(n) is not int:
+        raise ValidationError(f"sum_dependence_check needs an int n, got {n!r}")
+    if type(trials) is not int or trials < 1:
+        raise ValidationError(
+            f"sum_dependence_check needs an int trials >= 1, got {trials!r}")
     if n > 9:
         raise ValidationError("sum_dependence_check is desk-scale: n <= 9")
     a, b = _as_fraction(a), _as_fraction(b)

@@ -351,34 +351,22 @@ def _zeta_power(d: int, k: int) -> QuadInt:
     return result
 
 
-def _chart_data(kappa: Signature):
-    """Validated and reordered chart data: orders with the unique reflex
-    point (if any) moved last, plus the constraint coefficients."""
+def chart_constraint(kappa: Signature) -> list[QuadInt]:
+    """Side-identification coefficients 1 - e^{i alpha_k} of the polygon
+    chart, as exact Gaussian or Eisenstein integers: one per point except
+    the one that closes the walk (the unique reflex point, else the last)."""
     d = kappa.level
-    if d not in (2, 3, 4, 6):
-        raise UnsupportedLevel(f"no period lattice at level {d}")
+    zeta = _ring_zeta(d)
     if any(k % d == 0 for k in kappa.orders):
         raise ValidationError("chart needs d not dividing any order")
     reflex = [i for i, k in enumerate(kappa.orders) if k >= 0]
     if len(reflex) > 1:
         raise UnsupportedChart(
             f"{len(reflex)} reflex angles; single-polygon charts need at most one")
-    order = list(range(kappa.n))
-    if reflex:
-        order.remove(reflex[0])
-        order.append(reflex[0])
-    ks = [kappa.orders[i] for i in order]
-    one = QuadInt(1, 0, _ring_zeta(d).omega)
-    constraint = [one - _zeta_power(d, k) for k in ks[:-1]]
-    if any(c.is_zero() for c in constraint):
-        raise ValidationError("zero constraint coefficient")
-    return d, ks, constraint
-
-
-def chart_constraint(kappa: Signature) -> list[QuadInt]:
-    """Side-identification coefficients 1 - e^{i alpha_k} of the polygon
-    chart, as exact Gaussian or Eisenstein integers."""
-    return _chart_data(kappa)[2]
+    closing = reflex[0] if reflex else kappa.n - 1
+    one = QuadInt(1, 0, zeta.omega)
+    return [one - _zeta_power(d, k)
+            for i, k in enumerate(kappa.orders) if i != closing]
 
 
 @dataclass(frozen=True)
@@ -432,65 +420,39 @@ class HermitianForm:
         return det
 
 
-def _vertices(kappa: Signature):
-    """Symbolic polygon vertices as Cyclo24 vectors over the free sides."""
-    d, ks, constraint = _chart_data(kappa)
-    n = len(ks)
-    m = n - 2
-    step = 24 // d
-    inv_last = constraint[-1].to_cyclo().inverse()
-    side_vectors = []
-    for k in range(m):
-        vec = [CY_ZERO] * m
-        vec[k] = CY_ONE
-        side_vectors.append(vec)
-    side_vectors.append(
-        [-(constraint[k].to_cyclo() * inv_last) for k in range(m)])
+def _area_entries(constraint: Sequence[QuadInt]):
+    """Entries of the area form on the free sides z_1..z_m, m = n - 2.
 
-    verts = [[CY_ZERO] * m]
-    for i in range(n - 1):
-        rot = Cyclo24.zeta_pow(step * ks[i])
-        prev = verts[-1]
-        mid = [prev[r] - side_vectors[i][r] for r in range(m)]
-        verts.append(mid)
-        nxt = [mid[r] + rot * side_vectors[i][r] for r in range(m)]
-        verts.append(nxt)
-    closure = verts.pop()
-    if any(not c.is_zero() for c in closure):
-        raise ArithmeticError("polygon chart failed to close up")
-    return verts
+    The walk goes out along -s_i and back along zeta^k_i s_i, so the outer
+    vertices are -(c_1 s_1 + ... + c_{i-1} s_{i-1}) with c_i = 1 - zeta^k_i.
+    Counterclockwise, each side's ear adds Im(c_i)|s_i|^2/2 and the outer
+    polygon adds the sum over i < j of Im(conj(c_i s_i) c_j s_j)/2: the form
+    G with Im(c_i)/2 on the diagonal, conj(c_i) c_j/(4i) above it and its
+    conjugate below.  Substituting s_last = -sum_k (c_k/c_last) z_k, the
+    last side's row and column each add conj(c_r) c_s/(4i) with opposite
+    signs, so only the corner remains: Im(c_last)/(2 N(c_last)) times
+    conj(c_r) c_s.  The walk is clockwise (checked by the signature
+    (1, n-3) on all-positive weights), so the area is minus that form.
+    """
+    *sides, last = [c.to_cyclo() for c in constraint]
+    corner = last.imag() * Fraction(1, 2 * constraint[-1].norm())
+    quarter = _INV_2I * Fraction(1, 2)
+    above, below = -(quarter + corner), quarter - corner
+    entries = []
+    for r, c_r in enumerate(sides):
+        bar = c_r.conj()
+        up, down = bar * above, bar * below
+        entries.append(tuple(
+            up * c_s if s > r else down * c_s if s < r
+            else (bar - c_r) * quarter - corner * constraint[r].norm()
+            for s, c_s in enumerate(sides)))
+    return tuple(entries)
 
 
 def area_form(kappa: Signature) -> HermitianForm:
-    """The Hermitian matrix H with area = z^* H z on the polygon chart.
-
-    Assembled from the signed shoelace area of the glued polygon after
-    eliminating the dependent side through the chart constraint.
-    """
-    verts = _vertices(kappa)
-    m = len(verts[0])
-    count = len(verts)
-    pairing = [[CY_ZERO] * m for _ in range(m)]
-    for k in range(count):
-        current = verts[k]
-        following = verts[(k + 1) % count]
-        for r in range(m):
-            cr = current[r].conj()
-            if cr.is_zero():
-                continue
-            for s in range(m):
-                if following[s].is_zero():
-                    continue
-                pairing[r][s] = pairing[r][s] + cr * following[s]
-    # The vertex recurrence traverses genuine polygons clockwise (checked by
-    # the chart-form signature (1, n-3) on all-positive weights), so the area
-    # is minus the counterclockwise shoelace sum.
-    quarter = (Fraction(-4) * CY_I).inverse()
-    entries = tuple(
-        tuple((pairing[r][s] - pairing[s][r].conj()) * quarter for s in range(m))
-        for r in range(m)
-    )
-    return HermitianForm(entries)
+    """The Hermitian matrix H with area = z^* H z on the polygon chart,
+    in closed form from the side coefficients."""
+    return HermitianForm(_area_entries(chart_constraint(kappa)))
 
 
 def lattice_index(constraint: Sequence[QuadInt]) -> int:
@@ -511,12 +473,11 @@ def lattice_index(constraint: Sequence[QuadInt]) -> int:
 def mv_ratio(kappa: Signature) -> Fraction:
     """Exact ratio of the lattice-normalized volume form to the area-form
     volume form: 1 / (index * Im(zeta)**(n-2) * det H).  May be negative."""
-    d, ks, constraint = _chart_data(kappa)
-    n = len(ks)
+    constraint = chart_constraint(kappa)
     index = lattice_index(constraint)
     h_det = area_form(kappa).det()
-    zeta = CY_I if d in (2, 4) else CY_OMEGA
-    denominator = Fraction(index) * zeta.imag() ** (n - 2) * h_det
+    zeta = CY_OMEGA if constraint[0].omega else CY_I
+    denominator = Fraction(index) * zeta.imag() ** (len(constraint) - 1) * h_det
     value = denominator.inverse()
     if not value.is_rational():
         raise ArithmeticError("volume-form ratio fell outside the rationals")
@@ -533,8 +494,8 @@ def mv_table_entry(kappa: Signature, cache=None) -> PiValue:
 
 def is_single_polygon(kappa: Signature) -> bool:
     """Does the chart construction apply (at most one reflex angle)?"""
-    if kappa.level not in (2, 3, 4, 6):
+    try:
+        chart_constraint(kappa)
+    except ValidationError:
         return False
-    if any(k % kappa.level == 0 for k in kappa.orders):
-        return False
-    return sum(1 for k in kappa.orders if k >= 0) <= 1
+    return True

@@ -417,18 +417,19 @@ def _sub_piece(n: int, sums: list[int], den: int, heavy: Sequence[int],
     return MultiPoly._exact(n, acc, piece._den)
 
 
-def _template(family: str, block_sizes: tuple[int, ...], epsilon: int,
+def _template(family: str, block_sizes: tuple[int, ...],
               n: int) -> tuple[int, list[tuple[tuple[int, ...], int]]]:
     """A record's signed coefficient as a polynomial in its block weights
     u_j = mu(I_j) = mu_bar_j + 1, over one integer denominator:
-    ``_coefficient`` on the forms u_j - 1, one variable per block.  The
+    ``_coefficient`` on the forms u_j - 1, one variable per block (its
+    epsilon only enters T2b, which a piece never meets).  The
     coefficient is affine in each mu_bar, so each term is the product of the
     u_j over a set S of blocks.  Returns the denominator and the (S,
     numerator) pairs.
     """
     k = len(block_sizes)
     forms = [MultiPoly.variable(j, k) - 1 for j in range(k)]
-    poly = _coefficient(family, forms, block_sizes, epsilon, n)
+    poly = _coefficient(family, forms, block_sizes, 1, n)
     return poly._den, [(tuple(j for j in range(k) if exps[j]), c)
                        for exps, c in poly._num.items()]
 
@@ -496,7 +497,7 @@ def _piece(n: int, sums: list[int], den: int, memo: dict) -> MultiPoly:
         shape = (family, n, block_sizes)
         template = memo.get(shape)
         if template is None:
-            template = memo[shape] = _template(family, block_sizes, 1, n)
+            template = memo[shape] = _template(family, block_sizes, n)
         term = _from_template(template, heavies, n)
         for heavy in heavies:
             term = term * _sub_piece(n, sums, den, heavy, memo)

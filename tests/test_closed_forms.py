@@ -133,6 +133,12 @@ class TestFnab:
         with pytest.raises(ValidationError):
             f_nab(3, 0, 0, [1.0, 2, 3])
 
+    @pytest.mark.parametrize("n", [3.0, True])
+    def test_rejects_non_int_n(self, n):
+        # 3.0 used to raise a bare TypeError from 1 << n
+        with pytest.raises(ValidationError):
+            f_nab(n, 0, 0, [1, 2, 3])
+
 
 class TestSumDependence:
     def test_small_cases(self):
@@ -142,6 +148,17 @@ class TestSumDependence:
     def test_desk_scale_guard(self):
         with pytest.raises(ValidationError):
             sum_dependence_check(10, F(0), F(0), 1)
+
+    @pytest.mark.parametrize("n", [5.0, True])
+    def test_rejects_non_int_n(self, n):
+        with pytest.raises(ValidationError):
+            sum_dependence_check(n, 0, 0, 1)
+
+    @pytest.mark.parametrize("trials", [2.5, 1.0, True, 0, -1])
+    def test_rejects_bad_trials(self, trials):
+        # 0 and -1 used to return True without running a trial
+        with pytest.raises(ValidationError):
+            sum_dependence_check(5, 0, 0, trials)
 
 
 class TestBridge:

@@ -276,8 +276,9 @@ class TestChartConstraint:
             chart_constraint(Signature((-4, -4, -1, -1), 5))
 
     def test_divisible_order_rejected(self):
+        kappa = Signature((-1, -1, -1, -1, 0), 2)
         with pytest.raises(ValidationError):
-            chart_constraint(Signature((-2, -1, -1, 0), 2))
+            chart_constraint(kappa)
 
 
 class TestAreaForm:
@@ -298,8 +299,15 @@ class TestAreaForm:
     def test_shoelace_oracle(self):
         # direct vertex-by-vertex evaluation at concrete rational points
         rng = random.Random(13)
+        # the walk below closes at the last point, so any reflex point is last
         for orders, d in [((-1, -1, -1, -1), 2), ((-2, -2, -2, -1, -1), 4),
-                          ((-2, -2, -1, -1), 3)]:
+                          ((-2, -2, -1, -1), 3),
+                          ((-1, -1, -1, -1, -1, -1), 3),
+                          ((-2, -2, -1, -1, -1, -1), 4),
+                          ((-5, -1, -2, -1, -2, -1), 6),
+                          ((-1, -1, -1, -1, -1, -2, 1), 3),
+                          ((-1, -1, -3, -2, -3, -3, 5), 4),
+                          ((-1, -2, -4, -3, -2, -2, 2), 6)]:
             kappa = Signature(orders, d)
             h = area_form(kappa)
             cs = [c.to_cyclo() for c in chart_constraint(kappa)]
@@ -453,6 +461,18 @@ class TestMvRatio:
             }
             assert len(values) == 1
 
+    def test_permutation_invariance_six_and_seven_points(self):
+        # the closing point (reflex, else last) is picked by index
+        rng = random.Random(15)
+        for orders, d, expected in [
+            ((-1, -1, -1, -1, -1, -1), 3, F(-256, 81)),
+            ((-1, -2, -4, -3, -2, -2, 2), 6, F(-512, 243)),
+        ]:
+            for _ in range(10):
+                shuffled = list(orders)
+                rng.shuffle(shuffled)
+                assert mv_ratio(Signature(tuple(shuffled), d)) == expected
+
     def test_quadratic_sign(self):
         # level-2 all-odd: ratio sign follows the parity of (n-2)/2
         for orders in [(-1, -1, -1, -1), (-1, -1, -1, -1, -1, 1)]:
@@ -481,6 +501,8 @@ def test_is_single_polygon():
     assert is_single_polygon(Signature((-5, -5, -5, -5, 8), 6))
     assert not is_single_polygon(Signature((-5, -5, -4, 1, 1), 6))
     assert not is_single_polygon(Signature((-4, -4, -1, -1), 5))
+    assert not is_single_polygon(Signature((-7, -7, -1, -1), 8))
+    assert not is_single_polygon(Signature((-1, -1, -1, -1, 0), 2))
 
 
 class TestOrientationWitness:

@@ -546,7 +546,7 @@ class TestCoefficientTemplate:
         shapes = [("T1a", (n - 2,))]
         shapes += [("T2a", (n1, n - 1 - n1)) for n1 in range(2, n - 2)]
         for family, sizes in shapes:
-            template = piecewise._template(family, sizes, 1, n)
+            template = piecewise._template(family, sizes, n)
             for _ in range(3):
                 indices = rng.sample(range(n), n)
                 blocks, start = [], n - sum(sizes)
