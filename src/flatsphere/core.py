@@ -185,6 +185,14 @@ def _level_weight(order: int, level: int) -> Fraction:
     return Fraction(-order, level)
 
 
+@functools.lru_cache(maxsize=4096)
+def _shared_weight(value) -> Fraction:
+    """The exact rational ``value``, one shared object per value while it
+    stays cached, so that the sub-vectors a recursion builds do not each
+    hold their own copy of an equal weight in every memo key."""
+    return _as_fraction(value)
+
+
 def weights_from_signature(kappa: Signature) -> WeightVector:
     """Weights mu_i = -k_i / d of a signature; always a valid weight vector."""
     return WeightVector(tuple(_level_weight(k, kappa.level) for k in kappa.orders))

@@ -4,8 +4,10 @@ Indices are 0-based throughout.  Four families of partitions of
 ``{0, ..., n-1}`` are enumerated, each with the derived data the recursion
 needs: the excess weights mu(I_j) - 1 of the heavy blocks, the induced
 lower-dimensional weight vectors, their minimal denominators, and the
-multiplicity flag epsilon for the four-block family.  Every split into two
-heavy blocks comes from ``two_block_splits``.
+multiplicity flag epsilon for the four-block family.  The three-block
+families take their splits into two heavy blocks from ``two_block_splits``;
+the four-block family is read off the weight-1 subsets of one integer
+subset-sum table by ``_paired_blocks``.
 """
 from __future__ import annotations
 
@@ -14,7 +16,8 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterator, Sequence
 
-from .core import ValidationError, WeightVector, minimal_denominator
+from .core import (ValidationError, WeightVector, _scale_to_integers, _shared_weight,
+                   _subset_sums, minimal_denominator)
 
 
 @dataclass(frozen=True)
@@ -62,7 +65,8 @@ class PartitionRecord:
         """Per heavy block I, the induced vector (2 - mu(I), sorted mu_i for
         i in I); built on access, so callers that never read it pay nothing."""
         mu = self.source
-        return tuple([WeightVector((1 - mu_bar, *sorted([mu[i] for i in heavy])))
+        return tuple([WeightVector((_shared_weight(1 - mu_bar),
+                                    *sorted([mu[i] for i in heavy])))
                       for heavy, mu_bar in zip(self.heavy_blocks, self.mu_bars)])
 
     @property
@@ -201,32 +205,53 @@ def enum_T2a(mu) -> list[PartitionRecord]:
     return out
 
 
+def _paired_blocks(values: Sequence[int], target: int) -> Iterator[tuple]:
+    """Each pairing of two singletons a, c with two blocks, as
+    ``(a, block_a, c, block_c)`` with sorted index tuples, such that
+    values[a] + sum(block_a) = target = values[c] + sum(block_c).
+
+    ``values`` are integers below ``target`` that sum to 2 * target, and a
+    singleton is an entry below 0 that ``target`` does not divide.  The two
+    sides {a} + block_a and {c} + block_c are a subset A holding index 0 with
+    sum ``target`` and its complement, read off one subset-sum table; each
+    pairing comes once, so when values[a] == values[c] the same blocks also
+    come with a and c swapped.
+    """
+    singles = [i for i, v in enumerate(values) if v < 0 and v % target]
+    if len(singles) < 2:
+        return
+    n = len(values)
+    sums = _subset_sums(values)
+    for side in [m for m in range(1, 1 << n, 2) if sums[m] == target]:
+        inside = [i for i in range(n) if side >> i & 1]
+        outside = [i for i in range(n) if not side >> i & 1]
+        for a in [i for i in singles if side >> i & 1]:
+            block_a = tuple([i for i in inside if i != a])
+            for c in [i for i in singles if not side >> i & 1]:
+                yield a, block_a, c, tuple([i for i in outside if i != c])
+
+
 def enum_T2b(mu) -> list[PartitionRecord]:
     """Four-block partitions {I01, I02, I1, I2}: two singletons paired with two
     heavy blocks so that mu(I0j) + mu(Ij) = 1 for the paired blocks.
 
-    Each block set appears once; epsilon = 2 exactly when the two singleton
-    weights coincide (both pairings are then valid).
+    I1 holds the lowest index outside the singletons.  Each block set appears
+    once; epsilon = 2 exactly when the two singleton weights coincide (both
+    pairings are then valid, and I01 is the lower singleton).
     """
     mu = WeightVector.coerce(mu)
-    n = mu.n
+    if mu.n < 6:
+        return []  # two singletons and two blocks of size >= 2
+    den, scaled = _scale_to_integers(mu.entries)
     out = []
-    for s1, s2 in combinations(range(n), 2):
-        rest = [i for i in range(n) if i != s1 and i != s2]
-        for block1, block2 in two_block_splits(rest):
-            w1, w2 = mu.subset_sum(block1), mu.subset_sum(block2)
-            if w1 <= 1 or w2 <= 1:
-                continue
-            if w1.denominator == 1 or w2.denominator == 1:
-                continue
-            direct = mu[s1] + w1 == 1 and mu[s2] + w2 == 1
-            swapped = mu[s2] + w1 == 1 and mu[s1] + w2 == 1
-            if not (direct or swapped):
-                continue
-            first, second = (s1, s2) if direct else (s2, s1)
-            epsilon = 2 if mu[s1] == mu[s2] else 1
-            out.append(_record(mu, "T2b", ((first,), (second,), block1, block2),
-                               (block1, block2), (w1, w2), epsilon))
+    for a, block_a, c, block_c in _paired_blocks(scaled, den):
+        if block_c[0] < block_a[0]:
+            a, block_a, c, block_c = c, block_c, a, block_a
+        epsilon = 2 if scaled[a] == scaled[c] else 1
+        if epsilon == 2 and c < a:
+            continue  # the same blocks, paired the other way
+        out.append(_record(mu, "T2b", ((a,), (c,), block_a, block_c),
+                           (block_a, block_c), (1 - mu[a], 1 - mu[c]), epsilon))
     out.sort(key=_sort_key)
     return out
 

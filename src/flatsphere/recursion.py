@@ -23,7 +23,7 @@ from .core import (
     minimal_denominator,
     weights_from_signature,
 )
-from .partitions import enum_T1a, enum_T1b, enum_T2a, enum_T2b, two_block_splits
+from .partitions import _paired_blocks, enum_T1a, enum_T1b, enum_T2a, enum_T2b
 
 MemoCache = MutableMapping
 
@@ -241,30 +241,19 @@ def quad_V_recursive(kappa, memo: Optional[MemoCache] = None) -> Fraction:
                 * k1
                 * quad_V_recursive(sub, memo)
             )
-    # two positive singletons paired with blocks summing to -2 with them
-    for s1, s2 in combinations(range(n), 2):
-        if orders[s1] <= 0 or orders[s2] <= 0:
-            continue
-        rest = [i for i in range(n) if i != s1 and i != s2]
-        for block1, block2 in two_block_splits(rest):
-            sum1 = sum(orders[i] for i in block1)
-            sum2 = sum(orders[i] for i in block2)
-            direct = sum1 + orders[s1] == -2 and sum2 + orders[s2] == -2
-            swapped = sum1 + orders[s2] == -2 and sum2 + orders[s1] == -2
-            if not (direct or swapped):
-                continue
-            first, second = (s1, s2) if direct else (s2, s1)
-            eps = 2 if orders[s1] == orders[s2] else 1
-            n1, n2 = len(block1), len(block2)
-            sub1 = QuadSignature((orders[first] - 2, *(orders[i] for i in block1)))
-            sub2 = QuadSignature((orders[second] - 2, *(orders[i] for i in block2)))
-            value += (
-                Fraction(eps * 2 * n1 * n2, (n - 1) * (n - 2))
-                * orders[s1]
-                * orders[s2]
-                * quad_V_recursive(sub1, memo)
-                * quad_V_recursive(sub2, memo)
-            )
+    # two positive singletons paired with blocks summing to -2 with them;
+    # each pairing counts once, so equal singletons give the epsilon = 2
+    for a, block_a, c, block_c in _paired_blocks([-k for k in orders], 2):
+        n1, n2 = len(block_a), len(block_c)
+        sub1 = QuadSignature((orders[a] - 2, *(orders[i] for i in block_a)))
+        sub2 = QuadSignature((orders[c] - 2, *(orders[i] for i in block_c)))
+        value += (
+            Fraction(2 * n1 * n2, (n - 1) * (n - 2))
+            * orders[a]
+            * orders[c]
+            * quad_V_recursive(sub1, memo)
+            * quad_V_recursive(sub2, memo)
+        )
     memo[key] = value
     return value
 

@@ -11,6 +11,7 @@ from flatsphere.core import (
     WeightVector,
     _as_fraction,
     _scale_to_integers,
+    _shared_weight,
     _subset_sums,
     canonicalize,
     minimal_denominator,
@@ -120,6 +121,18 @@ class TestSubsetSums:
         den, ints = _scale_to_integers([F(1, 2), F(-2, 3), 5, F(0)])
         assert den == 6 and ints == [3, -4, 30, 0]
         assert all(type(k) is int for k in ints)
+
+
+class TestSharedWeight:
+    def test_returns_the_value_as_a_fraction(self):
+        for value in (F(5, 6), F(-4, 3), 3, F(0)):
+            shared = _shared_weight(value)
+            assert type(shared) is Fraction and shared == value
+
+    def test_equal_values_are_one_object(self):
+        first = _shared_weight(F(-7, 13))
+        assert _shared_weight(F(-14, 26)) is first
+        assert _shared_weight(1 - F(20, 13)) is first
 
 
 class TestWeightsFromSignature:

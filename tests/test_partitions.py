@@ -16,14 +16,17 @@ from flatsphere.partitions import (
     enum_T2b,
     two_block_splits,
 )
+from flatsphere.recursion import a_n
 
 from util import (
+    load_perfbench,
     oracle_t1a,
     oracle_t1b,
     oracle_t2a,
     oracle_t2b,
     random_generic_sample,
     record_key,
+    ref_enum_T2b,
 )
 
 F = Fraction
@@ -214,6 +217,58 @@ class TestT2b:
             mu = parse_weights(text)
             for rec in enum_T2b(mu):
                 assert sum(rec.block_sizes) == mu.n - 2
+
+
+def _level_vectors():
+    """One seeded level vector per n = 5..10 and d = 2..9; n odd orders
+    cannot sum to -4, so d = 2 comes at even n only."""
+    level_vector = load_perfbench("workloads").level_vector
+    return [level_vector(random.Random(7 * n + d), n, d)
+            for n in range(5, 11) for d in range(2, 10) if d > 2 or n % 2 == 0]
+
+
+def _integer_entry_vectors(rng, count):
+    """Seeded level vectors -k_i/d at n = 6..9 holding an integer entry."""
+    out = []
+    while len(out) < count:
+        n, d = rng.randint(6, 9), rng.randint(2, 6)
+        orders = [rng.randint(1 - d, d - 1) for _ in range(n - 1)]
+        orders.append(-2 * d - sum(orders))
+        if orders[-1] >= 1 - d and any(k % d == 0 for k in orders):
+            rng.shuffle(orders)
+            out.append(WeightVector(tuple(F(-k, d) for k in orders)))
+    return out
+
+
+class TestT2bReference:
+    """enum_T2b reads pairings off one integer subset-sum table; the
+    reference scans every singleton pair against every two-block split.
+    Each set of vectors must also hold records with both epsilons."""
+
+    @staticmethod
+    def epsilons_matching_reference(vectors):
+        epsilons = set()
+        for mu in vectors:
+            records = [rec.to_json() for rec in enum_T2b(mu)]
+            assert records == [rec.to_json() for rec in ref_enum_T2b(mu)], mu
+            epsilons.update(rec["epsilon"] for rec in records)
+        return epsilons
+
+    def test_level_vectors(self):
+        assert self.epsilons_matching_reference(_level_vectors()) == {1, 2}
+
+    def test_every_memo_key_of_a_n(self):
+        level_vector = load_perfbench("workloads").level_vector
+        keys = []
+        for n, d in ((7, 4), (8, 5), (8, 6)):
+            memo = {}
+            a_n(level_vector(random.Random(n * d), n, d), memo)
+            keys += memo
+        assert self.epsilons_matching_reference(keys) == {1, 2}
+
+    def test_vectors_with_an_integer_entry(self):
+        vectors = _integer_entry_vectors(random.Random(3), 60)
+        assert self.epsilons_matching_reference(vectors) == {1, 2}
 
 
 ORACLES = {

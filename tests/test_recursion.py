@@ -29,7 +29,7 @@ from flatsphere.recursion import (
     recursive_rhs_dform,
     vol1,
 )
-from util import ref_odd_signatures
+from util import load_perfbench, ref_odd_signatures
 
 F = Fraction
 
@@ -109,6 +109,16 @@ class TestAn:
         monkeypatch.setattr(WeightVector, "__post_init__", counting)
         assert a_n(tuple(mu.entries), memo) == value
         assert len(builds) == 1
+
+    def test_memo_keys_share_equal_weights(self):
+        # each sub-vector's new weight 2 - mu(I) is one shared object per
+        # value, so apart from the input's own entries every weight in the
+        # memo keys is held once
+        mu = load_perfbench("workloads").level_vector(random.Random(8), 8, 6)
+        memo = {}
+        a_n(mu, memo)
+        weights = [x for key in memo for x in key]
+        assert len({id(x) for x in weights}) <= len(set(weights)) + len(mu)
 
     @pytest.mark.parametrize("n", [6, 7, 8])
     def test_no_cache_equals_fresh_memo(self, n):

@@ -5,24 +5,12 @@ deleting one of them would make ``perfbench/run.py --trace 1`` fail, so the
 target list is checked here against the package.
 """
 import importlib
-import types
 from fractions import Fraction
-from pathlib import Path
 
 import flatsphere.recursion
 from flatsphere import closed_forms, piecewise
 
-TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
-
-
-def _load_tracing() -> types.ModuleType:
-    """Execute the tracer's source without importing it as a package module,
-    so nothing is written next to it."""
-    module = types.ModuleType("perfbench_tracing")
-    module.__file__ = str(TRACING)
-    exec(compile(TRACING.read_text(encoding="utf-8"), str(TRACING), "exec"),
-         module.__dict__)
-    return module
+from util import load_perfbench
 
 
 def _resolve(module_name, path):
@@ -34,7 +22,7 @@ def _resolve(module_name, path):
 
 
 def test_install_resolves_every_target_and_uninstall_restores():
-    tracing = _load_tracing()
+    tracing = load_perfbench("tracing")
     original_a_n = flatsphere.recursion.a_n
     tracer = tracing.Tracer()
     try:
@@ -56,7 +44,7 @@ def test_symbolic_layers_record_calls():
     # `--trace 1` on the symbolic workload fails when the piecewise or the
     # closed_forms layer records no call; one piece and one f_nab call must
     # reach both, wherever their internals recurse
-    tracing = _load_tracing()
+    tracing = load_perfbench("tracing")
     tracer = tracing.Tracer()
     sample = [Fraction(a, 11) for a in (10, 4, 2, 2, 2, 2)]
     try:
@@ -75,7 +63,7 @@ def test_symbolic_layers_record_calls():
 def test_a_n_records_every_boundary_family():
     # `--trace 1` counts records per family by wrapping the enumerators
     # under their module names; a_n must call them through those names
-    tracing = _load_tracing()
+    tracing = load_perfbench("tracing")
     tracer = tracing.Tracer()
     mu = [Fraction(1, 3), Fraction(2, 3), Fraction(-1, 3), Fraction(5, 6),
           Fraction(-1, 6), Fraction(-1, 6), Fraction(5, 6)]

@@ -2,12 +2,27 @@
 from __future__ import annotations
 
 import random
+import types
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement
+from pathlib import Path
 
 from flatsphere.closed_forms import partitions_into
 from flatsphere.core import WeightVector
+from flatsphere.partitions import PartitionRecord, _record, _sort_key, two_block_splits
 from flatsphere.piecewise import MultiPoly, SignDomain, WallError
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def load_perfbench(name: str) -> types.ModuleType:
+    """Execute ``perfbench/<name>.py`` without importing it as a package
+    module, so nothing is written next to it."""
+    path = PERFBENCH / f"{name}.py"
+    module = types.ModuleType(f"perfbench_{name}")
+    module.__file__ = str(path)
+    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), module.__dict__)
+    return module
 
 
 def _msum(mu, block):
@@ -103,6 +118,32 @@ def record_key(rec):
         return (rec.blocks[0], frozenset({rec.blocks[1], rec.blocks[2]}))
     return _t2b_key(rec.blocks[0], rec.blocks[1], rec.blocks[2], rec.blocks[3],
                     True, rec.epsilon)
+
+
+def ref_enum_T2b(mu) -> list[PartitionRecord]:
+    """Brute-force reference for ``enum_T2b``: every singleton pair against
+    every two-block split of the rest, on Fraction subset sums."""
+    mu = WeightVector.coerce(mu)
+    n = mu.n
+    out = []
+    for s1, s2 in combinations(range(n), 2):
+        rest = [i for i in range(n) if i != s1 and i != s2]
+        for block1, block2 in two_block_splits(rest):
+            w1, w2 = mu.subset_sum(block1), mu.subset_sum(block2)
+            if w1 <= 1 or w2 <= 1:
+                continue
+            if w1.denominator == 1 or w2.denominator == 1:
+                continue
+            direct = mu[s1] + w1 == 1 and mu[s2] + w2 == 1
+            swapped = mu[s2] + w1 == 1 and mu[s1] + w2 == 1
+            if not (direct or swapped):
+                continue
+            first, second = (s1, s2) if direct else (s2, s1)
+            epsilon = 2 if mu[s1] == mu[s2] else 1
+            out.append(_record(mu, "T2b", ((first,), (second,), block1, block2),
+                               (block1, block2), (w1, w2), epsilon))
+    out.sort(key=_sort_key)
+    return out
 
 
 def random_generic_sample(rng: random.Random, n: int, q: int = 101) -> WeightVector:
