@@ -210,6 +210,12 @@ def cmd_table(npoints, as_csv, as_json, diff, columns, cache_path, verbose):
 # n = 10 (Python 3.11 on a shared 2-CPU VM), so n = 10 is not interactive
 PIECEWISE_MAX_N = 9
 
+# explain lists every record of the four families: on the seeded level-7
+# vector level_vector(random.Random(1), n, 7) it takes 2.9 s (91 MB) at
+# n = 15, 7.0 s (192 MB) at n = 16 and 18.5 s (432 MB) at n = 17 (Python
+# 3.11 on a shared 2-CPU VM), about 2.5x per weight
+EXPLAIN_MAX_N = 16
+
 
 @main.command("piecewise")
 @click.option("--sample", required=False, help="generic rational weight sample")
@@ -247,6 +253,9 @@ def cmd_explain(weights, pretty):
         _fail("--weights is required")
     try:
         mu = parse_weights(weights)
+        if mu.n > EXPLAIN_MAX_N:
+            raise ValidationError(
+                f"explain takes at most n = {EXPLAIN_MAX_N} weights, got {mu.n}")
     except ValidationError as exc:
         _fail(str(exc))
     families = partitions.enum_all(mu)

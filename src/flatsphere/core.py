@@ -210,10 +210,15 @@ def _scale_to_integers(values) -> tuple[int, list[int]]:
     return den, [v.numerator * (den // v.denominator) for v in values]
 
 
+def _mask(indices) -> int:
+    """The bitmask of an index set, as ``_subset_sums`` indexes it."""
+    return sum(1 << i for i in indices)
+
+
 def _subset_sums(xs) -> list:
     """Sum of every subset of xs, indexed by bitmask (bit i stands for
     xs[i]).  Ring-generic; on scaled integers it is the one subset-sum kernel
-    behind f_nab and the sign-domain wall tests."""
+    behind f_nab, the sign-domain wall tests and the boundary families."""
     sums = [0]
     for x in xs:
         sums += [s + x for s in sums]

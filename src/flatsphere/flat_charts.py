@@ -475,7 +475,7 @@ def mv_ratio(kappa: Signature) -> Fraction:
     volume form: 1 / (index * Im(zeta)**(n-2) * det H).  May be negative."""
     constraint = chart_constraint(kappa)
     index = lattice_index(constraint)
-    h_det = area_form(kappa).det()
+    h_det = HermitianForm(_area_entries(constraint)).det()
     zeta = CY_OMEGA if constraint[0].omega else CY_I
     denominator = Fraction(index) * zeta.imag() ** (len(constraint) - 1) * h_det
     value = denominator.inverse()

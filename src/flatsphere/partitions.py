@@ -4,10 +4,14 @@ Indices are 0-based throughout.  Four families of partitions of
 ``{0, ..., n-1}`` are enumerated, each with the derived data the recursion
 needs: the excess weights mu(I_j) - 1 of the heavy blocks, the induced
 lower-dimensional weight vectors, their minimal denominators, and the
-multiplicity flag epsilon for the four-block family.  The three-block
-families take their splits into two heavy blocks from ``two_block_splits``;
-the four-block family is read off the weight-1 subsets of one integer
-subset-sum table by ``_paired_blocks``.
+multiplicity flag epsilon for the four-block family.
+
+``_family_blocks`` owns every membership rule.  It reads a family off the
+subset sums of the weights scaled to integers over their common
+denominator, so each test is an integer comparison; the enumerators, the
+symbolic pieces (``piecewise``) and the quadratic recursion all call it.
+T2a takes its splits into two heavy blocks from ``two_block_splits``, and
+T2b its pairings from the weight-1 subsets by ``_paired_blocks``.
 """
 from __future__ import annotations
 
@@ -16,8 +20,8 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterator, Sequence
 
-from .core import (ValidationError, WeightVector, _scale_to_integers, _shared_weight,
-                   _subset_sums, minimal_denominator)
+from .core import (ValidationError, WeightVector, _mask, _scale_to_integers,
+                   _shared_weight, _subset_sums, minimal_denominator)
 
 
 @dataclass(frozen=True)
@@ -86,10 +90,6 @@ class PartitionRecord:
         }
 
 
-def _sort_key(record: PartitionRecord):
-    return tuple(tuple(sorted(b)) for b in record.blocks)
-
-
 def _record(mu: WeightVector, family: str, blocks, heavies, weights,
             epsilon: int = 1) -> PartitionRecord:
     """A record whose recursion data is derived from its heavy blocks and
@@ -136,92 +136,33 @@ def enum_P0(kappa) -> list[frozenset[int]]:
     if sum(orders) != -4:
         raise ValidationError("enum_P0 expects orders summing to -4")
     n = len(orders)
-    out = []
-    for size in range(1, n):
-        for block in combinations(range(n), size):
-            if sum(orders[i] for i in block) == -2:
-                out.append(frozenset(block))
+    sums = _subset_sums(orders)
+    out = [frozenset([i for i in range(n) if mask >> i & 1])
+           for mask in range(1, (1 << n) - 1) if sums[mask] == -2]
     out.sort(key=lambda b: (len(b), sorted(b)))
     return out
 
 
-def enum_T1a(mu) -> list[PartitionRecord]:
-    """Two-block partitions {I0, I1}: |I0| = 2, mu(I0) < 1 and non-integral."""
-    mu = WeightVector.coerce(mu)
-    n = mu.n
-    out = []
-    for pair in combinations(range(n), 2):
-        light = mu.subset_sum(pair)
-        if light >= 1 or light.denominator == 1:
-            continue
-        heavy = [i for i in range(n) if i not in pair]
-        out.append(_record(mu, "T1a", (pair, heavy), (heavy,), (2 - light,)))
-    out.sort(key=_sort_key)
-    return out
+def _heavy(total: int, den: int) -> bool:
+    """Is a block of integer sum ``total`` over den of weight > 1, not integral?"""
+    return total > den and total % den != 0
 
 
-def enum_T1b(mu) -> list[PartitionRecord]:
-    """Three-block partitions {I00, I01, I1}: a weight-1 pair, a negative
-    singleton, and a heavy block of non-integral weight > 1."""
-    mu = WeightVector.coerce(mu)
-    n = mu.n
-    out = []
-    for pair in combinations(range(n), 2):
-        if mu.subset_sum(pair) != 1:
-            continue
-        rest = [i for i in range(n) if i not in pair]
-        for single in rest:
-            if mu[single] >= 0:
-                continue
-            heavy = [i for i in rest if i != single]
-            hw = mu.subset_sum(heavy)
-            if hw <= 1 or hw.denominator == 1:
-                continue
-            out.append(_record(mu, "T1b", (pair, (single,), heavy), (heavy,), (hw,)))
-    out.sort(key=_sort_key)
-    return out
-
-
-def enum_T2a(mu) -> list[PartitionRecord]:
-    """Three-block partitions {I0, I1, I2}: a negative singleton and two heavy
-    blocks of non-integral weight > 1; the unordered pair {I1, I2} appears once.
-    """
-    mu = WeightVector.coerce(mu)
-    n = mu.n
-    out = []
-    for single in range(n):
-        if mu[single] >= 0:
-            continue
-        rest = [i for i in range(n) if i != single]
-        for block1, block2 in two_block_splits(rest):
-            w1, w2 = mu.subset_sum(block1), mu.subset_sum(block2)
-            if w1 <= 1 or w2 <= 1:
-                continue
-            if w1.denominator == 1 or w2.denominator == 1:
-                continue
-            out.append(_record(mu, "T2a", ((single,), block1, block2),
-                               (block1, block2), (w1, w2)))
-    out.sort(key=_sort_key)
-    return out
-
-
-def _paired_blocks(values: Sequence[int], target: int) -> Iterator[tuple]:
+def _paired_blocks(n: int, sums: Sequence[int], target: int) -> Iterator[tuple]:
     """Each pairing of two singletons a, c with two blocks, as
     ``(a, block_a, c, block_c)`` with sorted index tuples, such that
-    values[a] + sum(block_a) = target = values[c] + sum(block_c).
+    s(a) + s(block_a) = target = s(c) + s(block_c), where s is read off the
+    integer subset sums ``sums`` (by bitmask) of n values.
 
-    ``values`` are integers below ``target`` that sum to 2 * target, and a
-    singleton is an entry below 0 that ``target`` does not divide.  The two
-    sides {a} + block_a and {c} + block_c are a subset A holding index 0 with
-    sum ``target`` and its complement, read off one subset-sum table; each
-    pairing comes once, so when values[a] == values[c] the same blocks also
-    come with a and c swapped.
+    The values are below ``target`` and sum to 2 * target, and a singleton
+    is a value below 0 that ``target`` does not divide.  The two sides
+    {a} + block_a and {c} + block_c are a subset A holding index 0 with sum
+    ``target`` and its complement; each pairing comes once, so when
+    s(a) == s(c) the same blocks also come with a and c swapped.
     """
-    singles = [i for i, v in enumerate(values) if v < 0 and v % target]
+    singles = [i for i in range(n) if sums[1 << i] < 0 and sums[1 << i] % target]
     if len(singles) < 2:
         return
-    n = len(values)
-    sums = _subset_sums(values)
     for side in [m for m in range(1, 1 << n, 2) if sums[m] == target]:
         inside = [i for i in range(n) if side >> i & 1]
         outside = [i for i in range(n) if not side >> i & 1]
@@ -229,6 +170,81 @@ def _paired_blocks(values: Sequence[int], target: int) -> Iterator[tuple]:
             block_a = tuple([i for i in inside if i != a])
             for c in [i for i in singles if not side >> i & 1]:
                 yield a, block_a, c, tuple([i for i in outside if i != c])
+
+
+def _family_blocks(family: str, n: int, sums: Sequence[int],
+                   den: int) -> list[tuple[tuple[tuple[int, ...], ...], int]]:
+    """Each partition of ``family`` as ``(blocks, epsilon)``, blocks as sorted
+    index tuples laid out as in ``PartitionRecord``, sorted by blocks.
+
+    ``sums`` are the subset sums (by bitmask) of n weights scaled to
+    integers over their common denominator den, so mu(I) = s(I) / den and
+    every test compares integers: T1a a pair with s < den and den not
+    dividing s; T1b a pair with s = den, a singleton with s < 0 and the rest
+    ``_heavy``; T2a a singleton with s < 0 and a ``two_block_splits`` split
+    of the rest into two ``_heavy`` blocks; T2b a ``_paired_blocks`` pairing.
+    """
+    everyone = range(n)
+    out = []
+    if family == "T1a":
+        for pair in combinations(everyone, 2):
+            light = sums[_mask(pair)]
+            if light < den and light % den:
+                out.append(((pair, tuple([i for i in everyone if i not in pair])), 1))
+    elif family == "T1b":
+        for pair in [p for p in combinations(everyone, 2) if sums[_mask(p)] == den]:
+            rest = [i for i in everyone if i not in pair]
+            for single in [i for i in rest if sums[1 << i] < 0]:
+                heavy = tuple([i for i in rest if i != single])
+                if _heavy(sums[_mask(heavy)], den):
+                    out.append(((pair, (single,), heavy), 1))
+    elif family == "T2a":
+        for single in [i for i in everyone if sums[1 << i] < 0]:
+            for blocks in two_block_splits([i for i in everyone if i != single]):
+                if all(_heavy(sums[_mask(block)], den) for block in blocks):
+                    out.append((((single,), *blocks), 1))
+    else:
+        for a, block_a, c, block_c in _paired_blocks(n, sums, den):
+            if block_c[0] < block_a[0]:
+                a, block_a, c, block_c = c, block_c, a, block_a
+            epsilon = 2 if sums[1 << a] == sums[1 << c] else 1
+            if epsilon == 2 and c < a:
+                continue  # the same blocks, paired the other way
+            out.append((((a,), (c,), block_a, block_c), epsilon))
+    out.sort()
+    return out
+
+
+def _records(family: str, mu) -> list[PartitionRecord]:
+    """The family's records of a weight vector, from ``_family_blocks`` on
+    its integer subset sums; a heavy block's weight is s(I) / den."""
+    mu = WeightVector.coerce(mu)
+    den, scaled = _scale_to_integers(mu.entries)
+    sums = _subset_sums(scaled)
+    out = []
+    for blocks, epsilon in _family_blocks(family, mu.n, sums, den):
+        heavies = blocks[2:] if family in ("T1b", "T2b") else blocks[1:]
+        weights = [Fraction(sums[_mask(heavy)], den) for heavy in heavies]
+        out.append(_record(mu, family, blocks, heavies, weights, epsilon))
+    return out
+
+
+def enum_T1a(mu) -> list[PartitionRecord]:
+    """Two-block partitions {I0, I1}: |I0| = 2, mu(I0) < 1 and non-integral."""
+    return _records("T1a", mu)
+
+
+def enum_T1b(mu) -> list[PartitionRecord]:
+    """Three-block partitions {I00, I01, I1}: a weight-1 pair, a negative
+    singleton, and a heavy block of non-integral weight > 1."""
+    return _records("T1b", mu)
+
+
+def enum_T2a(mu) -> list[PartitionRecord]:
+    """Three-block partitions {I0, I1, I2}: a negative singleton and two heavy
+    blocks of non-integral weight > 1; the unordered pair {I1, I2} appears once.
+    """
+    return _records("T2a", mu)
 
 
 def enum_T2b(mu) -> list[PartitionRecord]:
@@ -240,20 +256,8 @@ def enum_T2b(mu) -> list[PartitionRecord]:
     pairings are then valid, and I01 is the lower singleton).
     """
     mu = WeightVector.coerce(mu)
-    if mu.n < 6:
-        return []  # two singletons and two blocks of size >= 2
-    den, scaled = _scale_to_integers(mu.entries)
-    out = []
-    for a, block_a, c, block_c in _paired_blocks(scaled, den):
-        if block_c[0] < block_a[0]:
-            a, block_a, c, block_c = c, block_c, a, block_a
-        epsilon = 2 if scaled[a] == scaled[c] else 1
-        if epsilon == 2 and c < a:
-            continue  # the same blocks, paired the other way
-        out.append(_record(mu, "T2b", ((a,), (c,), block_a, block_c),
-                           (block_a, block_c), (1 - mu[a], 1 - mu[c]), epsilon))
-    out.sort(key=_sort_key)
-    return out
+    # two singletons and two blocks of size >= 2 need n >= 6
+    return _records("T2b", mu) if mu.n >= 6 else []
 
 
 def enum_all(mu) -> dict[str, list[PartitionRecord]]:

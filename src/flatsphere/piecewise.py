@@ -3,8 +3,9 @@ normalized volume function.
 
 A sign domain is cut out by the two-block comparison walls; on each domain
 the volume function restricts to a single polynomial of degree at most
-n - 3, reconstructed here by running the recursion symbolically, with
-family membership decided by a generic rational sample point.
+n - 3, reconstructed here by running the recursion symbolically.  Family
+membership is decided at a generic rational sample point, by the integer
+subset-sum tests of ``partitions`` on the sample's scaled subset sums.
 """
 from __future__ import annotations
 
@@ -15,9 +16,9 @@ from itertools import combinations, product
 from operator import add, itemgetter
 from typing import Iterable, Mapping, Sequence
 
-from .core import (ValidationError, WeightVector, _as_fraction, _scale_to_integers,
-                   _subset_sums)
-from .partitions import two_block_splits
+from .core import (ValidationError, WeightVector, _as_fraction, _mask,
+                   _scale_to_integers, _subset_sums)
+from .partitions import _family_blocks
 from .recursion import _coefficient
 
 
@@ -254,10 +255,6 @@ class WallError(ValidationError):
         self.subset = subset
 
 
-def _mask(indices) -> int:
-    return sum(1 << i for i in indices)
-
-
 def _wall_gaps(point: WeightVector, blocks) -> dict:
     """For each block I, mu(I) - 1 at the point scaled by the common
     denominator of its weights: an integer with the sign of mu(I) - 1."""
@@ -449,36 +446,12 @@ def _from_template(template, blocks: Sequence, n: int) -> MultiPoly:
     return MultiPoly._exact(n, num, den)
 
 
-def _boundary_terms(n: int, sums: list[int],
-                    den: int) -> list[tuple[str, tuple[tuple[int, ...], ...]]]:
-    """The sample's T1a and T2a records as (family, heavy blocks), read off
-    its integer subset sums over den in the order of ``enum_T1a`` then
-    ``enum_T2a``.
-
-    T1a is a pair of weight below 1 with the rest as its heavy block; T2a a
-    negative singleton with a split of the rest into two blocks of weight
-    above 1.  The sample has no proper subset of integral weight, so no test
-    needs an integrality check, and T1b (a weight-1 pair) and T2b (a
-    singleton and a block of weight 1) are empty.
-    """
-    everyone = range(n)
-    terms = [("T1a", (tuple(i for i in everyone if i not in pair),))
-             for pair in combinations(everyone, 2) if sums[_mask(pair)] < den]
-    t2a = []
-    for single in everyone:
-        if sums[1 << single] >= 0:
-            continue
-        rest = [i for i in everyone if i != single]
-        for blocks in two_block_splits(rest):
-            if all(sums[_mask(block)] > den for block in blocks):
-                t2a.append((single, *blocks))
-    t2a.sort()
-    return terms + [("T2a", (block1, block2)) for _, block1, block2 in t2a]
-
-
 def _piece(n: int, sums: list[int], den: int, memo: dict) -> MultiPoly:
     """The piece of the sample whose integer subset sums over den are
-    ``sums``: its T1a and T2a terms, each sub-piece taken from the memo.
+    ``sums``: its T1a and T2a terms, read off the same sums by
+    ``partitions._family_blocks``, each sub-piece taken from the memo.  No
+    proper subset of the sample has integral weight, so it has no T1b (a
+    weight-1 pair) or T2b (a singleton and a block of weight 1) record.
 
     A sub-sample (2D - s(I), s_i for i in I) of a heavy block I needs none
     of the checks of ``SignDomain``: it has at least 3 entries, each below
@@ -492,16 +465,18 @@ def _piece(n: int, sums: list[int], den: int, memo: dict) -> MultiPoly:
     if n == 4:
         return _a4_piece(sums, den)
     terms = []
-    for family, heavies in _boundary_terms(n, sums, den):
-        block_sizes = tuple(map(len, heavies))
-        shape = (family, n, block_sizes)
-        template = memo.get(shape)
-        if template is None:
-            template = memo[shape] = _template(family, block_sizes, n)
-        term = _from_template(template, heavies, n)
-        for heavy in heavies:
-            term = term * _sub_piece(n, sums, den, heavy, memo)
-        terms.append(term)
+    for family in ("T1a", "T2a"):
+        for blocks, _ in _family_blocks(family, n, sums, den):
+            heavies = blocks[1:]
+            block_sizes = tuple(map(len, heavies))
+            shape = (family, n, block_sizes)
+            template = memo.get(shape)
+            if template is None:
+                template = memo[shape] = _template(family, block_sizes, n)
+            term = _from_template(template, heavies, n)
+            for heavy in heavies:
+                term = term * _sub_piece(n, sums, den, heavy, memo)
+            terms.append(term)
     return _sum(terms, n)
 
 

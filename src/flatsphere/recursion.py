@@ -20,10 +20,12 @@ from .core import (
     Signature,
     ValidationError,
     WeightVector,
+    _subset_sums,
     minimal_denominator,
     weights_from_signature,
 )
-from .partitions import _paired_blocks, enum_T1a, enum_T1b, enum_T2a, enum_T2b
+from .partitions import (_family_blocks, _paired_blocks, enum_T1a, enum_T1b, enum_T2a,
+                         enum_T2b)
 
 MemoCache = MutableMapping
 
@@ -224,26 +226,22 @@ def quad_V_recursive(kappa, memo: Optional[MemoCache] = None) -> Fraction:
     if hit is not None:
         return hit
     orders = kappa.orders
+    # the families of the weights -k_i / 2, on the sums of -k_i over 2
+    sums = _subset_sums([-k for k in orders])
     value = Fraction(0)
-    # pair of simple poles plus a positive singleton
-    for pair in combinations(range(n), 2):
-        if orders[pair[0]] != -1 or orders[pair[1]] != -1:
-            continue
-        rest = sorted(set(range(n)) - set(pair))
-        for single in rest:
-            k1 = orders[single]
-            if k1 <= 0:
-                continue
-            tail = tuple(orders[i] for i in rest if i != single)
-            sub = QuadSignature((k1 - 2, *tail))
-            value -= (
-                Fraction(2 * (n - 3), (n - 1) * (n - 2))
-                * k1
-                * quad_V_recursive(sub, memo)
-            )
+    # T1b: a pair of simple poles (every -k_i <= 1, so no other pair sums to
+    # 2) plus a positive singleton; the rest sums to 2 + k1, odd and > 2
+    for (_, (single,), heavy), _ in _family_blocks("T1b", n, sums, 2):
+        k1 = orders[single]
+        sub = QuadSignature((k1 - 2, *(orders[i] for i in heavy)))
+        value -= (
+            Fraction(2 * (n - 3), (n - 1) * (n - 2))
+            * k1
+            * quad_V_recursive(sub, memo)
+        )
     # two positive singletons paired with blocks summing to -2 with them;
     # each pairing counts once, so equal singletons give the epsilon = 2
-    for a, block_a, c, block_c in _paired_blocks([-k for k in orders], 2):
+    for a, block_a, c, block_c in _paired_blocks(n, sums, 2):
         n1, n2 = len(block_a), len(block_c)
         sub1 = QuadSignature((orders[a] - 2, *(orders[i] for i in block_a)))
         sub2 = QuadSignature((orders[c] - 2, *(orders[i] for i in block_c)))

@@ -12,7 +12,7 @@ from importlib import resources
 from typing import Optional
 
 from .core import PiValue, Signature, ValidationError, weights_from_signature
-from .flat_charts import is_single_polygon, mv_ratio
+from .flat_charts import mv_ratio
 from .recursion import a_n, vol1
 
 
@@ -92,12 +92,11 @@ def compute_row(row: TableRow, cache=None) -> ComputedRow:
     kappa = row.signature()
     mu = weights_from_signature(kappa)
     col3 = a_n(mu, cache)
-    if is_single_polygon(kappa):
+    try:
         ratio = mv_ratio(kappa)
-        mv = vol1(mu, cache) * (ratio / kappa.level)
-    else:
-        ratio = None
-        mv = None
+    except ValidationError:  # no single-polygon chart, as in is_single_polygon
+        return ComputedRow(row=row, col3=col3, ratio=None, mv=None)
+    mv = vol1(mu, cache) * (ratio / kappa.level)
     return ComputedRow(row=row, col3=col3, ratio=ratio, mv=mv)
 
 

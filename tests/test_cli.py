@@ -302,6 +302,19 @@ class TestExplain:
         assert result.exit_code == 0
         assert result.output == EXPLAIN_PINNED[weights]
 
+    def test_weights_above_ceiling_rejected(self, runner):
+        # 17 weights: listing every record would take about 20 s and 400 MB,
+        # so the CLI stops at n = 16 and names the ceiling
+        weights = ",".join(["1/7"] * 16 + ["-2/7"])
+        result = runner.invoke(main, ["explain", "--weights", weights])
+        assert result.exit_code == 1
+        assert "at most n = 16" in result.output
+        assert "families" not in result.output
+        # n = 16 itself runs; these weights have only T1a records
+        result = runner.invoke(main, ["explain", "--weights", ",".join(["1/8"] * 16)])
+        assert result.exit_code == 0
+        assert json.loads(result.output)["counts"] == {"T1a": 120, "T1b": 0, "T2a": 0, "T2b": 0}
+
     def test_family_counts(self, runner):
         result = runner.invoke(
             main, ["explain", "--weights", "5/6,5/6,5/6,5/6,-4/3"])

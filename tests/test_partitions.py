@@ -26,6 +26,9 @@ from util import (
     oracle_t2b,
     random_generic_sample,
     record_key,
+    ref_enum_T1a,
+    ref_enum_T1b,
+    ref_enum_T2a,
     ref_enum_T2b,
 )
 
@@ -240,22 +243,36 @@ def _integer_entry_vectors(rng, count):
     return out
 
 
+REFERENCES = {
+    "T1a": (enum_T1a, ref_enum_T1a),
+    "T1b": (enum_T1b, ref_enum_T1b),
+    "T2a": (enum_T2a, ref_enum_T2a),
+    "T2b": (enum_T2b, ref_enum_T2b),
+}
+
+# (family, epsilon) of every kind of record
+EVERY_KIND = {("T1a", 1), ("T1b", 1), ("T2a", 1), ("T2b", 1), ("T2b", 2)}
+
+
 class TestT2bReference:
-    """enum_T2b reads pairings off one integer subset-sum table; the
-    reference scans every singleton pair against every two-block split.
-    Each set of vectors must also hold records with both epsilons."""
+    """Each enumerator reads its family off one integer subset-sum table;
+    its reference in tests/util.py tests membership on Fraction subset sums
+    (T2b's by scanning every singleton pair against every two-block split).
+    The records must agree in order, and each set of vectors must hold every
+    family, T2b with both epsilons."""
 
     @staticmethod
-    def epsilons_matching_reference(vectors):
-        epsilons = set()
+    def kinds_matching_reference(vectors):
+        kinds = set()
         for mu in vectors:
-            records = [rec.to_json() for rec in enum_T2b(mu)]
-            assert records == [rec.to_json() for rec in ref_enum_T2b(mu)], mu
-            epsilons.update(rec["epsilon"] for rec in records)
-        return epsilons
+            for family, (enum, reference) in REFERENCES.items():
+                records = [rec.to_json() for rec in enum(mu)]
+                assert records == [rec.to_json() for rec in reference(mu)], (family, mu)
+                kinds.update((family, rec["epsilon"]) for rec in records)
+        return kinds
 
     def test_level_vectors(self):
-        assert self.epsilons_matching_reference(_level_vectors()) == {1, 2}
+        assert self.kinds_matching_reference(_level_vectors()) == EVERY_KIND
 
     def test_every_memo_key_of_a_n(self):
         level_vector = load_perfbench("workloads").level_vector
@@ -264,11 +281,11 @@ class TestT2bReference:
             memo = {}
             a_n(level_vector(random.Random(n * d), n, d), memo)
             keys += memo
-        assert self.epsilons_matching_reference(keys) == {1, 2}
+        assert self.kinds_matching_reference(keys) == EVERY_KIND
 
     def test_vectors_with_an_integer_entry(self):
         vectors = _integer_entry_vectors(random.Random(3), 60)
-        assert self.epsilons_matching_reference(vectors) == {1, 2}
+        assert self.kinds_matching_reference(vectors) == EVERY_KIND
 
 
 ORACLES = {

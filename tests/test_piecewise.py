@@ -489,24 +489,6 @@ class TestAnPolynomial:
             assert an_polynomial(SignDomain(other)) == an_polynomial(SignDomain(sample))
 
 
-class TestBoundaryTerms:
-    @pytest.mark.parametrize("n", [5, 6, 7, 8, 9])
-    def test_masks_match_enumerators(self, n):
-        # the enumerators are the oracle: the same families and heavy
-        # blocks, in the same order, T1a before T2a
-        rng = random.Random(50 + n)
-        families = set()
-        for _ in range(4):
-            sample = random_generic_sample(rng, n)
-            want = [(rec.family, tuple(tuple(sorted(h)) for h in rec.heavy_blocks))
-                    for rec in enum_T1a(sample) + enum_T2a(sample)]
-            domain = SignDomain(sample)
-            got = piecewise._boundary_terms(domain.n, domain._sums, domain._den)
-            assert got == want, str(sample)
-            families.update(family for family, _ in got)
-        assert families == {"T1a", "T2a"}
-
-
 class TestSubPiece:
     @pytest.mark.parametrize("n", [5, 6, 7])
     def test_renaming_matches_substitute_linear(self, n):

@@ -277,6 +277,17 @@ class TestQuadV:
             counts.append(len(calls))
         assert counts[0] == counts[1]
 
+    @pytest.mark.parametrize("n", range(4, 13, 2))
+    def test_recursion_matches_closed_form(self, n):
+        # the T1b family and the pairings read off one subset-sum table of
+        # the -k_i (odd n has no odd signature); one memo per n, as a caller
+        # sharing it would
+        memo = {}
+        signatures = enumerate_odd_signatures(n)
+        assert signatures
+        for kappa in signatures:
+            assert quad_V_recursive(kappa, memo) == quad_V_closed(kappa), kappa.orders
+
     def test_sign_pattern(self):
         for n in (4, 6, 8):
             for kappa in enumerate_odd_signatures(n):

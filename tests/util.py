@@ -9,7 +9,7 @@ from pathlib import Path
 
 from flatsphere.closed_forms import partitions_into
 from flatsphere.core import WeightVector
-from flatsphere.partitions import PartitionRecord, _record, _sort_key, two_block_splits
+from flatsphere.partitions import PartitionRecord, _record, two_block_splits
 from flatsphere.piecewise import MultiPoly, SignDomain, WallError
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -118,6 +118,73 @@ def record_key(rec):
         return (rec.blocks[0], frozenset({rec.blocks[1], rec.blocks[2]}))
     return _t2b_key(rec.blocks[0], rec.blocks[1], rec.blocks[2], rec.blocks[3],
                     True, rec.epsilon)
+
+
+def _sort_key(record: PartitionRecord):
+    """The record order of the enumerators: by the sorted blocks."""
+    return tuple(tuple(sorted(b)) for b in record.blocks)
+
+
+def ref_enum_T1a(mu) -> list[PartitionRecord]:
+    """Reference for ``enum_T1a`` on Fraction subset sums.  Two-block
+    partitions {I0, I1}: |I0| = 2, mu(I0) < 1 and non-integral."""
+    mu = WeightVector.coerce(mu)
+    n = mu.n
+    out = []
+    for pair in combinations(range(n), 2):
+        light = mu.subset_sum(pair)
+        if light >= 1 or light.denominator == 1:
+            continue
+        heavy = [i for i in range(n) if i not in pair]
+        out.append(_record(mu, "T1a", (pair, heavy), (heavy,), (2 - light,)))
+    out.sort(key=_sort_key)
+    return out
+
+
+def ref_enum_T1b(mu) -> list[PartitionRecord]:
+    """Reference for ``enum_T1b`` on Fraction subset sums.  Three-block
+    partitions {I00, I01, I1}: a weight-1 pair, a negative singleton, and a
+    heavy block of non-integral weight > 1."""
+    mu = WeightVector.coerce(mu)
+    n = mu.n
+    out = []
+    for pair in combinations(range(n), 2):
+        if mu.subset_sum(pair) != 1:
+            continue
+        rest = [i for i in range(n) if i not in pair]
+        for single in rest:
+            if mu[single] >= 0:
+                continue
+            heavy = [i for i in rest if i != single]
+            hw = mu.subset_sum(heavy)
+            if hw <= 1 or hw.denominator == 1:
+                continue
+            out.append(_record(mu, "T1b", (pair, (single,), heavy), (heavy,), (hw,)))
+    out.sort(key=_sort_key)
+    return out
+
+
+def ref_enum_T2a(mu) -> list[PartitionRecord]:
+    """Reference for ``enum_T2a`` on Fraction subset sums.  Three-block
+    partitions {I0, I1, I2}: a negative singleton and two heavy blocks of
+    non-integral weight > 1; the unordered pair {I1, I2} appears once."""
+    mu = WeightVector.coerce(mu)
+    n = mu.n
+    out = []
+    for single in range(n):
+        if mu[single] >= 0:
+            continue
+        rest = [i for i in range(n) if i != single]
+        for block1, block2 in two_block_splits(rest):
+            w1, w2 = mu.subset_sum(block1), mu.subset_sum(block2)
+            if w1 <= 1 or w2 <= 1:
+                continue
+            if w1.denominator == 1 or w2.denominator == 1:
+                continue
+            out.append(_record(mu, "T2a", ((single,), block1, block2),
+                               (block1, block2), (w1, w2)))
+    out.sort(key=_sort_key)
+    return out
 
 
 def ref_enum_T2b(mu) -> list[PartitionRecord]:
