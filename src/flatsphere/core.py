@@ -9,7 +9,7 @@ from __future__ import annotations
 import functools
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator
 
@@ -38,21 +38,34 @@ def parse_rational(text: str) -> Fraction:
 
 @dataclass(frozen=True)
 class WeightVector:
-    """A curvature-weight tuple: n >= 3 rationals, each < 1, summing to 2."""
+    """A curvature-weight tuple: n >= 3 rationals, each < 1, summing to 2.
+
+    Validation runs on integers: the vector carries its minimal denominator
+    D (``_den``, the lcm of the entries' denominators) and the numerators
+    D * mu_i (``_nums``), which the recursion and the partition kernel read
+    instead of rescaling.  Neither takes part in equality, hash or repr.
+    """
 
     entries: tuple[Fraction, ...]
+    _den: int = field(init=False, compare=False, repr=False)
+    _nums: tuple[int, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        entries = tuple(_as_fraction(x) for x in self.entries)
+        raw = tuple(self.entries)
+        if bool in map(type, raw):
+            raise ValidationError("weights must be rationals, not bools")
+        entries = tuple(map(_as_fraction, raw))
         object.__setattr__(self, "entries", entries)
         if len(entries) < 3:
             raise ValidationError("a weight vector needs at least 3 entries")
-        bad = [x for x in entries if x >= 1]
-        if bad:
-            raise ValidationError(f"every weight must be < 1, got {bad[0]}")
-        total = sum(entries)
-        if total != 2:
-            raise ValidationError(f"weights must sum to 2, got {total}")
+        den, nums = _scale_to_integers(entries)
+        if max(nums) >= den:
+            bad = next(x for x in entries if x >= 1)
+            raise ValidationError(f"every weight must be < 1, got {bad}")
+        if sum(nums) != 2 * den:
+            raise ValidationError(f"weights must sum to 2, got {sum(entries)}")
+        object.__setattr__(self, "_den", den)
+        object.__setattr__(self, "_nums", tuple(nums))
 
     @classmethod
     def coerce(cls, value) -> "WeightVector":
@@ -199,14 +212,14 @@ def weights_from_signature(kappa: Signature) -> WeightVector:
 
 
 def minimal_denominator(nu) -> int:
-    """Least e >= 1 with e*nu_i integral for all i (lcm of the denominators)."""
-    nu = WeightVector.coerce(nu)
-    return math.lcm(*(x.denominator for x in nu.entries))
+    """Least e >= 1 with e*nu_i integral for all i (lcm of the denominators),
+    as the validated vector carries it."""
+    return WeightVector.coerce(nu)._den
 
 
 def _scale_to_integers(values) -> tuple[int, list[int]]:
     """The common denominator D of exact rationals and the integers D * v."""
-    den = math.lcm(*(v.denominator for v in values))
+    den = math.lcm(*[v.denominator for v in values])
     return den, [v.numerator * (den // v.denominator) for v in values]
 
 

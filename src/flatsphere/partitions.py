@@ -20,8 +20,8 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterator, Sequence
 
-from .core import (ValidationError, WeightVector, _mask, _scale_to_integers,
-                   _shared_weight, _subset_sums, minimal_denominator)
+from .core import (ValidationError, WeightVector, _mask, _shared_weight, _subset_sums,
+                   minimal_denominator)
 
 
 @dataclass(frozen=True)
@@ -217,10 +217,11 @@ def _family_blocks(family: str, n: int, sums: Sequence[int],
 
 def _records(family: str, mu) -> list[PartitionRecord]:
     """The family's records of a weight vector, from ``_family_blocks`` on
-    its integer subset sums; a heavy block's weight is s(I) / den."""
+    the subset sums of the numerators it carries over its denominator den;
+    a heavy block's weight is s(I) / den."""
     mu = WeightVector.coerce(mu)
-    den, scaled = _scale_to_integers(mu.entries)
-    sums = _subset_sums(scaled)
+    den = mu._den
+    sums = _subset_sums(mu._nums)
     out = []
     for blocks, epsilon in _family_blocks(family, mu.n, sums, den):
         heavies = blocks[2:] if family in ("T1b", "T2b") else blocks[1:]

@@ -258,8 +258,7 @@ class WallError(ValidationError):
 def _wall_gaps(point: WeightVector, blocks) -> dict:
     """For each block I, mu(I) - 1 at the point scaled by the common
     denominator of its weights: an integer with the sign of mu(I) - 1."""
-    den, scaled = _scale_to_integers(point.entries)
-    sums = _subset_sums(scaled)
+    sums, den = _subset_sums(point._nums), point._den
     return {block: sums[_mask(block)] - den for block in blocks}
 
 
@@ -275,9 +274,8 @@ class SignDomain:
 
     def __init__(self, sample):
         sample = WeightVector.coerce(sample)
-        den, scaled = _scale_to_integers(sample.entries)
-        n = len(scaled)
-        sums = _subset_sums(scaled)
+        den, n = sample._den, sample.n
+        sums = _subset_sums(sample._nums)
         integral = [mask for mask in range(1, (1 << n) - 1) if sums[mask] % den == 0]
         if integral:
             # report the first such subset in combinations order

@@ -21,7 +21,6 @@ from .core import (
     ValidationError,
     WeightVector,
     _subset_sums,
-    minimal_denominator,
     weights_from_signature,
 )
 from .partitions import (_family_blocks, _paired_blocks, enum_T1a, enum_T1b, enum_T2a,
@@ -66,11 +65,14 @@ def a_n(mu, cache: Optional[MemoCache] = None) -> Fraction:
     values down the recursion; ``None`` gives this call a fresh one.
     """
     mu = WeightVector.coerce(mu)
-    if any(x.denominator == 1 for x in mu):
+    den, nums = mu._den, mu._nums
+    if any(s % den == 0 for s in nums):
         return Fraction(0)
     if cache is None:
         cache = {}
-    key = tuple(sorted(mu.entries))
+    # the entries ordered by their integer numerators: tuple(sorted(entries))
+    entries = mu.entries
+    key = tuple([entries[i] for i in sorted(range(len(nums)), key=nums.__getitem__)])
     hit = cache.get(key)
     if hit is not None:
         return hit
@@ -96,8 +98,7 @@ def a_n(mu, cache: Optional[MemoCache] = None) -> Fraction:
 def j_n(nu, cache: Optional[MemoCache] = None) -> Fraction:
     """Integer-valued intersection number: e**(n-3) * a_n with e minimal."""
     nu = WeightVector.coerce(nu)
-    e = minimal_denominator(nu)
-    return Fraction(e) ** (nu.n - 3) * a_n(nu, cache)
+    return nu._den ** (nu.n - 3) * a_n(nu, cache)
 
 
 def recursive_rhs_dform(mu, d: int, cache: Optional[MemoCache] = None) -> Fraction:

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -20,6 +21,8 @@ from flatsphere.core import (
     parse_weights,
     weights_from_signature,
 )
+from flatsphere.recursion import a_n
+from util import fraction_weight_error
 
 
 F = Fraction
@@ -50,6 +53,94 @@ class TestWeightVector:
     def test_integer_entries_permitted(self):
         w = WeightVector((F(0), F("2/3"), F("2/3"), F("2/3")))
         assert w[0] == 0
+
+    @pytest.mark.parametrize("flag", [False, True])
+    def test_rejects_bool_entries(self, flag):
+        with pytest.raises(ValidationError, match="bools"):
+            WeightVector((flag, F(1, 2), F(3, 4), F(3, 4)))
+
+    def test_integer_view_outside_equality_hash_and_repr(self):
+        w = WeightVector((F(1, 3), F(2, 3), F(1, 2), F(1, 2)))
+        same = WeightVector(("2/6", "4/6", "1/2", "2/4"))
+        assert w == same and hash(w) == hash(same)
+        assert repr(w) == f"WeightVector(entries={w.entries!r})"
+        assert (w._den, w._nums) == (6, (2, 4, 3, 3))
+
+
+def _random_entries(rng: random.Random) -> list:
+    """Seeded entries that often, not always, make a weight vector: mixed
+    denominators, negative entries, and equal weights held as distinct
+    objects."""
+    n = rng.randint(1, 8)
+    den = rng.choice((2, 3, 4, 5, 6, 7, 12))
+    entries = [F(rng.randint(-2 * den, den), den) for _ in range(n)]
+    if n > 1 and rng.random() < 0.3:
+        # the same value as entries[1], built as a new object
+        entries[0] = F(2 * entries[1].numerator, 2 * entries[1].denominator)
+    if rng.random() < 0.8:
+        entries[-1] = 2 - sum(entries[:-1], F(0))
+    if rng.random() < 0.2:
+        entries[rng.randrange(n)] += F(rng.choice((1, -1)), rng.choice((3, 10)))
+    return entries
+
+
+def _random_vector_entries(rng: random.Random, n: int) -> list:
+    """Seeded valid entries with no integer entry, some of them equal."""
+    while True:
+        entries = _random_entries(rng)
+        if len(entries) == n and fraction_weight_error(entries) is None \
+                and all(x.denominator != 1 for x in entries):
+            return entries
+
+
+class TestIntegerView:
+    """The integer validation against the Fraction rules it replaced."""
+
+    def test_accepts_and_rejects_as_the_fraction_rules(self):
+        rng = random.Random(18)
+        kinds = set()
+        for _ in range(3000):
+            entries = _random_entries(rng)
+            want = fraction_weight_error(entries)
+            try:
+                WeightVector(tuple(entries))
+                got = None
+            except ValidationError as exc:
+                got = str(exc)
+            assert got == want, entries
+            kinds.add(want and want.split(",")[0])
+        assert kinds == {None, "a weight vector needs at least 3 entries",
+                         "every weight must be < 1", "weights must sum to 2"}
+
+    def test_carried_denominator_is_the_lcm(self):
+        rng = random.Random(19)
+        for _ in range(300):
+            entries = _random_entries(rng)
+            if fraction_weight_error(entries) is not None:
+                continue
+            w = WeightVector(tuple(entries))
+            den = math.lcm(*(x.denominator for x in entries))
+            assert minimal_denominator(w) == w._den == den
+            assert w._nums == tuple(x * den for x in entries)
+            assert all(type(k) is int for k in w._nums)
+
+    def test_memo_keys_are_the_sorted_entries(self):
+        class KeyLog(dict):
+            def get(self, key, default=None):
+                keys.append(key)
+                return super().get(key, default)
+
+        rng = random.Random(20)
+        for n in (5, 6, 7) * 4:
+            entries = _random_vector_entries(rng, n)
+            keys = []
+            memo = KeyLog()
+            a_n(tuple(entries), memo)
+            # the top-level key holds the input's own objects, in sorted order
+            assert len(keys[0]) == n
+            assert all(x is y for x, y in zip(keys[0], sorted(entries)))
+            for key in keys + list(memo):
+                assert key == tuple(sorted(key))
 
 
 class TestSignature:

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import random
 from fractions import Fraction
@@ -109,6 +110,28 @@ class TestAn:
         monkeypatch.setattr(WeightVector, "__post_init__", counting)
         assert a_n(tuple(mu.entries), memo) == value
         assert len(builds) == 1
+
+    def test_memo_hit_makes_no_fraction_comparison_or_addition(self, monkeypatch):
+        # a warm memo serves a_n, j_n and vol1 on a tuple input from the
+        # vector's integer view: no Fraction is compared or added
+        mu = tuple(parse_weights("5/6,5/6,5/6,5/6,5/6,-5/6,-4/3").entries)
+        memo = {}
+        values = (a_n(mu, memo), j_n(mu, memo), vol1(mu, memo))
+        counts = collections.Counter()
+        for name in ("__lt__", "__le__", "__gt__", "__ge__", "__add__", "__radd__"):
+            def counted(self, other, _name=name, _original=getattr(F, name)):
+                counts[_name] += 1
+                return _original(self, other)
+            monkeypatch.setattr(F, name, counted)
+        assert F(1, 3) < F(1, 2) and F(1, 3) + F(1, 2) == F(5, 6)
+        assert counts == {"__lt__": 1, "__add__": 1}
+        counts.clear()
+        assert (a_n(mu, memo), j_n(mu, memo), vol1(mu, memo)) == values
+        assert not counts
+
+    def test_bool_weight_is_rejected_not_read_as_zero(self):
+        with pytest.raises(ValidationError, match="bools"):
+            a_n((False, F(1, 2), F(3, 4), F(3, 4)))
 
     def test_memo_keys_share_equal_weights(self):
         # each sub-vector's new weight 2 - mu(I) is one shared object per

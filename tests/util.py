@@ -25,6 +25,20 @@ def load_perfbench(name: str) -> types.ModuleType:
     return module
 
 
+def fraction_weight_error(entries) -> str | None:
+    """The Fraction rules ``WeightVector`` validated with before it read its
+    integer numerators: the message of the first broken rule, or None."""
+    if len(entries) < 3:
+        return "a weight vector needs at least 3 entries"
+    bad = [x for x in entries if x >= 1]
+    if bad:
+        return f"every weight must be < 1, got {bad[0]}"
+    total = sum(entries)
+    if total != 2:
+        return f"weights must sum to 2, got {total}"
+    return None
+
+
 def _msum(mu, block):
     return sum((mu[i] for i in block), Fraction(0))
 
