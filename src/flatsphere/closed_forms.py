@@ -60,18 +60,18 @@ def f_nab(n: int, a, b, xs: Sequence):
     When every x_i, a and b is an int or a Fraction, the sum is computed in
     integers: the inputs are scaled by their common denominator D, every
     term is a product of exactly n - 2 integer linear factors, and the total
-    is divided by D**(n-2) once.  Any other input (a MultiPoly, say) takes
-    the ring-generic loop; a float raises ``ValidationError``.
+    is divided by D**(n-2) once.  Other inputs (a MultiPoly, say) take the
+    ring-generic loop; a bool or a float raises ``ValidationError``.
     """
     if type(n) is not int:
         raise ValidationError(f"f_nab needs an int n, got {n!r}")
     if n < 2 or len(xs) != n:
         raise ValidationError("f_nab needs n = len(xs) >= 2")
     xs = list(xs)
+    if any(isinstance(v, (bool, float)) for v in (a, b, *xs)):
+        raise ValidationError("bools and floats are not accepted; pass exact rationals")
     if all(isinstance(v, (int, Fraction)) for v in (a, b, *xs)):
         return _f_nab_rational(n, a, b, xs)
-    if any(isinstance(v, float) for v in (a, b, *xs)):
-        raise ValidationError("floats are not accepted; pass exact rationals")
     return _f_nab_ring(n, a, b, xs)
 
 
@@ -165,25 +165,23 @@ def f_p22_bridge(kappa, minus_ones: int = 0) -> tuple[Fraction, Fraction]:
     return Fraction(lhs), rhs
 
 
-def partitions_into(items, k):
-    """All set partitions of `items` into exactly k nonempty blocks, each
-    once, as lists of sets."""
-    items = list(items)
-    if k <= 0:
-        return
-    if k == 1:
-        yield [set(items)]
-        return
-    if len(items) < k:
-        return
-    first, rest = items[0], items[1:]
-    for p in partitions_into(rest, k - 1):
-        yield [{first}] + [set(b) for b in p]
-    for p in partitions_into(rest, k):
-        for i in range(len(p)):
-            q = [set(b) for b in p]
-            q[i].add(first)
-            yield q
+def _partition_sums(n: int, factors) -> list:
+    """Entry k: the sum over the set partitions of range(n) into k blocks of
+    the product of ``factors[mask]`` over the blocks (masks as in
+    ``_subset_sums``).  Each subset S adds, for each block B of S holding its
+    lowest index, factors[B] times S - B's list shifted by one block; only
+    + and * are used, so any commutative ring will do."""
+    sums = [[1]]
+    for s in range(1, 1 << n):
+        low = s & -s
+        rest = b = s ^ low
+        row = [0] * (s.bit_count() + 1)
+        while b >= 0:  # every submask b of rest, rest first and 0 last
+            for k, value in enumerate(sums[rest ^ b]):
+                row[k + 1] = row[k + 1] + factors[b | low] * value
+            b = (b - 1) & rest if b else -1
+        sums.append(row)
+    return sums[-1]
 
 
 def mcmullen_an(mu) -> Fraction:
@@ -193,20 +191,17 @@ def mcmullen_an(mu) -> Fraction:
 
         (-1)^(n+1)/(n-2) * sum_P (-1)^(|P|+1) (|P|-3)! prod_{B in P} max(0, 1 - mu(B))^(|B|-1)
 
-    over the set partitions P of the n indices into at least three blocks.
-    It enumerates with `partitions_into` and shares no code with the
-    recursion.  Valid for all-positive weights only: the formula is known to
-    differ from a_n when some weight is negative (3/4,3/4,3/4,3/4,-1/2,-1/2
-    gives 9/16 against a_n = 3/8).
-    """
+    over the set partitions P of the n indices into at least three blocks,
+    summed per block count on the weights' integer subset sums s over their
+    denominator D, a block giving max(0, D - s(B))^(|B|-1).  It uses no
+    records and no ``_family_blocks``.  Valid for all-positive weights only:
+    it is known to differ from a_n when a weight is negative
+    (3/4,3/4,3/4,3/4,-1/2,-1/2 gives 9/16 against a_n = 3/8)."""
     mu = WeightVector.coerce(mu)
-    n = mu.n
-    total = Fraction(0)
-    for k in range(3, n + 1):
-        for blocks in partitions_into(range(n), k):
-            term = Fraction((-1) ** (k + 1) * math.factorial(k - 3))
-            for block in blocks:
-                weight = sum((mu[i] for i in block), Fraction(0))
-                term *= max(Fraction(0), 1 - weight) ** (len(block) - 1)
-            total += term
-    return (-1) ** (n + 1) * total / (n - 2)
+    n, den = mu.n, mu._den
+    factors = [max(0, den - s) ** (m.bit_count() - 1) if m else 0
+               for m, s in enumerate(_subset_sums(mu._nums))]
+    by_blocks = _partition_sums(n, factors)
+    total = sum((-1) ** (k + 1) * math.factorial(k - 3) * by_blocks[k] * den ** (k - 3)
+                for k in range(3, n + 1))
+    return (-1) ** (n + 1) * Fraction(total, (n - 2) * den ** (n - 3))

@@ -20,9 +20,11 @@ class ValidationError(ValueError):
 
 def _as_fraction(value) -> Fraction:
     """Validate an exact rational; a value of exact type Fraction is returned
-    as it is, anything else is converted."""
+    as it is, anything else but a bool or a float is converted."""
     if type(value) is Fraction:
         return value
+    if type(value) is bool:
+        raise ValidationError("bools are not accepted; pass exact rationals")
     if isinstance(value, float):
         raise ValidationError("floats are not accepted; pass exact rationals")
     try:
@@ -51,10 +53,7 @@ class WeightVector:
     _nums: tuple[int, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        raw = tuple(self.entries)
-        if bool in map(type, raw):
-            raise ValidationError("weights must be rationals, not bools")
-        entries = tuple(map(_as_fraction, raw))
+        entries = tuple(map(_as_fraction, self.entries))
         object.__setattr__(self, "entries", entries)
         if len(entries) < 3:
             raise ValidationError("a weight vector needs at least 3 entries")

@@ -101,6 +101,14 @@ def j_n(nu, cache: Optional[MemoCache] = None) -> Fraction:
     return nu._den ** (nu.n - 3) * a_n(nu, cache)
 
 
+def _check_level(mu: WeightVector, d) -> None:
+    """d must be a positive int and a multiple of the weights' denominator."""
+    if type(d) is not int or d < 1:
+        raise ValidationError(f"the level d must be a positive int, got {d!r}")
+    if d % mu._den:
+        raise ValidationError(f"{d} is not a common denominator of the weights")
+
+
 def recursive_rhs_dform(mu, d: int, cache: Optional[MemoCache] = None) -> Fraction:
     """Literal right-hand side of the level-d recursion, as a cross-check.
 
@@ -111,10 +119,7 @@ def recursive_rhs_dform(mu, d: int, cache: Optional[MemoCache] = None) -> Fracti
     """
     mu = WeightVector.coerce(mu)
     n = mu.n
-    if type(d) is not int or d < 1:
-        raise ValidationError(f"the level d must be a positive int, got {d!r}")
-    if any((d * x).denominator != 1 for x in mu):
-        raise ValidationError(f"{d} is not a common denominator of the weights")
+    _check_level(mu, d)
     if n < 5:
         raise ValidationError("the literal recursion needs n >= 5")
     if any(x.denominator == 1 for x in mu):
@@ -286,10 +291,7 @@ def a5_direct(mu, d: int) -> Fraction:
     mu = WeightVector.coerce(mu)
     if mu.n != 5:
         raise ValidationError("a5_direct needs exactly 5 weights")
-    if type(d) is not int or d < 1:
-        raise ValidationError(f"the level d must be a positive int, got {d!r}")
-    if any((d * x).denominator != 1 for x in mu):
-        raise ValidationError(f"{d} is not a common denominator of the weights")
+    _check_level(mu, d)
     pairs = [frozenset(p) for p in combinations(range(5), 2)]
 
     def coefficient(pair: frozenset) -> Fraction:

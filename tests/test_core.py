@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from flatsphere.closed_forms import f_nab
 from flatsphere.core import (
     PiValue,
     Signature,
@@ -21,6 +22,8 @@ from flatsphere.core import (
     parse_weights,
     weights_from_signature,
 )
+from flatsphere.flat_charts import Cyclo24
+from flatsphere.piecewise import MultiPoly
 from flatsphere.recursion import a_n
 from util import fraction_weight_error
 
@@ -179,8 +182,7 @@ class TestAsFraction:
         class Sub(F):
             pass
 
-        for value, want in ((3, F(3)), (True, F(1)), ("5/10", F(1, 2)),
-                            (Sub(1, 2), F(1, 2))):
+        for value, want in ((3, F(3)), ("5/10", F(1, 2)), (Sub(1, 2), F(1, 2))):
             got = _as_fraction(value)
             assert got == want and type(got) is F
 
@@ -188,6 +190,25 @@ class TestAsFraction:
         for bad in (0.5, 1.0, "x", "1/0", None):
             with pytest.raises(ValidationError):
                 _as_fraction(bad)
+
+    # before bools were rejected each of these read True as 1: PiValue(True,
+    # 2) printed 1*pi^2 and f_nab(3, 0, 0, [True, 1, 1]) returned 18
+    @pytest.mark.parametrize("build", [
+        lambda: _as_fraction(True),
+        lambda: PiValue(True, 2),
+        lambda: PiValue(F(1), 2) * True,
+        lambda: MultiPoly(2, {(1, 0): True}),
+        lambda: MultiPoly.constant(False, 2),
+        lambda: MultiPoly.variable(0, 2) * True,
+        lambda: Cyclo24([True] + [0] * 7),
+        lambda: Cyclo24([1] + [0] * 7) * True,
+        lambda: f_nab(3, 0, 0, [True, 1, 1]),
+        lambda: f_nab(3, False, 0, [1, 1, 0]),
+    ], ids=["as_fraction", "PiValue", "PiValue_mul", "MultiPoly", "MultiPoly_constant",
+            "MultiPoly_mul", "Cyclo24", "Cyclo24_mul", "f_nab_entry", "f_nab_shift"])
+    def test_rejects_bools(self, build):
+        with pytest.raises(ValidationError, match="bools"):
+            build()
 
     def test_weight_vector_shares_input_fractions(self):
         entries = (F(1, 2), F(1, 2), F(2, 3), F(1, 3))

@@ -5,7 +5,6 @@ from itertools import combinations
 
 import pytest
 
-from flatsphere.closed_forms import partitions_into
 from flatsphere.core import ValidationError, WeightVector, parse_weights
 from flatsphere.partitions import (
     enum_P,
@@ -24,6 +23,7 @@ from util import (
     oracle_t1b,
     oracle_t2a,
     oracle_t2b,
+    partitions_into,
     random_generic_sample,
     record_key,
     ref_enum_T1a,

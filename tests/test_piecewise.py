@@ -7,6 +7,8 @@ from pathlib import Path
 import pytest
 
 from flatsphere import piecewise
+from flatsphere.cli import _random_positive_weights
+from flatsphere.closed_forms import _partition_sums
 from flatsphere.core import ValidationError, WeightVector, parse_weights
 from flatsphere.piecewise import (
     MultiPoly,
@@ -487,6 +489,38 @@ class TestAnPolynomial:
                                     for s in _subset_sums(other)[1:-1])):
                     break
             assert an_polynomial(SignDomain(other)) == an_polynomial(SignDomain(sample))
+
+
+class TestMcMullenPiece:
+    """On a sign domain of positive weights each factor max(0, 1 - mu(B))^(|B|-1)
+    of McMullen's partition sum is one polynomial or 0, fixed by the sample,
+    so the sum is a polynomial to compare with the piece: a check with no
+    recursion enumeration."""
+
+    @pytest.mark.parametrize("n", [5, 6, 7])
+    def test_partition_sum_polynomial_matches_piece(self, n):
+        rng = random.Random(90 + n)
+        # x_{n-1} = 2 - (x_0 + ... + x_{n-2}) on both sides
+        forms = [MultiPoly.variable(i, n) for i in range(n - 1)]
+        forms.append(MultiPoly.linear(2, [-1] * (n - 1), n))
+        checked = 0
+        while checked < 2:
+            try:
+                domain = SignDomain(_random_positive_weights(rng, n))
+            except WallError:
+                continue
+            sums, den = domain._sums, domain._den
+            factors = [0] + [
+                MultiPoly.linear(1, [-(m >> i & 1) for i in range(n)], n)
+                ** (m.bit_count() - 1) if sums[m] < den else 0
+                for m in range(1, 1 << n)]
+            by_blocks = _partition_sums(n, factors)
+            total = sum(((-1) ** (k + 1) * math.factorial(k - 3) * by_blocks[k]
+                         for k in range(3, n + 1)), MultiPoly(n))
+            mcmullen = total * F((-1) ** (n + 1), n - 2)
+            piece = an_polynomial(domain)
+            assert mcmullen.substitute_linear(forms) == piece.substitute_linear(forms)
+            checked += 1
 
 
 class TestSubPiece:

@@ -1,13 +1,14 @@
 import collections
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
 from flatsphere import recursion
-from flatsphere.cli import _random_positive_weights
-from flatsphere.closed_forms import mcmullen_an
+from flatsphere.cli import _random_positive_weights, _random_rational_weights
+from flatsphere.closed_forms import _partition_sums, mcmullen_an
 from flatsphere.core import (
     PiValue,
     Signature,
@@ -30,7 +31,7 @@ from flatsphere.recursion import (
     recursive_rhs_dform,
     vol1,
 )
-from util import load_perfbench, ref_odd_signatures
+from util import load_perfbench, mcmullen_bell, ref_odd_signatures
 
 F = Fraction
 
@@ -190,13 +191,34 @@ class TestMcMullenOracle:
         assert mcmullen_an(parse_weights("1/2,1/2,1/2,1/2")) == F(1, 2)
         assert mcmullen_an(parse_weights("2/3,1/3,1/3,1/3,1/3")) == F(1, 9)
 
-    @pytest.mark.parametrize("n", [6, 7, 8])
+    @pytest.mark.parametrize("n", [6, 7, 8, 9])
     def test_matches_recursion_on_positive_weights(self, n):
         rng = random.Random(300 + n)
         cache = {}
         for _ in range(3):
             mu = _random_positive_weights(rng, n)
             assert mcmullen_an(mu) == a_n(mu, cache), mu
+
+    @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
+    def test_matches_bell_sum(self, n):
+        # the subset DP against the sum over all Bell(n) set partitions; the
+        # formula does not look at signs, so mixed-sign vectors agree too
+        rng = random.Random(400 + n)
+        vectors = [_random_positive_weights(rng, n) for _ in range(2)]
+        vectors += [_random_rational_weights(rng, n)[0] for _ in range(2)]
+        assert any(x < 0 for mu in vectors[2:] for x in mu)
+        for mu in vectors:
+            assert mcmullen_an(mu) == mcmullen_bell(mu), mu
+
+    @pytest.mark.parametrize("n", range(9))
+    def test_partition_sums_of_ones_are_stirling_numbers(self, n):
+        def stirling(n, k):
+            # S(n, k) = sum_j (-1)^j C(k, j) (k - j)^n / k!
+            total = sum((-1) ** j * math.comb(k, j) * (k - j) ** n for j in range(k + 1))
+            return total // math.factorial(k)
+
+        got = _partition_sums(n, [1] * (1 << n))
+        assert got == [stirling(n, k) for k in range(n + 1)]
 
     def test_differs_with_a_negative_weight(self):
         # the limit stated in the oracle's docstring
@@ -367,6 +389,22 @@ class TestA5Direct:
     def test_rejects_bad_level(self, d):
         with pytest.raises(ValidationError):
             a5_direct(parse_weights("2/3,1/3,1/3,1/3,1/3"), d)
+
+
+@pytest.mark.parametrize("d, message", [
+    (0, "the level d must be a positive int, got 0"),
+    (-3, "the level d must be a positive int, got -3"),
+    (3.0, "the level d must be a positive int, got 3.0"),
+    (True, "the level d must be a positive int, got True"),
+    (2, "2 is not a common denominator of the weights"),
+    (4, "4 is not a common denominator of the weights"),
+])
+def test_level_checks_shared_by_both_cross_checks(d, message):
+    mu = parse_weights("2/3,1/3,1/3,1/3,1/3")
+    for check in (recursive_rhs_dform, a5_direct):
+        with pytest.raises(ValidationError) as info:
+            check(mu, d)
+        assert str(info.value) == message
 
 
 def test_enumerate_odd_signatures_matches_brute_force():

@@ -1,13 +1,13 @@
 """Shared test helpers: naive oracles and generic-point generators."""
 from __future__ import annotations
 
+import math
 import random
 import types
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 from pathlib import Path
 
-from flatsphere.closed_forms import partitions_into
 from flatsphere.core import WeightVector
 from flatsphere.partitions import PartitionRecord, _record, two_block_splits
 from flatsphere.piecewise import MultiPoly, SignDomain, WallError
@@ -37,6 +37,43 @@ def fraction_weight_error(entries) -> str | None:
     if total != 2:
         return f"weights must sum to 2, got {total}"
     return None
+
+
+def partitions_into(items, k):
+    """All set partitions of `items` into exactly k nonempty blocks, each
+    once, as lists of sets."""
+    items = list(items)
+    if k <= 0:
+        return
+    if k == 1:
+        yield [set(items)]
+        return
+    if len(items) < k:
+        return
+    first, rest = items[0], items[1:]
+    for p in partitions_into(rest, k - 1):
+        yield [{first}] + [set(b) for b in p]
+    for p in partitions_into(rest, k):
+        for i in range(len(p)):
+            q = [set(b) for b in p]
+            q[i].add(first)
+            yield q
+
+
+def mcmullen_bell(mu) -> Fraction:
+    """McMullen's partition sum for a_n over all Bell(n) set partitions, on
+    Fraction block weights: the reference for ``mcmullen_an``."""
+    mu = WeightVector.coerce(mu)
+    n = mu.n
+    total = Fraction(0)
+    for k in range(3, n + 1):
+        for blocks in partitions_into(range(n), k):
+            term = Fraction((-1) ** (k + 1) * math.factorial(k - 3))
+            for block in blocks:
+                weight = sum((mu[i] for i in block), Fraction(0))
+                term *= max(Fraction(0), 1 - weight) ** (len(block) - 1)
+            total += term
+    return (-1) ** (n + 1) * total / (n - 2)
 
 
 def _msum(mu, block):
