@@ -15,7 +15,6 @@ from .core import (
 )
 from .partitions import (
     PartitionRecord,
-    TwoBlockPartition,
     enum_P,
     enum_P0,
     enum_T1a,
@@ -44,7 +43,7 @@ from .closed_forms import (
     sum_dependence_check,
     v_kontsevich,
 )
-from .piecewise import MultiPoly, SignDomain, WallError, an_polynomial, wall_continuity_check
+from .piecewise import MultiPoly, SignDomain, WallError, an_polynomial
 from .flat_charts import (
     Cyclo24,
     HermitianForm,
@@ -52,7 +51,6 @@ from .flat_charts import (
     UnsupportedChart,
     UnsupportedLevel,
     area_form,
-    chart_constraint,
     lattice_index,
     mv_ratio,
     mv_table_entry,

@@ -65,10 +65,15 @@ def _load_cache(path: str | None) -> CountingCache:
             value = parse_rational(text)
             if (minimal_denominator(mu) ** (mu.n - 3) * value).denominator != 1:
                 raise ValueError(f"{key}: j_n of {value} is not an integer")
+            # below n = 5, a_n is the closed form: check the value exactly
+            if mu.n <= 4 and value != (exact := recursion.a_n(mu, {})):
+                raise ValueError(f"{key}: {value} is not a_n = {exact}")
             if cache.setdefault(mu.entries, value) != value:
                 raise ValueError(f"{key}: conflicting values")
     except FileNotFoundError:
         pass
+    except OSError as exc:
+        _fail(f"cannot read cache file {path}: {exc.strerror or exc}")
     except (ValueError, KeyError, TypeError, AttributeError, ValidationError,
             json.JSONDecodeError) as exc:
         click.echo(f"warning: ignoring corrupt cache file {path}: {exc}", err=True)
@@ -268,8 +273,7 @@ def cmd_explain(weights, pretty):
     click.echo(json.dumps(payload, indent=1 if pretty else None))
 
 
-def _suite_kontsevich(max_n: int, seed: int, report) -> bool:
-    ok = True
+def _suite_kontsevich(max_n: int, seed: int, report) -> None:
     cache: dict = {}
     for n in range(4, max_n + 1, 2):
         for kappa in recursion.enumerate_odd_signatures(n):
@@ -278,16 +282,13 @@ def _suite_kontsevich(max_n: int, seed: int, report) -> bool:
             for k in kappa.orders:
                 product = product * closed_forms.v_kontsevich(k)
             agree = aez == product
-            mu = weights_from_signature(Signature(kappa.orders, 2))
-            chain = recursion.vol1(mu, cache) * Fraction(
+            chain = recursion.vol1(weights_from_signature(kappa), cache) * Fraction(
                 2 * (n - 2) * (-1) ** ((n - 2) // 2) * 2 ** (n - 2), 2)
             agree = agree and aez == chain
-            ok &= report(f"kontsevich {kappa.orders}", agree)
-    return ok
+            report(f"kontsevich {kappa.orders}", agree)
 
 
-def _suite_identity(max_n: int, seed: int, report) -> bool:
-    ok = True
+def _suite_identity(max_n: int, seed: int, report) -> None:
     for n in range(4, max_n + 1, 2):
         for kappa in recursion.enumerate_odd_signatures(n):
             lhs, rhs = closed_forms.identity_n_minus_1(kappa)
@@ -299,39 +300,34 @@ def _suite_identity(max_n: int, seed: int, report) -> bool:
                     continue
                 blhs, brhs = closed_forms.f_p22_bridge(kappa, minus_ones=minus)
                 good &= blhs == brhs
-            ok &= report(f"identity {kappa.orders}", good)
-    return ok
+            report(f"identity {kappa.orders}", good)
 
 
-def _suite_sympoly(max_n: int, seed: int, report) -> bool:
-    ok = True
+def _suite_sympoly(max_n: int, seed: int, report) -> None:
     shifts = [Fraction(0), Fraction(1), Fraction(2), Fraction(1, 2)]
     for n in range(2, max_n + 1):
         good = all(
             closed_forms.sum_dependence_check(n, a, b, 20, seed=seed + n)
             for a in shifts for b in shifts
         )
-        ok &= report(f"sympoly n={n}", good)
-    return ok
+        report(f"sympoly n={n}", good)
 
 
-def _suite_oracle5(max_n: int, seed: int, report) -> bool:
+def _suite_oracle5(max_n: int, seed: int, report) -> None:
     if max_n < 5:
-        return True
-    ok = True
+        return
     cache: dict = {}
     for row in tables.expected_rows(5):
         kappa = row.signature()
         mu = weights_from_signature(kappa)
         good = recursion.a5_direct(mu, kappa.level) == recursion.a_n(mu, cache)
-        ok &= report(f"oracle5 d={row.d} ({row.label_text()})", good)
+        report(f"oracle5 d={row.d} ({row.label_text()})", good)
     rng = random.Random(seed)
     good = True
     for _ in range(50):
         mu, d = _random_rational_weights(rng, 5)
         good &= recursion.a5_direct(mu, d) == recursion.a_n(mu, cache)
-    ok &= report("oracle5 random", good)
-    return ok
+    report("oracle5 random", good)
 
 
 def _random_rational_weights(rng: random.Random, n: int):
@@ -345,8 +341,7 @@ def _random_rational_weights(rng: random.Random, n: int):
         return weights_from_signature(Signature(tuple(ks), d)), d
 
 
-def _suite_dform(max_n: int, seed: int, report) -> bool:
-    ok = True
+def _suite_dform(max_n: int, seed: int, report) -> None:
     rng = random.Random(seed)
     cache: dict = {}
     for n in range(5, max_n + 1):
@@ -357,8 +352,7 @@ def _suite_dform(max_n: int, seed: int, report) -> bool:
             lhs = recursion.recursive_rhs_dform(mu, d, cache)
             rhs = Fraction(d, e) ** (n - 3) * recursion.j_n(mu, cache)
             good &= lhs == rhs
-        ok &= report(f"dform n={n}", good)
-    return ok
+        report(f"dform n={n}", good)
 
 
 def _random_positive_weights(rng: random.Random, n: int) -> WeightVector:
@@ -371,11 +365,10 @@ def _random_positive_weights(rng: random.Random, n: int) -> WeightVector:
             return WeightVector(tuple(Fraction(p, q) for p in parts))
 
 
-def _suite_mcmullen(max_n: int, seed: int, report) -> bool:
+def _suite_mcmullen(max_n: int, seed: int, report) -> None:
     """a_n against McMullen's partition sum on seeded all-positive vectors,
     n = 4 up to max_n.  The partition sum is known to differ from a_n when a
     weight is negative, so only positive weights are drawn."""
-    ok = True
     rng = random.Random(seed)
     cache: dict = {}
     for n in range(4, max_n + 1):
@@ -383,8 +376,7 @@ def _suite_mcmullen(max_n: int, seed: int, report) -> bool:
         for _ in range(3):
             mu = _random_positive_weights(rng, n)
             good &= closed_forms.mcmullen_an(mu) == recursion.a_n(mu, cache)
-        ok &= report(f"mcmullen n={n}", good)
-    return ok
+        report(f"mcmullen n={n}", good)
 
 
 # each suite with the largest n it checks (None: as large as --max-n asks);
@@ -411,10 +403,9 @@ def cmd_check(suite_name, max_n, seed):
         _fail(f"unknown suite {suite_name!r} (choose from {known})")
     results = []
 
-    def report(name: str, good: bool) -> bool:
+    def report(name: str, good: bool) -> None:
         click.echo(f"{'ok  ' if good else 'FAIL'} {name}")
         results.append(good)
-        return good
 
     suite, ceiling = _SUITES[suite_name]
     if ceiling is not None and max_n > ceiling:

@@ -191,23 +191,17 @@ class PiValue:
 
 
 @functools.lru_cache(maxsize=4096)
-def _level_weight(order: int, level: int) -> Fraction:
-    """The weight -order/level, one shared object per pair, so that memo
-    keys built from many signatures do not each hold their own copies."""
-    return Fraction(-order, level)
-
-
-@functools.lru_cache(maxsize=4096)
 def _shared_weight(value) -> Fraction:
     """The exact rational ``value``, one shared object per value while it
-    stays cached, so that the sub-vectors a recursion builds do not each
-    hold their own copy of an equal weight in every memo key."""
+    stays cached, so that the weights of signatures and the sub-vectors a
+    recursion builds do not each hold their own copy in every memo key."""
     return _as_fraction(value)
 
 
 def weights_from_signature(kappa: Signature) -> WeightVector:
     """Weights mu_i = -k_i / d of a signature; always a valid weight vector."""
-    return WeightVector(tuple(_level_weight(k, kappa.level) for k in kappa.orders))
+    return WeightVector(tuple([_shared_weight(Fraction(-k, kappa.level))
+                               for k in kappa.orders]))
 
 
 def minimal_denominator(nu) -> int:

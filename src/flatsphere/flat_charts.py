@@ -478,10 +478,9 @@ def mv_ratio(kappa: Signature) -> Fraction:
     h_det = HermitianForm(_area_entries(constraint)).det()
     zeta = CY_OMEGA if constraint[0].omega else CY_I
     denominator = Fraction(index) * zeta.imag() ** (len(constraint) - 1) * h_det
-    value = denominator.inverse()
-    if not value.is_rational():
+    if not denominator.is_rational():
         raise ArithmeticError("volume-form ratio fell outside the rationals")
-    return value.rational_value()
+    return 1 / denominator.rational_value()
 
 
 def mv_table_entry(kappa: Signature, cache=None) -> PiValue:

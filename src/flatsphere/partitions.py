@@ -25,24 +25,6 @@ from .core import (ValidationError, WeightVector, _mask, _shared_weight, _subset
 
 
 @dataclass(frozen=True)
-class TwoBlockPartition:
-    """A two-block partition of {0..n-1} with both blocks of size >= 2."""
-
-    light_block: frozenset[int]
-    heavy_block: frozenset[int]
-
-    def blocks(self) -> tuple[frozenset[int], frozenset[int]]:
-        return (self.light_block, self.heavy_block)
-
-    def oriented(self, mu: WeightVector) -> "TwoBlockPartition":
-        """Reorient so the heavy block carries weight >= 1."""
-        a, b = self.light_block, self.heavy_block
-        if mu.subset_sum(a) > mu.subset_sum(b):
-            a, b = b, a
-        return TwoBlockPartition(a, b)
-
-
-@dataclass(frozen=True)
 class PartitionRecord:
     """One primary partition of a weight vector (``source``) together with
     its recursion parameters.
@@ -118,12 +100,12 @@ def two_block_splits(indices: Sequence[int]) -> Iterator[tuple[tuple[int, ...], 
             yield (anchor, *tail), tuple([i for i in others if i not in tail])
 
 
-def enum_P(n: int) -> list[TwoBlockPartition]:
-    """All two-block partitions with both block sizes >= 2 (none for n < 4);
-    the block containing index 0 is the second one."""
-    out = [TwoBlockPartition(frozenset(second), frozenset(first))
+def enum_P(n: int) -> list[tuple[frozenset[int], frozenset[int]]]:
+    """All two-block partitions with both block sizes >= 2 (none for n < 4),
+    as ``(block without index 0, block with it)``, by the sorted first block."""
+    out = [(frozenset(second), frozenset(first))
            for first, second in two_block_splits(range(n))]
-    out.sort(key=lambda p: tuple(sorted(p.light_block)))
+    out.sort(key=lambda p: tuple(sorted(p[0])))
     return out
 
 

@@ -26,8 +26,6 @@ from .core import (
 from .partitions import (_family_blocks, _paired_blocks, enum_T1a, enum_T1b, enum_T2a,
                          enum_T2b)
 
-MemoCache = MutableMapping
-
 
 def a4_closed(nu) -> Fraction:
     """Closed form of the four-point function:
@@ -56,7 +54,7 @@ def _coefficient(family: str, mu_bars, block_sizes, epsilon: int, n: int):
     return Fraction(epsilon * n1 * n2, (n - 1) * (n - 2)) * mb1 * mb2
 
 
-def a_n(mu, cache: Optional[MemoCache] = None) -> Fraction:
+def a_n(mu, cache: Optional[MutableMapping] = None) -> Fraction:
     """The normalized intersection function on a weight vector.
 
     Vanishes when any entry is an integer; equals 1 for n = 3 and the
@@ -95,7 +93,7 @@ def a_n(mu, cache: Optional[MemoCache] = None) -> Fraction:
     return value
 
 
-def j_n(nu, cache: Optional[MemoCache] = None) -> Fraction:
+def j_n(nu, cache: Optional[MutableMapping] = None) -> Fraction:
     """Integer-valued intersection number: e**(n-3) * a_n with e minimal."""
     nu = WeightVector.coerce(nu)
     return nu._den ** (nu.n - 3) * a_n(nu, cache)
@@ -109,7 +107,7 @@ def _check_level(mu: WeightVector, d) -> None:
         raise ValidationError(f"{d} is not a common denominator of the weights")
 
 
-def recursive_rhs_dform(mu, d: int, cache: Optional[MemoCache] = None) -> Fraction:
+def recursive_rhs_dform(mu, d: int, cache: Optional[MutableMapping] = None) -> Fraction:
     """Literal right-hand side of the level-d recursion, as a cross-check.
 
     Evaluates the d-dependent coefficient table and the d/e power bookkeeping
@@ -164,7 +162,7 @@ def recursive_rhs_dform(mu, d: int, cache: Optional[MemoCache] = None) -> Fracti
     return total
 
 
-def vol1(mu, cache: Optional[MemoCache] = None) -> PiValue:
+def vol1(mu, cache: Optional[MutableMapping] = None) -> PiValue:
     """Normalized volume (-1)**(n-3) * pi**(n-2) / (n-2)! times a_n; signed."""
     mu = WeightVector.coerce(mu)
     n = mu.n
@@ -173,20 +171,18 @@ def vol1(mu, cache: Optional[MemoCache] = None) -> PiValue:
 
 
 @dataclass(frozen=True)
-class QuadSignature:
-    """All-odd orders >= -1 summing to -4 (level-2 strata with simple poles)."""
+class QuadSignature(Signature):
+    """A level-2 signature with all orders odd (so >= -1, summing to -4):
+    the quadratic strata with simple poles."""
 
-    orders: tuple[int, ...]
+    level: int = 2
 
     def __post_init__(self) -> None:
-        if any(type(k) is not int for k in self.orders):
-            raise ValidationError("orders must be integers")
-        orders = tuple(self.orders)
-        object.__setattr__(self, "orders", orders)
-        if any(k < -1 or k % 2 == 0 for k in orders):
-            raise ValidationError("orders must be odd and >= -1")
-        if sum(orders) != -4:
-            raise ValidationError("orders must sum to -4")
+        super().__post_init__()
+        if self.level != 2:
+            raise ValidationError(f"a quadratic signature has level 2, got {self.level}")
+        if any(k % 2 == 0 for k in self.orders):
+            raise ValidationError("orders must be odd")
 
     @classmethod
     def coerce(cls, value) -> "QuadSignature":
@@ -194,16 +190,10 @@ class QuadSignature:
             return value
         return cls(tuple(value))
 
-    @property
-    def n(self) -> int:
-        return len(self.orders)
 
-
-def quad_V(kappa, cache: Optional[MemoCache] = None) -> Fraction:
+def quad_V(kappa, cache: Optional[MutableMapping] = None) -> Fraction:
     """Intersection number of a quadratic stratum, via the generic recursion."""
-    kappa = QuadSignature.coerce(kappa)
-    mu = weights_from_signature(Signature(kappa.orders, 2))
-    return j_n(mu, cache)
+    return j_n(weights_from_signature(QuadSignature.coerce(kappa)), cache)
 
 
 def quad_V_closed(kappa) -> Fraction:
@@ -216,7 +206,7 @@ def quad_V_closed(kappa) -> Fraction:
     return value
 
 
-def quad_V_recursive(kappa, memo: Optional[MemoCache] = None) -> Fraction:
+def quad_V_recursive(kappa, memo: Optional[MutableMapping] = None) -> Fraction:
     """The quadratic two-family recursion, evaluated on integer orders only.
 
     ``memo`` maps sorted order tuples to values down the recursion; ``None``

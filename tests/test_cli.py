@@ -232,6 +232,31 @@ class TestCache:
         assert "j_n of 1/7 is not an integer" in result.output
         assert "A = 1/9" in result.output
 
+    @pytest.mark.parametrize("weights,stored,exact", [
+        ("2/3,2/3,2/3", "5", "1"),
+        ("1/3,1/3,2/3,2/3", "7", "1/3"),
+    ])
+    def test_wrong_value_below_n5_rejected(self, runner, tmp_path, weights,
+                                           stored, exact):
+        # j_n of the stored value is an integer, so only the exact check sees it
+        cache = tmp_path / "memo.json"
+        cache.write_text(json.dumps({"version": 1, "entries": {weights: stored}}))
+        result = runner.invoke(main, ["an", "--weights", weights,
+                                      "--cache", str(cache)])
+        assert result.exit_code == 0
+        assert "warning: ignoring corrupt cache file" in result.output
+        assert f"{stored} is not a_n = {exact}" in result.output
+        assert f"A = {exact}\n" in result.output
+        assert json.loads(cache.read_text())["entries"] == {weights: exact}
+
+    def test_unreadable_path_fails_cleanly(self, runner, tmp_path):
+        result = runner.invoke(main, ["an", "--weights", "1/2,1/2,1/2,1/2",
+                                      "--cache", str(tmp_path)])
+        assert result.exit_code == 1
+        assert not isinstance(result.exception, IsADirectoryError)
+        assert result.output.startswith(f"error: cannot read cache file {tmp_path}: ")
+        assert result.output.count("\n") == 1
+
     def test_failed_write_keeps_old_file(self, runner, tmp_path, monkeypatch):
         cache = tmp_path / "memo.json"
         old = json.dumps({"version": 1, "entries": {"1/2,1/2,1/2,1/2": "1/2"}})

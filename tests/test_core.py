@@ -246,6 +246,12 @@ class TestSharedWeight:
         assert _shared_weight(F(-14, 26)) is first
         assert _shared_weight(1 - F(20, 13)) is first
 
+    def test_signature_weights_share_the_cache(self):
+        # a weight -k/d and a sub-vector weight 2 - mu(I) of equal value
+        weight = weights_from_signature(Signature((-5, -5, -5, -5, 8), 6)).entries[0]
+        assert _shared_weight(F(10, 12)) is weight
+        assert _shared_weight(2 - F(7, 6)) is weight
+
 
 class TestWeightsFromSignature:
     def test_quadratic(self):

@@ -93,19 +93,19 @@ class TestEnumP:
 
     def test_blocks_partition_and_no_swap_duplicates(self):
         seen = set()
-        for p in enum_P(6):
-            assert len(p.light_block) >= 2 and len(p.heavy_block) >= 2
-            assert p.light_block | p.heavy_block == set(range(6))
-            assert not (p.light_block & p.heavy_block)
-            key = frozenset({p.light_block, p.heavy_block})
+        for light, heavy in enum_P(6):
+            assert len(light) >= 2 and len(heavy) >= 2
+            assert light | heavy == set(range(6))
+            assert not (light & heavy)
+            assert 0 in heavy
+            key = frozenset({light, heavy})
             assert key not in seen
             seen.add(key)
 
-    def test_oriented(self):
-        mu = parse_weights("5/6,5/6,5/6,5/6,-4/3")
-        for p in enum_P(5):
-            o = p.oriented(mu)
-            assert mu.subset_sum(o.heavy_block) >= mu.subset_sum(o.light_block)
+    def test_order_by_sorted_first_block(self):
+        firsts = [tuple(sorted(light)) for light, _ in enum_P(5)]
+        assert firsts == sorted(firsts)
+        assert firsts[:3] == [(1, 2), (1, 2, 3), (1, 2, 4)]
 
 
 class TestEnumP0:

@@ -284,6 +284,24 @@ class TestQuadSignature:
         with pytest.raises(ValidationError, match="integers"):
             QuadSignature((True, -1, -1, -1, -1, -1))
 
+    def test_is_a_level_two_signature(self):
+        kappa = QuadSignature((1, -1, -1, -1, -1, -1))
+        assert isinstance(kappa, Signature)
+        assert kappa.level == 2 and kappa.n == 6
+        assert str(kappa) == "1,-1,-1,-1,-1,-1:2"
+
+    def test_rejects_other_levels(self):
+        # a valid level-3 signature with odd orders
+        Signature((-1,) * 6, 3)
+        with pytest.raises(ValidationError, match="level 2"):
+            QuadSignature((-1,) * 6, 3)
+
+    @pytest.mark.parametrize("n", [4, 6, 8])
+    def test_weights_equal_those_of_the_signature(self, n):
+        for kappa in enumerate_odd_signatures(n):
+            assert (weights_from_signature(kappa)
+                    == weights_from_signature(Signature(kappa.orders, 2)))
+
 
 class TestQuadV:
     def test_base(self):
