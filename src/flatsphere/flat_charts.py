@@ -1,11 +1,14 @@
-"""Polygon-chart linear algebra over the 24th cyclotomic field.
+"""Polygon charts: side constraints, lattice indices and volume-form ratios.
 
 A flat sphere with at most one reflex cone angle is cut out of a single
 polygon; the side identifications impose one linear constraint on the side
 vectors, the surface area is a Hermitian form in the free sides, and the
 period lattice projects to a finite-index sublattice of the Gaussian or
-Eisenstein lattice.  Everything is computed exactly in Q(zeta_24), which
-contains i, omega, and sqrt(3) at once.
+Eisenstein lattice.  The constraint and the index are exact Gaussian or
+Eisenstein integers, and ``mv_ratio`` takes the form's determinant from a
+product of sines evaluated on their integer norms.  The form itself is
+built exactly in Q(zeta_24), which contains i, omega, and sqrt(3) at once;
+the tests use it as the determinant's oracle.
 """
 from __future__ import annotations
 
@@ -351,6 +354,16 @@ def _zeta_power(d: int, k: int) -> QuadInt:
     return result
 
 
+def _closing_index(orders: Sequence[int]) -> int:
+    """The point that closes the chart's walk: the unique reflex point, else
+    the last one."""
+    reflex = [i for i, k in enumerate(orders) if k >= 0]
+    if len(reflex) > 1:
+        raise UnsupportedChart(
+            f"{len(reflex)} reflex angles; single-polygon charts need at most one")
+    return reflex[0] if reflex else len(orders) - 1
+
+
 def chart_constraint(kappa: Signature) -> list[QuadInt]:
     """Side-identification coefficients 1 - e^{i alpha_k} of the polygon
     chart, as exact Gaussian or Eisenstein integers: one per point except
@@ -359,11 +372,7 @@ def chart_constraint(kappa: Signature) -> list[QuadInt]:
     zeta = _ring_zeta(d)
     if any(k % d == 0 for k in kappa.orders):
         raise ValidationError("chart needs d not dividing any order")
-    reflex = [i for i, k in enumerate(kappa.orders) if k >= 0]
-    if len(reflex) > 1:
-        raise UnsupportedChart(
-            f"{len(reflex)} reflex angles; single-polygon charts need at most one")
-    closing = reflex[0] if reflex else kappa.n - 1
+    closing = _closing_index(kappa.orders)
     one = QuadInt(1, 0, zeta.omega)
     return [one - _zeta_power(d, k)
             for i, k in enumerate(kappa.orders) if i != closing]
@@ -472,15 +481,33 @@ def lattice_index(constraint: Sequence[QuadInt]) -> int:
 
 def mv_ratio(kappa: Signature) -> Fraction:
     """Exact ratio of the lattice-normalized volume form to the area-form
-    volume form: 1 / (index * Im(zeta)**(n-2) * det H).  May be negative."""
+    volume form: 1 / (index * Im(zeta)**(n-2) * det H).  May be negative.
+
+    det H is taken in closed form (README "The area-form determinant"):
+    with a = pi k / d for each order k, a_c the closing point's and
+    a_1, ..., a_{n-1} the constraint's in order,
+    det H = -sin(a_c) * prod_{j<n-1} sin(a_j) / sin(a_{n-1}).  Each
+    4 sin(a)^2 is the integer norm N(1 - zeta_d^k), and sin(a) > 0 exactly
+    when k mod 2d < d, so the ratio is the signed root of a rational square.
+    """
     constraint = chart_constraint(kappa)
     index = lattice_index(constraint)
-    h_det = HermitianForm(_area_entries(constraint)).det()
-    zeta = CY_OMEGA if constraint[0].omega else CY_I
-    denominator = Fraction(index) * zeta.imag() ** (len(constraint) - 1) * h_det
-    if not denominator.is_rational():
+    d, orders = kappa.level, kappa.orders
+    *sides, last = constraint
+    k_c = orders[_closing_index(orders)]
+    closing = QuadInt(1, 0, last.omega) - _zeta_power(d, k_c)
+    m = len(sides)
+    # ratio^2 = 4^m N(c_last) / (index^2 Im(zeta)^(2m) N(closing) prod N(c_j))
+    num = 4 ** m * last.norm()
+    den = index * index * closing.norm() * math.prod(c.norm() for c in sides)
+    if last.omega:  # Im(omega)^2 = 3/4
+        num, den = num * 4 ** m, den * 3 ** m
+    square = Fraction(num, den)
+    ratio = Fraction(math.isqrt(square.numerator), math.isqrt(square.denominator))
+    if ratio * ratio != square:
         raise ArithmeticError("volume-form ratio fell outside the rationals")
-    return 1 / denominator.rational_value()
+    # det H has the sign of minus the product of all n sines
+    return -ratio if sum(k % (2 * d) > d for k in orders) % 2 == 0 else ratio
 
 
 def mv_table_entry(kappa: Signature, cache=None) -> PiValue:

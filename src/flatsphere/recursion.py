@@ -188,6 +188,8 @@ class QuadSignature(Signature):
     def coerce(cls, value) -> "QuadSignature":
         if isinstance(value, QuadSignature):
             return value
+        if isinstance(value, Signature):
+            return cls(value.orders, value.level)
         return cls(tuple(value))
 
 

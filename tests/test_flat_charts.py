@@ -4,6 +4,7 @@ from itertools import permutations
 
 import pytest
 
+from flatsphere import flat_charts, tables
 from flatsphere.core import PiValue, Signature, ValidationError
 from flatsphere.flat_charts import (
     CY_I,
@@ -11,9 +12,11 @@ from flatsphere.flat_charts import (
     CY_ONE,
     CY_SQRT3,
     Cyclo24,
+    HermitianForm,
     QuadInt,
     UnsupportedChart,
     UnsupportedLevel,
+    _area_entries,
     area_form,
     chart_constraint,
     is_single_polygon,
@@ -22,6 +25,8 @@ from flatsphere.flat_charts import (
     mv_table_entry,
     quadint_gcd,
 )
+
+from util import chart_orders
 
 F = Fraction
 
@@ -602,3 +607,103 @@ class TestOrientationWitness:
                 assert area > 0
                 witnesses += 1
             assert witnesses == 3, f"no clockwise witnesses for {orders}"
+
+
+def _ratio_oracle(kappa: Signature) -> Fraction:
+    """1 / (index * Im(zeta)**(n-2) * det H) with det H by Gaussian
+    elimination over Q(zeta_24): what mv_ratio computed before it took the
+    determinant in closed form."""
+    constraint = chart_constraint(kappa)
+    det = HermitianForm(_area_entries(constraint)).det()
+    zeta = CY_OMEGA if constraint[0].omega else CY_I
+    value = lattice_index(constraint) * zeta.imag() ** (kappa.n - 2) * det
+    return 1 / value.rational_value()
+
+
+def _outcome(ratio, kappa):
+    try:
+        return ratio(kappa)
+    except ValidationError as exc:
+        return type(exc)
+
+
+# every signature the tests above use, with the orderings they permute
+_TESTED_SIGNATURES = sorted({
+    (perm, d)
+    for orders, d in [
+        ((-1, -1, -1, -1), 2), ((-3, -2, -2, -1), 4), ((-2, -2, -1, -1), 3),
+        ((-5, 8, -5, -5, -5), 6), ((-5, -5, -4, 1, 1), 6),
+        ((-4, -4, -1, -1), 5), ((-1, -1, -1, -1, 0), 2), ((-3, -3, -3, 1), 4),
+        ((-2, -2, -2, -1, -1), 4), ((-5, -5, -5, -5, 8), 6),
+        ((-3, -3, -2, -2, -2), 6), ((-4, -4, -4, -3, 3), 6),
+        ((-3, -3, -1, -1), 4), ((-5, -4, -2, -1), 6),
+        ((-4, -3, -2, -2, -1), 6), ((-3, -2, -1, -1, -1), 4),
+        ((-2, -1, -1, -1, -1), 3), ((-5, -5, -5, 3), 6),
+        ((-7, -7, -1, -1), 8),
+    ]
+    for perm in permutations(orders)
+} | {
+    (orders, d)
+    for orders, d in [
+        ((-1, -1, -1, -1, -1, -1), 3), ((-2, -2, -1, -1, -1, -1), 4),
+        ((-5, -1, -2, -1, -2, -1), 6), ((-1, -1, -1, -1, -1, -2, 1), 3),
+        ((-1, -1, -3, -2, -3, -3, 5), 4), ((-1, -2, -4, -3, -2, -2, 2), 6),
+        ((-1, -1, -1, -1, -1, 1, -2), 3), ((-1, -1, 5, -3, -2, -3, -3), 4),
+        ((-1, -1, -1, -1, -1, -1, -1, 3), 2),
+        ((-1, -1, -1, 2, -2, -1, -1, -1), 3),
+        ((-3, 7, -1, -5, -5, -1, -1, -3), 6), ((-1, -1, -1, -1, -1, 1), 2),
+    ]
+})
+
+
+class TestClosedFormDeterminant:
+    """mv_ratio takes det H from the product of sines (README "The area-form
+    determinant"); the Q(zeta_24) elimination is its exact oracle."""
+
+    def test_signatures_of_these_tests(self):
+        rejected = set()
+        for orders, d in _TESTED_SIGNATURES:
+            kappa = Signature(orders, d)
+            got = _outcome(mv_ratio, kappa)
+            assert got == _outcome(_ratio_oracle, kappa), kappa
+            if isinstance(got, type):
+                rejected.add(got)
+        assert rejected == {UnsupportedChart, UnsupportedLevel, ValidationError}
+
+    @pytest.mark.parametrize("n", range(4, 11))
+    def test_seeded_chart_signatures(self, n):
+        for d in (2, 3, 4, 6) if n % 2 == 0 else (3, 4, 6):
+            rng = random.Random(f"chart:{n}:{d}")
+            for _ in range(8):
+                kappa = Signature(chart_orders(rng, n, d), d)
+                assert mv_ratio(kappa) == _ratio_oracle(kappa), kappa
+
+    def test_golden_table_rows(self):
+        multi_reflex = 0
+        for n in (4, 5):
+            for row in tables.expected_rows(n):
+                kappa = row.signature()
+                if is_single_polygon(kappa):
+                    assert mv_ratio(kappa) == _ratio_oracle(kappa), kappa
+                    continue
+                multi_reflex += 1
+                for ratio in (mv_ratio, _ratio_oracle):
+                    with pytest.raises(UnsupportedChart):
+                        ratio(kappa)
+        assert multi_reflex == 2
+
+    def test_value_path_does_no_cyclotomic_arithmetic(self, monkeypatch):
+        kappa = Signature((-4, -4, -4, -3, 3), 6)
+        want = mv_ratio(kappa), mv_table_entry(kappa), tables.table_csv(5, {})
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("Q(zeta_24) arithmetic on the value path")
+
+        for name in ("__init__", "_exact", "__mul__", "__rmul__", "inverse"):
+            monkeypatch.setattr(Cyclo24, name, forbidden)
+        monkeypatch.setattr(HermitianForm, "det", forbidden)
+        monkeypatch.setattr(flat_charts, "_area_entries", forbidden)
+        with pytest.raises(AssertionError):
+            _ratio_oracle(kappa)
+        assert (mv_ratio(kappa), mv_table_entry(kappa),
+                tables.table_csv(5, {})) == want

@@ -17,12 +17,13 @@ from flatsphere.piecewise import (
     an_polynomial,
     wall_continuity_check,
 )
-from flatsphere.partitions import enum_T1a, enum_T2a
+from flatsphere.partitions import enum_T1a, enum_T1b, enum_T2a, enum_T2b
 from flatsphere.recursion import _coefficient, a4_closed, a_n
 
 from util import (
     adjacent_domain_pair,
     integer_entry_point,
+    level_vector,
     mu_bar_form,
     random_generic_sample,
     random_linear_terms,
@@ -657,3 +658,37 @@ class TestWallContinuity:
         point[k] = point[i]
         with pytest.raises(ValidationError, match="second wall"):
             wall_continuity_check(dom_a, dom_b, [point])
+
+
+class TestWallFamilies:
+    """a_n on walls against the piece of a neighbouring chamber.
+
+    Where no weight is an integer the volume is continuous, so the piece of
+    any chamber next to a wall point takes a_n's value there.  A piece is
+    built from the T1a and T2a families only (a generic sample has no
+    integral subset), while a_n at a wall point also sums T1b and T2b terms:
+    this checks those two families at n >= 6 against the other two."""
+
+    @pytest.mark.parametrize("n", [6, 7])
+    def test_level_vectors_with_wall_records(self, n):
+        rng = random.Random(f"walls:{n}")
+        points, t1b, t2b = [], 0, 0
+        while len(points) < 12:
+            w = level_vector(rng, n, rng.choice((3, 4, 5, 6)))
+            has_t1b, has_t2b = bool(enum_T1b(w)), bool(enum_T2b(w))
+            if has_t1b or has_t2b:
+                points.append(w)
+                t1b, t2b = t1b + has_t1b, t2b + has_t2b
+        assert t1b and t2b
+        for w in points:
+            while True:
+                # a seeded zero-sum shift of about 1e-6 into a chamber
+                raw = [rng.randint(-9, 9) for _ in range(n)]
+                raw[-1] -= sum(raw)
+                try:
+                    domain = SignDomain([x + F(r, 10 ** 6)
+                                         for x, r in zip(w.entries, raw)])
+                    break
+                except WallError:
+                    continue
+            assert an_polynomial(domain).evaluate(w.entries) == a_n(w, {}), w

@@ -296,6 +296,17 @@ class TestQuadSignature:
         with pytest.raises(ValidationError, match="level 2"):
             QuadSignature((-1,) * 6, 3)
 
+    @pytest.mark.parametrize("entry", [quad_V, quad_V_closed, quad_V_recursive,
+                                       mv_quadratic_aez])
+    def test_entry_points_take_a_level_two_signature(self, entry):
+        for orders in [(-1, -1, -1, -1), (1, -1, -1, -1, -1, -1),
+                       (1, 1, -1, -1, -1, -1, -1, -1)]:
+            assert entry(Signature(orders, 2)) == entry(QuadSignature(orders))
+        with pytest.raises(ValidationError, match="level 2"):
+            entry(Signature((-1,) * 6, 3))
+        with pytest.raises(ValidationError, match="odd"):
+            entry(Signature((0, -1, -1, -1, -1), 2))
+
     @pytest.mark.parametrize("n", [4, 6, 8])
     def test_weights_equal_those_of_the_signature(self, n):
         for kappa in enumerate_odd_signatures(n):

@@ -283,6 +283,35 @@ def random_generic_sample(rng: random.Random, n: int, q: int = 101) -> WeightVec
             return WeightVector(tuple(Fraction(a, q) for a in nums))
 
 
+def _level_orders(rng: random.Random, n: int, d: int, choices, top: int):
+    """n orders summing to -2d, none a multiple of d: n - 1 drawn from
+    ``choices`` and the last closing the sum, redrawn until it lies in
+    [1 - d, top].  At d = 2 every order is odd, so n must be even."""
+    if d == 2 and n % 2:
+        raise ValueError("level 2 needs an even number of odd orders")
+    while True:
+        ks = [rng.choice(choices) for _ in range(n - 1)]
+        last = -2 * d - sum(ks)
+        if 1 - d <= last <= top and last % d:
+            return [*ks, last]
+
+
+def level_vector(rng: random.Random, n: int, d: int) -> WeightVector:
+    """A level-d weight vector -k_i/d with no integer entry, the orders
+    drawn from [1 - d, d - 1] and the last one closing the sum in [1 - d, 2d]."""
+    orders = _level_orders(rng, n, d, [k for k in range(1 - d, d) if k % d], 2 * d)
+    return WeightVector(tuple(Fraction(-k, d) for k in orders))
+
+
+def chart_orders(rng: random.Random, n: int, d: int) -> tuple[int, ...]:
+    """Shuffled orders of a single-polygon level-d signature: all negative
+    but the one that closes the sum, which may be reflex."""
+    largest = -2 * d - (n - 1) * (1 - d)  # so any closing order the draws give
+    orders = _level_orders(rng, n, d, [k for k in range(1 - d, 0) if k % d], largest)
+    rng.shuffle(orders)
+    return tuple(orders)
+
+
 def mu_bar_form(block, n: int) -> MultiPoly:
     """The excess weight mu(block) - 1 as a linear form in n variables, the
     reference for the coefficient templates of an_polynomial."""
