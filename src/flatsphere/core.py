@@ -67,6 +67,16 @@ class WeightVector:
         object.__setattr__(self, "_nums", tuple(nums))
 
     @classmethod
+    def _exact(cls, entries: tuple, den: int, nums: tuple) -> "WeightVector":
+        """A vector derived from a validated one, given as its entries, their
+        minimal denominator and the numerators over it; not re-checked."""
+        value = cls.__new__(cls)
+        object.__setattr__(value, "entries", entries)
+        object.__setattr__(value, "_den", den)
+        object.__setattr__(value, "_nums", nums)
+        return value
+
+    @classmethod
     def coerce(cls, value) -> "WeightVector":
         if isinstance(value, WeightVector):
             return value

@@ -4,11 +4,13 @@ A flat sphere with at most one reflex cone angle is cut out of a single
 polygon; the side identifications impose one linear constraint on the side
 vectors, the surface area is a Hermitian form in the free sides, and the
 period lattice projects to a finite-index sublattice of the Gaussian or
-Eisenstein lattice.  The constraint and the index are exact Gaussian or
-Eisenstein integers, and ``mv_ratio`` takes the form's determinant from a
-product of sines evaluated on their integer norms.  The form itself is
-built exactly in Q(zeta_24), which contains i, omega, and sqrt(3) at once;
-the tests use it as the determinant's oracle.
+Eisenstein lattice.  ``chart_constraint`` gives the constraint as exact
+Gaussian or Eisenstein integers and ``lattice_index`` the index by their
+Euclidean gcd.  ``mv_ratio`` needs only the constraint's integer norms,
+which it reads off one table per level: the index is a norm quotient, and
+the form's determinant a product of sines.  The form itself is built
+exactly in Q(zeta_24), which contains i, omega, and sqrt(3) at once; the
+tests use it, with ``lattice_index``, as ``mv_ratio``'s oracle.
 """
 from __future__ import annotations
 
@@ -354,9 +356,19 @@ def _zeta_power(d: int, k: int) -> QuadInt:
     return result
 
 
-def _closing_index(orders: Sequence[int]) -> int:
-    """The point that closes the chart's walk: the unique reflex point, else
-    the last one."""
+# N(1 - zeta_d^k) = 4 sin^2(pi k / d) per level, indexed by k mod d
+_NORMS = {2: (0, 4), 3: (0, 3, 3), 4: (0, 2, 4, 2), 6: (0, 1, 3, 4, 3, 1)}
+
+
+def _closing_index(kappa: Signature) -> int:
+    """Every chart rule, in order: the level has a period lattice, d divides
+    no order, and at most one order is reflex.  Returns the point that
+    closes the chart's walk: the unique reflex point, else the last one."""
+    d, orders = kappa.level, kappa.orders
+    if d not in _NORMS:
+        raise UnsupportedLevel(f"no period lattice at level {d}")
+    if any(k % d == 0 for k in orders):
+        raise ValidationError("chart needs d not dividing any order")
     reflex = [i for i, k in enumerate(orders) if k >= 0]
     if len(reflex) > 1:
         raise UnsupportedChart(
@@ -368,12 +380,9 @@ def chart_constraint(kappa: Signature) -> list[QuadInt]:
     """Side-identification coefficients 1 - e^{i alpha_k} of the polygon
     chart, as exact Gaussian or Eisenstein integers: one per point except
     the one that closes the walk (the unique reflex point, else the last)."""
+    closing = _closing_index(kappa)
     d = kappa.level
-    zeta = _ring_zeta(d)
-    if any(k % d == 0 for k in kappa.orders):
-        raise ValidationError("chart needs d not dividing any order")
-    closing = _closing_index(kappa.orders)
-    one = QuadInt(1, 0, zeta.omega)
+    one = QuadInt(1, 0, _ring_zeta(d).omega)
     return [one - _zeta_power(d, k)
             for i, k in enumerate(kappa.orders) if i != closing]
 
@@ -483,24 +492,26 @@ def mv_ratio(kappa: Signature) -> Fraction:
     """Exact ratio of the lattice-normalized volume form to the area-form
     volume form: 1 / (index * Im(zeta)**(n-2) * det H).  May be negative.
 
-    det H is taken in closed form (README "The area-form determinant"):
-    with a = pi k / d for each order k, a_c the closing point's and
-    a_1, ..., a_{n-1} the constraint's in order,
-    det H = -sin(a_c) * prod_{j<n-1} sin(a_j) / sin(a_{n-1}).  Each
-    4 sin(a)^2 is the integer norm N(1 - zeta_d^k), and sin(a) > 0 exactly
-    when k mod 2d < d, so the ratio is the signed root of a rational square.
+    Everything is read off the integer norms N(1 - zeta_d^k) = 4 sin(a)^2,
+    a = pi k / d, of ``_NORMS``.  The index is N(c_last) over the gcd of the
+    constraint's norms (README "The lattice index").  det H is taken in
+    closed form (README "The area-form determinant"): with a_c the closing
+    point's angle and a_1, ..., a_{n-1} the constraint's in order,
+    det H = -sin(a_c) * prod_{j<n-1} sin(a_j) / sin(a_{n-1}).  sin(a) > 0
+    exactly when k mod 2d < d, so the ratio is the signed root of a rational
+    square.
     """
-    constraint = chart_constraint(kappa)
-    index = lattice_index(constraint)
+    closing = _closing_index(kappa)
     d, orders = kappa.level, kappa.orders
-    *sides, last = constraint
-    k_c = orders[_closing_index(orders)]
-    closing = QuadInt(1, 0, last.omega) - _zeta_power(d, k_c)
-    m = len(sides)
+    table = _NORMS[d]
+    norms = [table[k % d] for k in orders]
+    closing_norm = norms.pop(closing)
+    index = norms[-1] // math.gcd(*norms)
+    m = len(norms) - 1
     # ratio^2 = 4^m N(c_last) / (index^2 Im(zeta)^(2m) N(closing) prod N(c_j))
-    num = 4 ** m * last.norm()
-    den = index * index * closing.norm() * math.prod(c.norm() for c in sides)
-    if last.omega:  # Im(omega)^2 = 3/4
+    num = 4 ** m * norms[-1]
+    den = index * index * closing_norm * math.prod(norms[:-1])
+    if d in (3, 6):  # Im(omega)^2 = 3/4
         num, den = num * 4 ** m, den * 3 ** m
     square = Fraction(num, den)
     ratio = Fraction(math.isqrt(square.numerator), math.isqrt(square.denominator))
@@ -521,7 +532,7 @@ def mv_table_entry(kappa: Signature, cache=None) -> PiValue:
 def is_single_polygon(kappa: Signature) -> bool:
     """Does the chart construction apply (at most one reflex angle)?"""
     try:
-        chart_constraint(kappa)
+        _closing_index(kappa)
     except ValidationError:
         return False
     return True

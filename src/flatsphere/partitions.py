@@ -15,6 +15,7 @@ T2b its pairings from the weight-1 subsets by ``_paired_blocks``.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -49,11 +50,24 @@ class PartitionRecord:
     @property
     def sub_weights(self) -> tuple[WeightVector, ...]:
         """Per heavy block I, the induced vector (2 - mu(I), sorted mu_i for
-        i in I); built on access, so callers that never read it pay nothing."""
+        i in I); built on access, so callers that never read it pay nothing.
+
+        Built on integers from the source's numerators s_i over its
+        denominator D: (2D - s(I), s_i for i in I) by numerator, over D.
+        It is valid by construction (each entry below 1 as s(I) > D, sum
+        2D), so only one gcd brings D down to its minimal denominator."""
         mu = self.source
-        return tuple([WeightVector((_shared_weight(1 - mu_bar),
-                                    *sorted([mu[i] for i in heavy])))
-                      for heavy, mu_bar in zip(self.heavy_blocks, self.mu_bars)])
+        den, nums, entries = mu._den, mu._nums, mu.entries
+        out = []
+        for heavy in self.heavy_blocks:
+            block = sorted(heavy, key=nums.__getitem__)
+            sub = [nums[i] for i in block]
+            sub.insert(0, 2 * den - sum(sub))
+            g = math.gcd(den, *sub)
+            out.append(WeightVector._exact(
+                (_shared_weight(Fraction(sub[0], den)), *[entries[i] for i in block]),
+                den // g, tuple([s // g for s in sub])))
+        return tuple(out)
 
     @property
     def min_denoms(self) -> tuple[int, ...]:

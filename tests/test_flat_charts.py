@@ -1,6 +1,7 @@
+import math
 import random
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations_with_replacement, permutations
 
 import pytest
 
@@ -16,7 +17,9 @@ from flatsphere.flat_charts import (
     QuadInt,
     UnsupportedChart,
     UnsupportedLevel,
+    _NORMS,
     _area_entries,
+    _zeta_power,
     area_form,
     chart_constraint,
     is_single_polygon,
@@ -421,6 +424,38 @@ class TestLatticeIndex:
             assert lattice_index(cs) == oracle(cs)
 
 
+class TestNormTable:
+    """mv_ratio reads N(1 - zeta_d^k) off ``_NORMS`` and takes the index as
+    N(c_last) over the gcd of the constraint's norms (README "The lattice
+    index"); the ring's Euclid is the oracle."""
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 6])
+    def test_table_is_the_norm_of_one_minus_zeta_power(self, d):
+        one = QuadInt(1, 0, d in (3, 6))
+        assert len(_NORMS[d]) == d
+        for k in range(d):
+            assert _NORMS[d][k] == (one - _zeta_power(d, k)).norm(), k
+
+    def test_gcd_norm_is_the_gcd_of_norms(self):
+        # each 1 - zeta_d^k is a unit times a power of one prime, so the two
+        # agree on every multiset of nonzero residues up to size 5
+        checked = 0
+        for d in (2, 3, 4, 6):
+            one = QuadInt(1, 0, d in (3, 6))
+            for size in range(1, 6):
+                for residues in combinations_with_replacement(range(1, d), size):
+                    entries = [one - _zeta_power(d, k) for k in residues]
+                    assert (quadint_gcd(*entries).norm()
+                            == math.gcd(*[_NORMS[d][k] for k in residues])), residues
+                    checked += 1
+        assert checked == 331
+
+    def test_general_index_keeps_euclid(self):
+        # 2 + i and 2 - i are coprime primes of norm 5: the gcd of the norms
+        # would give index 1, the ring's gcd gives 5
+        assert lattice_index([QuadInt(2, 1, False), QuadInt(2, -1, False)]) == 5
+
+
 class TestMvRatio:
     @pytest.mark.parametrize(
         "orders,d,expected",
@@ -624,7 +659,7 @@ def _outcome(ratio, kappa):
     try:
         return ratio(kappa)
     except ValidationError as exc:
-        return type(exc)
+        return type(exc), str(exc)
 
 
 # every signature the tests above use, with the orderings they permute
@@ -658,7 +693,9 @@ _TESTED_SIGNATURES = sorted({
 
 class TestClosedFormDeterminant:
     """mv_ratio takes det H from the product of sines (README "The area-form
-    determinant"); the Q(zeta_24) elimination is its exact oracle."""
+    determinant") and the index from the norm table; the Q(zeta_24)
+    elimination and ``lattice_index`` are its exact oracle, and they must
+    agree on every rejection too, in type and message."""
 
     def test_signatures_of_these_tests(self):
         rejected = set()
@@ -666,11 +703,23 @@ class TestClosedFormDeterminant:
             kappa = Signature(orders, d)
             got = _outcome(mv_ratio, kappa)
             assert got == _outcome(_ratio_oracle, kappa), kappa
-            if isinstance(got, type):
-                rejected.add(got)
+            if isinstance(got, tuple):
+                rejected.add(got[0])
         assert rejected == {UnsupportedChart, UnsupportedLevel, ValidationError}
 
-    @pytest.mark.parametrize("n", range(4, 11))
+    @pytest.mark.parametrize("orders,d,error", [
+        ((-4, -4, -4, 0, 2), 5, UnsupportedLevel),  # breaks all three rules
+        ((-5, -5, -5, 0, 1, 2), 6, ValidationError),  # d | 0, 3 reflex
+        ((-5, -5, -5, 1, 1, 1), 6, UnsupportedChart),
+    ])
+    def test_rules_checked_in_order(self, orders, d, error):
+        kappa = Signature(orders, d)
+        got = _outcome(mv_ratio, kappa)
+        assert got == _outcome(_ratio_oracle, kappa)
+        assert got[0] is error
+        assert not is_single_polygon(kappa)
+
+    @pytest.mark.parametrize("n", range(4, 13))
     def test_seeded_chart_signatures(self, n):
         for d in (2, 3, 4, 6) if n % 2 == 0 else (3, 4, 6):
             rng = random.Random(f"chart:{n}:{d}")
@@ -702,7 +751,13 @@ class TestClosedFormDeterminant:
         for name in ("__init__", "_exact", "__mul__", "__rmul__", "inverse"):
             monkeypatch.setattr(Cyclo24, name, forbidden)
         monkeypatch.setattr(HermitianForm, "det", forbidden)
-        monkeypatch.setattr(flat_charts, "_area_entries", forbidden)
+        # nor Gaussian or Eisenstein integer arithmetic: the norms come
+        # from the table
+        monkeypatch.setattr(QuadInt, "__post_init__", forbidden)
+        monkeypatch.setattr(QuadInt, "__divmod__", forbidden)
+        for name in ("_area_entries", "quadint_gcd", "lattice_index",
+                     "chart_constraint"):
+            monkeypatch.setattr(flat_charts, name, forbidden)
         with pytest.raises(AssertionError):
             _ratio_oracle(kappa)
         assert (mv_ratio(kappa), mv_table_entry(kappa),

@@ -392,20 +392,60 @@ def test_sub_vectors_built_on_access(monkeypatch):
     # enumeration builds no sub-vector, so a caller that never reads them
     # (an_polynomial) pays nothing; records of one vector still compare equal
     built = []
-    original = WeightVector.__post_init__
+    original = WeightVector._exact
 
-    def counting(self):
-        built.append(self)
-        original(self)
+    def counting(cls, *args):
+        value = original(*args)
+        built.append(value)
+        return value
 
     mu = parse_weights("1/3,2/3,-1/3,5/6,-1/6,-1/6,5/6")
-    monkeypatch.setattr(WeightVector, "__post_init__", counting)
+    monkeypatch.setattr(WeightVector, "_exact", classmethod(counting))
     records = [rec for enum, _ in ORACLES.values() for rec in enum(mu)]
     assert records and not built
     subs = [sub for rec in records for sub in rec.sub_weights]
     assert len(built) == len(subs) == sum(len(rec.heavy_blocks) for rec in records)
     again = [rec for enum, _ in ORACLES.values() for rec in enum(list(mu))]
     assert again == records
+
+
+def _sub_vectors_and_validated(mu):
+    """Each sub-vector of every record of mu, with the validated vector
+    (2 - mu(I), sorted mu_i for i in I) of its heavy block I."""
+    mu = WeightVector.coerce(mu)
+    return [(sub, WeightVector((2 - mu.subset_sum(heavy),
+                                *sorted([mu[i] for i in heavy]))))
+            for enum in (enum_T1a, enum_T1b, enum_T2a, enum_T2b)
+            for rec in enum(mu)
+            for sub, heavy in zip(rec.sub_weights, rec.heavy_blocks, strict=True)]
+
+
+def _carried(w):
+    return w.entries, w._den, w._nums
+
+
+def test_sub_vectors_built_on_integers_match_validated_ones():
+    # sub_weights builds each sub-vector on the source's numerators without
+    # validating it; it must carry what validating its definition gives
+    level_vector = load_perfbench("workloads").level_vector
+    vectors = [level_vector(random.Random(f"sub:{n}:{d}:{i}"), n, d)
+               for n in range(5, 10) for d in (3, 4, 5, 6) for i in range(3)]
+    assert len(vectors) >= 50
+    for mu in vectors:
+        for sub, checked in _sub_vectors_and_validated(mu):
+            assert _carried(sub) == _carried(checked), (mu, sub)
+
+
+@pytest.mark.parametrize("text", ["1/6,1/3,1/2,1/2,1/2",
+                                  "1/6,1/3,1/2,1/2,1/2,1/2,-1/2"])
+def test_sub_vector_denominator_below_the_source(text):
+    # halves inside a level-6 vector: the T1a pair (1/6, 1/3) leaves a
+    # heavy block of halves, whose sub-vector has denominator 2, not 6
+    mu = parse_weights(text)
+    pairs = _sub_vectors_and_validated(mu)
+    assert any(sub._den == 2 for sub, _ in pairs)
+    for sub, checked in pairs:
+        assert _carried(sub) == _carried(checked), sub
 
 
 def _generic_samples(rng, sizes, per_size):

@@ -8,7 +8,8 @@ import importlib
 from fractions import Fraction
 
 import flatsphere.recursion
-from flatsphere import closed_forms, piecewise
+from flatsphere import closed_forms, flat_charts, piecewise, tables
+from flatsphere.core import Signature
 
 from util import load_perfbench
 
@@ -58,6 +59,26 @@ def test_symbolic_layers_record_calls():
     for metric in ("piecewise.an_polynomial", "piecewise.sign_domain",
                    "piecewise.multipoly_mul", "closed_forms.f_nab"):
         assert tracer.counts[metric] > 0, metric
+
+
+def test_chart_layers_record_calls():
+    # `--trace 1` on tables-charts fails when an expected layer records no
+    # call; one golden row and one chart entry must reach every layer but
+    # cli, however little of the chart path the tracer still wraps
+    tracing = load_perfbench("tracing")
+    expected = load_perfbench("workloads").TablesCharts.expected_layers
+    layers = {"core", "recursion", "flat_charts", "tables"}
+    assert layers == set(expected) - {"cli"}
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        tables.compute_row(tables.expected_rows(5)[0], {})
+        flat_charts.mv_table_entry(Signature((-5, -5, -4, -3, -2, -2, 9), 6), {})
+    finally:
+        tracer.uninstall()
+    recorded = {metric.split(".")[0] for metric, count in tracer.counts.items()
+                if count}
+    assert layers <= recorded, layers - recorded
 
 
 def test_a_n_records_every_boundary_family():
