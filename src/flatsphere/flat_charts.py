@@ -335,29 +335,20 @@ def quadint_gcd(*values: QuadInt) -> QuadInt:
     return g
 
 
-def _ring_zeta(d: int) -> QuadInt:
-    """The level root of unity zeta_d inside its ring of integers."""
-    if d == 2:
-        return QuadInt(-1, 0, False)
-    if d == 4:
-        return QuadInt(0, 1, False)
-    if d == 3:
-        return QuadInt(0, 1, True)
-    if d == 6:
-        return QuadInt(1, 1, True)  # e^{i pi/3} = 1 + omega
-    raise UnsupportedLevel(f"no period lattice at level {d}")
+# The levels with a period lattice, with zeta_d in Z[i] or Z[w] (omega)
+_ZETA = {2: QuadInt(-1, 0, False), 3: QuadInt(0, 1, True),
+         4: QuadInt(0, 1, False), 6: QuadInt(1, 1, True)}  # e^{i pi/3} = 1 + w
+
+# N(1 - zeta_d^k) = 4 sin^2(pi k / d) per level, indexed by k mod d
+_NORMS = {2: (0, 4), 3: (0, 3, 3), 4: (0, 2, 4, 2), 6: (0, 1, 3, 4, 3, 1)}
 
 
 def _zeta_power(d: int, k: int) -> QuadInt:
-    base = _ring_zeta(d)
+    base = _ZETA[d]
     result = QuadInt(1, 0, base.omega)
     for _ in range(k % d):
         result = result * base
     return result
-
-
-# N(1 - zeta_d^k) = 4 sin^2(pi k / d) per level, indexed by k mod d
-_NORMS = {2: (0, 4), 3: (0, 3, 3), 4: (0, 2, 4, 2), 6: (0, 1, 3, 4, 3, 1)}
 
 
 def _closing_index(kappa: Signature) -> int:
@@ -365,7 +356,7 @@ def _closing_index(kappa: Signature) -> int:
     no order, and at most one order is reflex.  Returns the point that
     closes the chart's walk: the unique reflex point, else the last one."""
     d, orders = kappa.level, kappa.orders
-    if d not in _NORMS:
+    if d not in _ZETA:
         raise UnsupportedLevel(f"no period lattice at level {d}")
     if any(k % d == 0 for k in orders):
         raise ValidationError("chart needs d not dividing any order")
@@ -382,7 +373,7 @@ def chart_constraint(kappa: Signature) -> list[QuadInt]:
     the one that closes the walk (the unique reflex point, else the last)."""
     closing = _closing_index(kappa)
     d = kappa.level
-    one = QuadInt(1, 0, _ring_zeta(d).omega)
+    one = QuadInt(1, 0, _ZETA[d].omega)
     return [one - _zeta_power(d, k)
             for i, k in enumerate(kappa.orders) if i != closing]
 
@@ -511,7 +502,7 @@ def mv_ratio(kappa: Signature) -> Fraction:
     # ratio^2 = 4^m N(c_last) / (index^2 Im(zeta)^(2m) N(closing) prod N(c_j))
     num = 4 ** m * norms[-1]
     den = index * index * closing_norm * math.prod(norms[:-1])
-    if d in (3, 6):  # Im(omega)^2 = 3/4
+    if _ZETA[d].omega:  # Im(omega)^2 = 3/4
         num, den = num * 4 ** m, den * 3 ** m
     square = Fraction(num, den)
     ratio = Fraction(math.isqrt(square.numerator), math.isqrt(square.denominator))

@@ -19,7 +19,7 @@ from typing import Iterable, Mapping, Sequence
 from .core import (ValidationError, WeightVector, _as_fraction, _mask,
                    _scale_to_integers, _subset_sums)
 from .partitions import _family_blocks
-from .recursion import _coefficient
+from .recursion import _coefficient, _four_point
 
 
 def _nvars(nvars) -> int:
@@ -345,20 +345,6 @@ def _sum(polys: Iterable[MultiPoly], nvars: int) -> MultiPoly:
     return MultiPoly._exact(nvars, {share(e, e): c for e, c in acc.items()}, den)
 
 
-def _a4_piece(sums: list[int], den: int) -> MultiPoly:
-    """1/2 - (|d_1| + |d_2| + |d_3|)/4 with d_j = x_0 + x_j minus the other
-    two variables, each |d_j| opened with its sign at the sample (that of
-    mu_0 + mu_j - 1, as the weights sum to 2)."""
-    num = {(0, 0, 0, 0): 2}
-    for j in (1, 2, 3):
-        coeffs = [1 if k in (0, j) else -1 for k in range(4)]
-        sigma = 1 if sums[1 | 1 << j] > den else -1
-        for k, c in enumerate(coeffs):
-            exps = (0,) * k + (1,) + (0,) * (3 - k)
-            num[exps] = num.get(exps, 0) - sigma * c
-    return MultiPoly._exact(4, num, 4)
-
-
 def _sub_piece(n: int, sums: list[int], den: int, heavy: Sequence[int],
                memo: dict) -> MultiPoly:
     """The piece of a heavy block's sub-sample (2 - mu(heavy), mu_i for i in
@@ -461,7 +447,15 @@ def _piece(n: int, sums: list[int], den: int, memo: dict) -> MultiPoly:
     if n == 3:
         return MultiPoly.constant(1, 3)
     if n == 4:
-        return _a4_piece(sums, den)
+        # the closed form on x_0, ..., x_3, each d_j opened with the sign of
+        # mu_0 + mu_j - 1 (that of d_j, as the weights sum to 2): the piece
+        # depends on these signs alone
+        signs = tuple(1 if sums[1 | 1 << j] > den else -1 for j in (1, 2, 3))
+        key = ("four-point", signs)
+        if key not in memo:
+            memo[key] = _four_point([MultiPoly.variable(i, 4) for i in range(4)],
+                                    signs=signs)
+        return memo[key]
     terms = []
     for family in ("T1a", "T2a"):
         for blocks, _ in _family_blocks(family, n, sums, den):
@@ -488,7 +482,7 @@ def an_polynomial(domain: SignDomain) -> MultiPoly:
     is built once per call, and each coefficient template once per family,
     n and block sizes, in one memo that dies with the call: sub-pieces sit
     under their sorted integer sub-samples, templates under keys that start
-    with the family name.
+    with the family name, and four-point pieces under their sign pattern.
     """
     return _piece(domain.n, domain._sums, domain._den, {})
 

@@ -33,9 +33,21 @@ def a4_closed(nu) -> Fraction:
     nu = WeightVector.coerce(nu)
     if nu.n != 4:
         raise ValidationError("a4_closed needs exactly 4 weights")
-    m1, m2, m3, m4 = nu.entries
-    total = abs(m1 + m2 - m3 - m4) + abs(m1 + m3 - m2 - m4) + abs(m1 + m4 - m2 - m3)
-    return Fraction(1, 2) - total / 4
+    return _four_point(nu._nums, nu._den)
+
+
+def _four_point(weights, den: int = 1, signs=None):
+    """The four-point closed form (2D - sum_j |d_j|) / 4D, for weights
+    summing to 2D with pairing differences d_j = w_0 + w_j - w_k - w_l,
+    {j, k, l} = {1, 2, 3}; each |d_j| is opened as signs[j - 1] * d_j.
+    Ring-generic, like ``_coefficient``: ``a_n`` passes a vector's integer
+    numerators over D and takes the signs of the d_j, and a piece passes the
+    variables x_i (MultiPoly, D = 1) with the signs at its sample."""
+    w0, w1, w2, w3 = weights
+    diffs = (w0 + w1 - w2 - w3, w0 + w2 - w1 - w3, w0 + w3 - w1 - w2)
+    if signs is None:
+        signs = [1 if d > 0 else -1 for d in diffs]
+    return Fraction(1, 4 * den) * (2 * den - sum(s * d for s, d in zip(signs, diffs)))
 
 
 def _coefficient(family: str, mu_bars, block_sizes, epsilon: int, n: int):
@@ -78,7 +90,7 @@ def a_n(mu, cache: Optional[MutableMapping] = None) -> Fraction:
     if n == 3:
         value = Fraction(1)
     elif n == 4:
-        value = a4_closed(mu)
+        value = _four_point(nums, den)
     else:
         value = Fraction(0)
         # looked up by name on each call, so wrappers bound to these names see it

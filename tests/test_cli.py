@@ -29,6 +29,57 @@ d,kappa,col3,ratio,mv_volume
 6,"5,5,5,-3",-1/2,8/3,1/9*pi^2
 """
 
+TABLE_N5_CSV = """\
+d,kappa,col3,ratio,mv_volume
+3,"2,1,1,1,1",1/9,64/27,32/2187*pi^3
+3,"2,2,2,1,-1",-2/9,-64/27,64/2187*pi^3
+3,"2,2,2,2,-2",-2/9,-64/27,64/2187*pi^3
+4,"2,2,2,1,1",1/8,1,1/192*pi^3
+4,"3,2,1,1,1",1/16,2,1/192*pi^3
+4,"3,2,2,2,-1",-3/16,-1,1/128*pi^3
+4,"3,3,2,1,-1",-1/8,-2,1/96*pi^3
+4,"3,3,2,2,-2",-1/4,-1,1/96*pi^3
+4,"3,3,3,1,-2",-1/4,-2,1/48*pi^3
+4,"3,3,3,2,-3",-3/16,-2,1/64*pi^3
+6,"3,3,2,2,2",1/6,16/27,2/729*pi^3
+6,"3,3,3,2,1",1/9,8/9,2/729*pi^3
+6,"4,3,2,2,1",1/12,32/27,2/729*pi^3
+6,"4,3,3,1,1",1/18,16/9,2/729*pi^3
+6,"4,3,3,3,-1",-5/36,-8/9,5/1458*pi^3
+6,"4,4,2,1,1",1/18,64/27,8/2187*pi^3
+6,"4,4,3,2,-1",-1/9,-32/27,8/2187*pi^3
+6,"4,4,3,3,-2",-2/9,-16/27,8/2187*pi^3
+6,"4,4,4,1,-1",-1/18,-64/27,8/2187*pi^3
+6,"4,4,4,3,-3",-1/4,-16/27,1/243*pi^3
+6,"5,2,2,2,1",1/36,64/27,4/2187*pi^3
+6,"5,3,2,1,1",1/36,32/9,2/729*pi^3
+6,"5,3,3,2,-1",-1/12,-16/9,1/243*pi^3
+6,"5,3,3,3,-2",-2/9,-8/9,4/729*pi^3
+6,"5,4,1,1,1",1/36,64/9,4/729*pi^3
+6,"5,4,2,2,-1",-1/12,-64/27,4/729*pi^3
+6,"5,4,3,1,-1",-1/18,-32/9,4/729*pi^3
+6,"5,4,3,2,-2",-1/6,-32/27,4/729*pi^3
+6,"5,4,3,3,-3",-1/4,-8/9,1/162*pi^3
+6,"5,4,4,1,-2",-1/9,-64/27,16/2187*pi^3
+6,"5,4,4,2,-3",-1/4,-32/27,2/243*pi^3
+6,"5,4,4,3,-4",-2/9,-32/27,16/2187*pi^3
+6,"5,4,4,4,-5",-5/36,-64/27,20/2187*pi^3
+6,"5,5,2,1,-1",-1/18,-64/9,8/729*pi^3
+6,"5,5,2,2,-2",-1/9,-64/27,16/2187*pi^3
+6,"5,5,3,1,-2",-1/9,-32/9,8/729*pi^3
+6,"5,5,3,2,-3",-1/6,-16/9,2/243*pi^3
+6,"5,5,3,3,-4",-2/9,-16/9,8/729*pi^3
+6,"5,5,4,-1,-1",1/18,unsupported,unsupported
+6,"5,5,4,1,-3",-1/6,-32/9,4/243*pi^3
+6,"5,5,4,2,-4",-2/9,-64/27,32/2187*pi^3
+6,"5,5,4,3,-5",-5/36,-32/9,10/729*pi^3
+6,"5,5,5,-1,-2",1/9,unsupported,unsupported
+6,"5,5,5,1,-4",-2/9,-64/9,32/729*pi^3
+6,"5,5,5,2,-5",-5/36,-64/9,20/729*pi^3
+6,"5,5,5,4,-7",7/36,64/9,28/729*pi^3
+6,"5,5,5,5,-8",4/9,64/9,64/729*pi^3
+"""
+
 
 @pytest.fixture()
 def runner():
@@ -120,6 +171,11 @@ class TestTable:
         result = runner.invoke(main, ["table", "--n", "4", "--csv"])
         assert result.exit_code == 0
         assert result.output == TABLE_N4_CSV
+
+    def test_csv_n5_output_pinned(self, runner):
+        result = runner.invoke(main, ["table", "--n", "5", "--csv"])
+        assert result.exit_code == 0
+        assert result.output == TABLE_N5_CSV
 
     def test_appendix_b_flag_removed(self, runner):
         result = runner.invoke(main, ["table", "--appendix-b", "--n", "4"])

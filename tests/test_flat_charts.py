@@ -436,6 +436,24 @@ class TestNormTable:
         for k in range(d):
             assert _NORMS[d][k] == (one - _zeta_power(d, k)).norm(), k
 
+    def test_one_table_decides_the_levels(self):
+        # mv_ratio, chart_constraint and is_single_polygon accept the same
+        # levels, the keys of both tables, and refuse every other level with
+        # one message; level 1 has no signature (its orders would be >= 0)
+        with pytest.raises(ValidationError):
+            Signature((0, -1, -1), 1)
+        supported = set()
+        for d in range(2, 13):
+            kappa = Signature((-1,) * (2 * d), d)  # no order a multiple of d
+            refused = (UnsupportedLevel, f"no period lattice at level {d}")
+            verdicts = {_outcome(mv_ratio, kappa) == refused,
+                        _outcome(chart_constraint, kappa) == refused,
+                        not is_single_polygon(kappa)}
+            assert len(verdicts) == 1, d
+            if verdicts == {False}:
+                supported.add(d)
+        assert supported == set(flat_charts._ZETA) == set(_NORMS) == {2, 3, 4, 6}
+
     def test_gcd_norm_is_the_gcd_of_norms(self):
         # each 1 - zeta_d^k is a unit times a power of one prime, so the two
         # agree on every multiset of nonzero residues up to size 5

@@ -47,6 +47,21 @@ DATA = Path(__file__).parent / "data"
 PIECES_PINNED = json.loads((DATA / "pieces_pinned.json").read_text())
 SIGN_DOMAINS_PINNED = json.loads((DATA / "sign_domains_pinned.json").read_text())
 
+# The n = 4 pieces printed before the four-point leaf moved into
+# ``recursion``: per sign pattern (sigma_1, sigma_2, sigma_3) of
+# mu_0 + mu_j - 1, a seeded sample and its piece 1/2 + sum(c_i x_i), with
+# the c_i in quarters.  All eight patterns occur.
+FOUR_POINT_PIECES = {
+    (-1, -1, -1): ("-1/13,9/13,7/13,11/13", (3, -1, -1, -1)),
+    (-1, -1, 1): ("16/59,28/59,30/59,44/59", (1, 1, 1, -3)),
+    (-1, 1, -1): ("5/11,4/11,10/11,3/11", (1, 1, -3, 1)),
+    (-1, 1, 1): ("56/59,-22/59,36/59,48/59", (-1, 3, -1, -1)),
+    (1, -1, -1): ("42/59,58/59,14/59,4/59", (1, -3, 1, 1)),
+    (1, -1, 1): ("4/11,10/11,-2/11,10/11", (-1, -1, 3, -1)),
+    (1, 1, -1): ("8/13,10/13,11/13,-3/13", (-1, -1, -1, 3)),
+    (1, 1, 1): ("10/11,6/11,4/11,2/11", (-3, 1, 1, 1)),
+}
+
 
 def _subset_sums(xs):
     return [sum(x for i, x in enumerate(xs) if mask >> i & 1)
@@ -383,6 +398,15 @@ class TestAnPolynomial:
             piece = an_polynomial(SignDomain(sample))
             assert piece.total_degree() <= 1
             assert piece.evaluate(sample.entries) == a4_closed(sample)
+
+    @pytest.mark.parametrize("signs", sorted(FOUR_POINT_PIECES))
+    def test_four_point_pieces_pinned(self, signs):
+        text, quarters = FOUR_POINT_PIECES[signs]
+        sample = parse_weights(text)
+        mu = sample.entries
+        assert tuple(1 if mu[0] + mu[j] > 1 else -1 for j in (1, 2, 3)) == signs
+        want = MultiPoly.linear(F(1, 2), [F(c, 4) for c in quarters], 4)
+        assert an_polynomial(SignDomain(sample)) == want
 
     def test_degree_bound_and_sample_value(self):
         for sample in (GENERIC5, GENERIC6):

@@ -31,7 +31,7 @@ from flatsphere.recursion import (
     recursive_rhs_dform,
     vol1,
 )
-from util import load_perfbench, mcmullen_bell, ref_odd_signatures
+from util import a4_reference, load_perfbench, mcmullen_bell, ref_odd_signatures
 
 F = Fraction
 
@@ -63,6 +63,29 @@ class TestA4Closed:
     def test_rejects_other_lengths(self):
         with pytest.raises(ValidationError):
             a4_closed(parse_weights("2/3,2/3,2/3"))
+
+    def test_integer_form_matches_fraction_reference(self):
+        # seeded vectors over q <= 60, a quarter with a negative entry and
+        # half with a zero pairing difference (a wall)
+        rng = random.Random(4)
+        checked = negative = walls = 0
+        while checked < 300:
+            q = rng.randint(2, 60)
+            a = rng.randint(-q, q - 1)
+            b = q - a if rng.random() < 0.4 else rng.randint(-q, q - 1)
+            c = rng.randint(-2 * q, q - 1)
+            nums = [a, b, c, 2 * q - a - b - c]
+            if max(nums) >= q:
+                continue
+            rng.shuffle(nums)
+            mu = WeightVector(tuple(F(x, q) for x in nums))
+            assert a4_closed(mu) == a4_reference(mu), mu
+            if all(x % q for x in nums):
+                assert a_n(mu, {}) == a4_reference(mu), mu
+            checked += 1
+            negative += min(nums) < 0
+            walls += any(nums[0] + nums[j] == q for j in (1, 2, 3))
+        assert negative >= 50 and walls >= 100
 
 
 class TestAn:

@@ -39,6 +39,15 @@ def fraction_weight_error(entries) -> str | None:
     return None
 
 
+def a4_reference(mu) -> Fraction:
+    """The four-point closed form 1/2 - (|d12| + |d13| + |d14|)/4 on the
+    Fraction weights, with dij the pairing differences: the literal
+    statement ``recursion.a4_closed`` evaluates on integers."""
+    m1, m2, m3, m4 = WeightVector.coerce(mu).entries
+    total = abs(m1 + m2 - m3 - m4) + abs(m1 + m3 - m2 - m4) + abs(m1 + m4 - m2 - m3)
+    return Fraction(1, 2) - total / 4
+
+
 def partitions_into(items, k):
     """All set partitions of `items` into exactly k nonempty blocks, each
     once, as lists of sets."""
