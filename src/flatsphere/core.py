@@ -228,7 +228,10 @@ def _scale_to_integers(values) -> tuple[int, list[int]]:
 
 def _mask(indices) -> int:
     """The bitmask of an index set, as ``_subset_sums`` indexes it."""
-    return sum(1 << i for i in indices)
+    mask = 0
+    for i in indices:
+        mask |= 1 << i
+    return mask
 
 
 def _subset_sums(xs) -> list:

@@ -9,7 +9,8 @@ multiplicity flag epsilon for the four-block family.
 ``_family_blocks`` owns every membership rule.  It reads a family off the
 subset sums of the weights scaled to integers over their common
 denominator, so each test is an integer comparison; the enumerators, the
-symbolic pieces (``piecewise``) and the quadratic recursion all call it.
+five-point leaf of ``a_n``, the symbolic pieces (``piecewise``) and the
+quadratic recursion all call it.
 T2a takes its splits into two heavy blocks from ``two_block_splits``, and
 T2b its pairings from the weight-1 subsets by ``_paired_blocks``.
 """

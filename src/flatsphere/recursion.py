@@ -20,6 +20,7 @@ from .core import (
     Signature,
     ValidationError,
     WeightVector,
+    _mask,
     _subset_sums,
     weights_from_signature,
 )
@@ -43,11 +44,17 @@ def _four_point(weights, den: int = 1, signs=None):
     Ring-generic, like ``_coefficient``: ``a_n`` passes a vector's integer
     numerators over D and takes the signs of the d_j, and a piece passes the
     variables x_i (MultiPoly, D = 1) with the signs at its sample."""
+    return Fraction(1, 4 * den) * _four_point_num(weights, den, signs)
+
+
+def _four_point_num(weights, den: int, signs=None):
+    """The numerator 2D - sum_j |d_j| of ``_four_point``, which the
+    five-point leaf reads on integers."""
     w0, w1, w2, w3 = weights
     diffs = (w0 + w1 - w2 - w3, w0 + w2 - w1 - w3, w0 + w3 - w1 - w2)
     if signs is None:
         signs = [1 if d > 0 else -1 for d in diffs]
-    return Fraction(1, 4 * den) * (2 * den - sum(s * d for s, d in zip(signs, diffs)))
+    return 2 * den - sum(s * d for s, d in zip(signs, diffs))
 
 
 def _coefficient(family: str, mu_bars, block_sizes, epsilon: int, n: int):
@@ -66,13 +73,42 @@ def _coefficient(family: str, mu_bars, block_sizes, epsilon: int, n: int):
     return Fraction(epsilon * n1 * n2, (n - 1) * (n - 2)) * mb1 * mb2
 
 
+def _five_point(nums, den: int) -> Fraction:
+    """A five-point node on the integer numerators s_i of its weights over
+    D, none a multiple of D: ``_coefficient`` at n = 5 over 12 D**k (k heavy
+    blocks), each child's value read off the numerators.
+
+    With M = s(I) - D for a heavy block I, a_5 = N / 48 D**2, where N sums
+    (2D - 4M) * A4 over T1a (A4 the ``_four_point_num`` of the child
+    (s(pair), s_i for i in I), whose a_4 is A4 / 4D), -8 D M over T1b and
+    16 M1 M2 - 8 D (M1 + M2) over T2a; the T1b and T2a children have three
+    entries, so a_3 = 1, and T2b needs n >= 6.  No child vanishes: each
+    entry is an s_i, or 2D - s(I) for a heavy block, which the families
+    keep off the multiples of D.  So no child needs a vector or a memo.
+    """
+    sums = _subset_sums(nums)
+    total = 0
+    for (pair, heavy), _ in _family_blocks("T1a", 5, sums, den):
+        light = sums[_mask(pair)]  # 2D - s(heavy), so M = D - light
+        a4 = _four_point_num((light, *[nums[i] for i in heavy]), den)
+        total += (2 * den - 4 * (den - light)) * a4
+    for (_, _, heavy), _ in _family_blocks("T1b", 5, sums, den):
+        total -= 8 * den * (sums[_mask(heavy)] - den)
+    for (_, block1, block2), _ in _family_blocks("T2a", 5, sums, den):
+        m1, m2 = sums[_mask(block1)] - den, sums[_mask(block2)] - den
+        total += 16 * m1 * m2 - 8 * den * (m1 + m2)
+    return Fraction(total, 48 * den * den)
+
+
 def a_n(mu, cache: Optional[MutableMapping] = None) -> Fraction:
     """The normalized intersection function on a weight vector.
 
     Vanishes when any entry is an integer; equals 1 for n = 3 and the
-    closed form for n = 4; for n >= 5 it is the four-family recursion with
-    denominator-free coefficients.  ``cache`` maps sorted weight tuples to
-    values down the recursion; ``None`` gives this call a fresh one.
+    closed form for n = 4 and the leaf ``_five_point`` for n = 5; for
+    n >= 6 it is the four-family recursion with denominator-free
+    coefficients.  ``cache`` maps sorted weight tuples to values down the
+    recursion, to the n = 5 nodes and not below; ``None`` gives this call
+    a fresh one.
     """
     mu = WeightVector.coerce(mu)
     den, nums = mu._den, mu._nums
@@ -91,6 +127,8 @@ def a_n(mu, cache: Optional[MutableMapping] = None) -> Fraction:
         value = Fraction(1)
     elif n == 4:
         value = _four_point(nums, den)
+    elif n == 5:
+        value = _five_point(nums, den)
     else:
         value = Fraction(0)
         # looked up by name on each call, so wrappers bound to these names see it

@@ -305,6 +305,26 @@ class TestCache:
         assert f"A = {exact}\n" in result.output
         assert json.loads(cache.read_text())["entries"] == {weights: exact}
 
+    def test_wrong_value_at_n5_rejected(self, runner, tmp_path):
+        # J = 9 * 2/9 = 2 is an integer; the five-point leaf checks it exactly
+        cache = tmp_path / "memo.json"
+        cache.write_text(json.dumps(
+            {"version": 1, "entries": {"1/3,1/3,1/3,1/3,2/3": "2/9"}}))
+        result = self._an_with_cache(runner, cache)
+        assert result.exit_code == 0
+        assert "warning: ignoring corrupt cache file" in result.output
+        assert "2/9 is not a_n = 1/9" in result.output
+        assert "A = 1/9\n" in result.output and "J = 1\n" in result.output
+        assert json.loads(cache.read_text())["entries"] == {
+            "1/3,1/3,1/3,1/3,2/3": "1/9"}
+
+    def test_five_point_node_stores_no_children(self, runner, tmp_path):
+        cache = tmp_path / "memo.json"
+        result = self._an_with_cache(runner, cache)
+        assert result.exit_code == 0 and "A = 1/9\n" in result.output
+        assert json.loads(cache.read_text())["entries"] == {
+            "1/3,1/3,1/3,1/3,2/3": "1/9"}
+
     def test_unreadable_path_fails_cleanly(self, runner, tmp_path):
         result = runner.invoke(main, ["an", "--weights", "1/2,1/2,1/2,1/2",
                                       "--cache", str(tmp_path)])
@@ -413,6 +433,7 @@ class TestCheck:
         ("sympoly", ["--max-n", "4"]),
         ("dform", ["--max-n", "5", "--seed", "2"]),
         ("mcmullen", ["--max-n", "6"]),
+        ("walls", ["--max-n", "6", "--seed", "3"]),
     ])
     def test_suites_pass(self, runner, suite, args):
         result = runner.invoke(main, ["check", "--suite", suite, *args])
@@ -444,6 +465,14 @@ class TestCheck:
         assert result.exit_code == 1
         assert "suite 'mcmullen' ran no checks at --max-n 3" in result.output
         assert "all checks passed" not in result.output
+
+    def test_walls_report_each_n_from_five(self, runner):
+        result = runner.invoke(main, ["check", "--suite", "walls", "--max-n", "6"])
+        assert result.exit_code == 0, result.output
+        assert result.output == "ok   walls n=5\nok   walls n=6\nall checks passed\n"
+        result = runner.invoke(main, ["check", "--suite", "walls", "--max-n", "4"])
+        assert result.exit_code == 1
+        assert "suite 'walls' ran no checks at --max-n 4" in result.output
 
     def test_oracle5(self, runner):
         result = runner.invoke(main, ["check", "--suite", "oracle5"])

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from flatsphere import recursion
+from flatsphere import recursion, tables
 from flatsphere.cli import _random_positive_weights, _random_rational_weights
 from flatsphere.closed_forms import _partition_sums, mcmullen_an
 from flatsphere.core import (
@@ -17,8 +17,10 @@ from flatsphere.core import (
     parse_weights,
     weights_from_signature,
 )
+from flatsphere.partitions import enum_T1b
 from flatsphere.recursion import (
     QuadSignature,
+    _coefficient,
     a4_closed,
     a5_direct,
     a_n,
@@ -31,7 +33,8 @@ from flatsphere.recursion import (
     recursive_rhs_dform,
     vol1,
 )
-from util import a4_reference, load_perfbench, mcmullen_bell, ref_odd_signatures
+from util import (a4_reference, a5_reference, level_vector, load_perfbench, mcmullen_bell,
+                  ref_odd_signatures)
 
 F = Fraction
 
@@ -179,6 +182,96 @@ class TestAn:
         base = a_n(mu)
         for perm in itertools.permutations(range(5)):
             assert a_n([mu[i] for i in perm]) == base
+
+
+def _mixed_weights(rng):
+    """Five seeded weights over unrelated denominators 2..9 (the last one
+    closing the sum), so the minimal denominator is rarely a level's; an
+    entry may be an integer."""
+    while True:
+        dens = [rng.randint(2, 9) for _ in range(4)]
+        head = [F(rng.randint(-12, q - 1), q) for q in dens]
+        last = 2 - sum(head)
+        if last < 1:
+            return WeightVector((*head, last))
+
+
+class TestFivePointLeaf:
+    """a_n at n = 5 is the integer leaf ``_five_point``; the Fraction
+    recursion it replaced is ``a5_reference``."""
+
+    def test_golden_rows(self):
+        for row in tables.expected_rows(5):
+            mu = weights_from_signature(row.signature())
+            assert a_n(mu, {}) == a5_reference(mu) == F(row.col3), row
+
+    def test_seeded_vectors(self):
+        rng = random.Random(5)
+        vectors = [level_vector(rng, 5, d) for d in range(3, 13) for _ in range(150)]
+        vectors += [_mixed_weights(rng) for _ in range(600)]
+        walls = negative = mixed = vanishing = 0
+        for mu in vectors:
+            value = a_n(mu, {})
+            assert value == a5_reference(mu), mu
+            if enum_T1b(mu):
+                # the wall vectors against the recursion-free oracle too
+                assert value == a5_direct(mu, mu._den), mu
+                walls += 1
+            negative += min(mu) < 0
+            mixed += len({x.denominator for x in mu}) > 2
+            vanishing += value == 0
+        assert len(vectors) >= 2000
+        assert walls >= 600 and negative >= 1500 and mixed >= 600 and vanishing >= 100
+
+    def test_node_builds_no_vector_and_stores_only_itself(self, monkeypatch):
+        mu = parse_weights("5/6,5/6,1/2,1/6,-1/3")
+        want = a5_reference(mu)
+        built = []
+        original = WeightVector._exact.__func__
+
+        def counting(cls, *args):
+            built.append(args)
+            return original(cls, *args)
+
+        monkeypatch.setattr(WeightVector, "_exact", classmethod(counting))
+        memo = {}
+        assert a_n(mu, memo) == want
+        assert not built
+        assert memo == {tuple(sorted(mu)): want}
+
+    @pytest.mark.parametrize("n", [5, 6, 7, 8, 9, 10])
+    def test_integer_forms_derive_from_coefficient(self, n):
+        # with M = s(I) - D per heavy block, each family's term is an integer
+        # numerator over (n - 1)(n - 2) D**k, k heavy blocks
+        rng = random.Random(80 + n)
+        lead = (n - 1) * (n - 2)
+        for _ in range(40):
+            den = rng.randint(1, 60)
+            m1, m2 = rng.randint(-3 * den, 3 * den), rng.randint(-3 * den, 3 * den)
+            mb1, mb2 = F(m1, den), F(m2, den)
+            assert _coefficient("T1a", [mb1], (n - 2,), 1, n) == F(
+                (n - 3) * den - (n - 1) * m1, lead * den)
+            assert _coefficient("T1b", [mb1], (n - 3,), 1, n) == F(
+                (3 - n) * m1, lead * den)
+            n1 = rng.randint(2, n - 3)
+            n2 = n - 1 - n1
+            assert _coefficient("T2a", [mb1, mb2], (n1, n2), 1, n) == F(
+                (n - 1) * m1 * m2 - den * (n1 * n2 * (m1 + m2) - n1 * m1 - n2 * m2),
+                lead * den ** 2)
+            if n >= 6:
+                n1, epsilon = rng.randint(2, n - 4), rng.choice((1, 2))
+                n2 = n - 2 - n1
+                assert _coefficient("T2b", [mb1, mb2], (n1, n2), epsilon, n) == F(
+                    epsilon * n1 * n2 * m1 * m2, lead * den ** 2)
+            if n == 5:
+                # the leaf's numerators over 48 D**2; a T1a child's a_4 is
+                # A4 / 4D
+                assert _coefficient("T1a", [mb1], (3,), 1, 5) == F(
+                    4 * den * (2 * den - 4 * m1), 48 * den ** 2)
+                assert _coefficient("T1b", [mb1], (2,), 1, 5) == F(
+                    -8 * den * m1, 48 * den ** 2)
+                assert _coefficient("T2a", [mb1, mb2], (2, 2), 1, 5) == F(
+                    16 * m1 * m2 - 8 * den * (m1 + m2), 48 * den ** 2)
 
 
 class TestJn:

@@ -9,8 +9,10 @@ from itertools import combinations, combinations_with_replacement
 from pathlib import Path
 
 from flatsphere.core import WeightVector
-from flatsphere.partitions import PartitionRecord, _record, two_block_splits
+from flatsphere.partitions import (PartitionRecord, _record, enum_T1a, enum_T1b,
+                                   enum_T2a, enum_T2b, two_block_splits)
 from flatsphere.piecewise import MultiPoly, SignDomain, WallError
+from flatsphere.recursion import _coefficient, a_n
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -46,6 +48,26 @@ def a4_reference(mu) -> Fraction:
     m1, m2, m3, m4 = WeightVector.coerce(mu).entries
     total = abs(m1 + m2 - m3 - m4) + abs(m1 + m3 - m2 - m4) + abs(m1 + m4 - m2 - m3)
     return Fraction(1, 2) - total / 4
+
+
+def a5_reference(mu) -> Fraction:
+    """A five-point node as the Fraction recursion evaluated it before the
+    integer leaf: each family's records, ``_coefficient`` on their Fraction
+    excess weights, times ``a_n`` of every sub-vector (n = 3 or 4)."""
+    mu = WeightVector.coerce(mu)
+    if mu.n != 5:
+        raise ValueError("a5_reference needs exactly 5 weights")
+    if any(x.denominator == 1 for x in mu):
+        return Fraction(0)
+    value = Fraction(0)
+    for enum in (enum_T1a, enum_T1b, enum_T2a, enum_T2b):
+        for rec in enum(mu):
+            term = _coefficient(rec.family, rec.mu_bars, rec.block_sizes,
+                                rec.epsilon, 5)
+            for sub in rec.sub_weights:
+                term *= a_n(sub, {})
+            value += term
+    return value
 
 
 def partitions_into(items, k):
