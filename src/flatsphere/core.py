@@ -113,9 +113,9 @@ class Signature:
     level: int
 
     def __post_init__(self) -> None:
-        if any(type(k) is not int for k in self.orders):
-            raise ValidationError("orders must be integers")
         orders = tuple(self.orders)
+        if any(type(k) is not int for k in orders):
+            raise ValidationError("orders must be integers")
         object.__setattr__(self, "orders", orders)
         if type(self.level) is not int:
             raise ValidationError(f"level d must be an int, got {self.level!r}")
@@ -209,9 +209,13 @@ def _shared_weight(value) -> Fraction:
 
 
 def weights_from_signature(kappa: Signature) -> WeightVector:
-    """Weights mu_i = -k_i / d of a signature; always a valid weight vector."""
-    return WeightVector(tuple([_shared_weight(Fraction(-k, kappa.level))
-                               for k in kappa.orders]))
+    """Weights mu_i = -k_i / d of a signature, valid by its checks, so built
+    unvalidated on D = d / g, g = gcd(d, k_1, ..., k_n), and numerators -k_i / g."""
+    d, orders = kappa.level, kappa.orders
+    g = math.gcd(d, *orders)
+    weight = {k: _shared_weight(Fraction(-k, d)) for k in set(orders)}
+    return WeightVector._exact(tuple([weight[k] for k in orders]),
+                               d // g, tuple([-k // g for k in orders]))
 
 
 def minimal_denominator(nu) -> int:
@@ -232,6 +236,11 @@ def _mask(indices) -> int:
     for i in indices:
         mask |= 1 << i
     return mask
+
+
+def _bits(mask: int) -> tuple[int, ...]:
+    """The sorted index tuple of a bitmask, the inverse of ``_mask``."""
+    return tuple([i for i in range(mask.bit_length()) if mask >> i & 1])
 
 
 def _subset_sums(xs) -> list:

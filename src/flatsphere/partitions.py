@@ -8,21 +8,21 @@ multiplicity flag epsilon for the four-block family.
 
 ``_family_blocks`` owns every membership rule.  It reads a family off the
 subset sums of the weights scaled to integers over their common
-denominator, so each test is an integer comparison; the enumerators, the
-five-point leaf of ``a_n``, the symbolic pieces (``piecewise``) and the
-quadratic recursion all call it.
-T2a takes its splits into two heavy blocks from ``two_block_splits``, and
-T2b its pairings from the weight-1 subsets by ``_paired_blocks``.
+denominator, so each test is an integer comparison, and yields the blocks
+as the bitmasks that index those sums; the enumerators, the five-point leaf
+of ``a_n``, the symbolic pieces (``piecewise``) and the quadratic recursion
+all call it, and only the records turn masks into index tuples.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from typing import Iterator, Sequence
 
-from .core import (ValidationError, WeightVector, _mask, _shared_weight, _subset_sums,
+from .core import (ValidationError, WeightVector, _bits, _shared_weight, _subset_sums,
                    minimal_denominator)
 
 
@@ -134,8 +134,7 @@ def enum_P0(kappa) -> list[frozenset[int]]:
         raise ValidationError("enum_P0 expects orders summing to -4")
     n = len(orders)
     sums = _subset_sums(orders)
-    out = [frozenset([i for i in range(n) if mask >> i & 1])
-           for mask in range(1, (1 << n) - 1) if sums[mask] == -2]
+    out = [frozenset(_bits(mask)) for mask in range(1, (1 << n) - 1) if sums[mask] == -2]
     out.sort(key=lambda b: (len(b), sorted(b)))
     return out
 
@@ -145,11 +144,17 @@ def _heavy(total: int, den: int) -> bool:
     return total > den and total % den != 0
 
 
+@functools.cache
+def _pairs(n: int) -> tuple[int, ...]:
+    """The bitmasks of the pairs of n indices."""
+    return tuple([1 << i | 1 << j for j in range(n) for i in range(j)])
+
+
 def _paired_blocks(n: int, sums: Sequence[int], target: int) -> Iterator[tuple]:
-    """Each pairing of two singletons a, c with two blocks, as
-    ``(a, block_a, c, block_c)`` with sorted index tuples, such that
-    s(a) + s(block_a) = target = s(c) + s(block_c), where s is read off the
-    integer subset sums ``sums`` (by bitmask) of n values.
+    """Each pairing of two singletons a, c with two blocks, as the bitmasks
+    ``(a, block_a, c, block_c)``, such that s(a) + s(block_a) = target =
+    s(c) + s(block_c), where s is read off the integer subset sums ``sums``
+    (by bitmask) of n values.
 
     The values are below ``target`` and sum to 2 * target, and a singleton
     is a value below 0 that ``target`` does not divide.  The two sides
@@ -157,75 +162,76 @@ def _paired_blocks(n: int, sums: Sequence[int], target: int) -> Iterator[tuple]:
     ``target`` and its complement; each pairing comes once, so when
     s(a) == s(c) the same blocks also come with a and c swapped.
     """
-    singles = [i for i in range(n) if sums[1 << i] < 0 and sums[1 << i] % target]
+    singles = [1 << i for i in range(n) if sums[1 << i] < 0 and sums[1 << i] % target]
     if len(singles) < 2:
         return
     for side in [m for m in range(1, 1 << n, 2) if sums[m] == target]:
-        inside = [i for i in range(n) if side >> i & 1]
-        outside = [i for i in range(n) if not side >> i & 1]
-        for a in [i for i in singles if side >> i & 1]:
-            block_a = tuple([i for i in inside if i != a])
-            for c in [i for i in singles if not side >> i & 1]:
-                yield a, block_a, c, tuple([i for i in outside if i != c])
+        for a in [s for s in singles if side & s]:
+            for c in [s for s in singles if not side & s]:
+                yield a, side ^ a, c, ((1 << n) - 1) ^ side ^ c
 
 
 def _family_blocks(family: str, n: int, sums: Sequence[int],
-                   den: int) -> list[tuple[tuple[tuple[int, ...], ...], int]]:
-    """Each partition of ``family`` as ``(blocks, epsilon)``, blocks as sorted
-    index tuples laid out as in ``PartitionRecord``, sorted by blocks.
+                   den: int) -> Iterator[tuple[tuple[int, ...], int]]:
+    """Each partition of ``family`` as ``(blocks, epsilon)``, blocks as the
+    bitmasks ``sums`` indexes, laid out as in ``PartitionRecord``.
 
     ``sums`` are the subset sums (by bitmask) of n weights scaled to
     integers over their common denominator den, so mu(I) = s(I) / den and
     every test compares integers: T1a a pair with s < den and den not
     dividing s; T1b a pair with s = den, a singleton with s < 0 and the rest
-    ``_heavy``; T2a a singleton with s < 0 and a ``two_block_splits`` split
-    of the rest into two ``_heavy`` blocks; T2b a ``_paired_blocks`` pairing.
+    ``_heavy``; T2a a singleton with s < 0 and a split of the rest into two
+    ``_heavy`` blocks (two indices or more each, as every weight is below 1),
+    the first holding the lowest index of the rest; T2b a ``_paired_blocks``
+    pairing.
     """
-    everyone = range(n)
-    out = []
+    full = (1 << n) - 1
+    singles = [1 << i for i in range(n) if sums[1 << i] < 0]
     if family == "T1a":
-        for pair in combinations(everyone, 2):
-            light = sums[_mask(pair)]
+        for pair in _pairs(n):
+            light = sums[pair]
             if light < den and light % den:
-                out.append(((pair, tuple([i for i in everyone if i not in pair])), 1))
+                yield (pair, full ^ pair), 1
     elif family == "T1b":
-        for pair in [p for p in combinations(everyone, 2) if sums[_mask(p)] == den]:
-            rest = [i for i in everyone if i not in pair]
-            for single in [i for i in rest if sums[1 << i] < 0]:
-                heavy = tuple([i for i in rest if i != single])
-                if _heavy(sums[_mask(heavy)], den):
-                    out.append(((pair, (single,), heavy), 1))
+        # a pair of weight 1 holds two positive weights, so no singleton
+        for pair in [p for p in _pairs(n) if sums[p] == den]:
+            for single in singles:
+                heavy = full ^ pair ^ single
+                if _heavy(sums[heavy], den):
+                    yield (pair, single, heavy), 1
     elif family == "T2a":
-        for single in [i for i in everyone if sums[1 << i] < 0]:
-            for blocks in two_block_splits([i for i in everyone if i != single]):
-                if all(_heavy(sums[_mask(block)], den) for block in blocks):
-                    out.append((((single,), *blocks), 1))
+        for single in singles:
+            rest = full ^ single
+            lowest = rest & -rest
+            sub = others = rest ^ lowest
+            while sub:  # the submasks of others but 0, with lowest added
+                first = lowest | sub
+                sub = (sub - 1) & others
+                if _heavy(sums[first], den) and _heavy(sums[rest ^ first], den):
+                    yield (single, first, rest ^ first), 1
     else:
         for a, block_a, c, block_c in _paired_blocks(n, sums, den):
-            if block_c[0] < block_a[0]:
+            if block_c & -block_c < block_a & -block_a:
                 a, block_a, c, block_c = c, block_c, a, block_a
-            epsilon = 2 if sums[1 << a] == sums[1 << c] else 1
+            epsilon = 2 if sums[a] == sums[c] else 1
             if epsilon == 2 and c < a:
                 continue  # the same blocks, paired the other way
-            out.append((((a,), (c,), block_a, block_c), epsilon))
-    out.sort()
-    return out
+            yield (a, c, block_a, block_c), epsilon
 
 
 def _records(family: str, mu) -> list[PartitionRecord]:
     """The family's records of a weight vector, from ``_family_blocks`` on
-    the subset sums of the numerators it carries over its denominator den;
-    a heavy block's weight is s(I) / den."""
+    the subset sums of the numerators it carries over its denominator den, by
+    their blocks as index tuples; a heavy block's weight is s(I) / den."""
     mu = WeightVector.coerce(mu)
     den = mu._den
     sums = _subset_sums(mu._nums)
-    out = []
-    for blocks, epsilon in _family_blocks(family, mu.n, sums, den):
-        heavies = blocks[2:] if family in ("T1b", "T2b") else blocks[1:]
-        weights = [Fraction(sums[_mask(heavy)], den) for heavy in heavies]
-        out.append(_record(mu, family, blocks, heavies, weights, epsilon))
-    return out
-
+    heavy_at = 2 if family in ("T1b", "T2b") else 1
+    found = sorted((tuple(map(_bits, masks)), masks, epsilon)
+                   for masks, epsilon in _family_blocks(family, mu.n, sums, den))
+    return [_record(mu, family, blocks, blocks[heavy_at:],
+                    [Fraction(sums[m], den) for m in masks[heavy_at:]], epsilon)
+            for blocks, masks, epsilon in found]
 
 def enum_T1a(mu) -> list[PartitionRecord]:
     """Two-block partitions {I0, I1}: |I0| = 2, mu(I0) < 1 and non-integral."""

@@ -16,7 +16,7 @@ from itertools import combinations, product
 from operator import add, itemgetter
 from typing import Iterable, Mapping, Sequence
 
-from .core import (ValidationError, WeightVector, _as_fraction, _mask,
+from .core import (ValidationError, WeightVector, _as_fraction, _bits, _mask,
                    _scale_to_integers, _subset_sums)
 from .partitions import _family_blocks
 from .recursion import _coefficient, _four_point
@@ -459,7 +459,7 @@ def _piece(n: int, sums: list[int], den: int, memo: dict) -> MultiPoly:
     terms = []
     for family in ("T1a", "T2a"):
         for blocks, _ in _family_blocks(family, n, sums, den):
-            heavies = blocks[1:]
+            heavies = [_bits(mask) for mask in blocks[1:]]
             block_sizes = tuple(map(len, heavies))
             shape = (family, n, block_sizes)
             template = memo.get(shape)

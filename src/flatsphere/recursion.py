@@ -20,7 +20,7 @@ from .core import (
     Signature,
     ValidationError,
     WeightVector,
-    _mask,
+    _bits,
     _subset_sums,
     weights_from_signature,
 )
@@ -42,7 +42,7 @@ def _four_point(weights, den: int = 1, signs=None):
     summing to 2D with pairing differences d_j = w_0 + w_j - w_k - w_l,
     {j, k, l} = {1, 2, 3}; each |d_j| is opened as signs[j - 1] * d_j.
     Ring-generic, like ``_coefficient``: ``a_n`` passes a vector's integer
-    numerators over D and takes the signs of the d_j, and a piece passes the
+    numerators over D and no signs (abs on integers), and a piece passes the
     variables x_i (MultiPoly, D = 1) with the signs at its sample."""
     return Fraction(1, 4 * den) * _four_point_num(weights, den, signs)
 
@@ -53,7 +53,7 @@ def _four_point_num(weights, den: int, signs=None):
     w0, w1, w2, w3 = weights
     diffs = (w0 + w1 - w2 - w3, w0 + w2 - w1 - w3, w0 + w3 - w1 - w2)
     if signs is None:
-        signs = [1 if d > 0 else -1 for d in diffs]
+        return 2 * den - sum(map(abs, diffs))
     return 2 * den - sum(s * d for s, d in zip(signs, diffs))
 
 
@@ -89,13 +89,13 @@ def _five_point(nums, den: int) -> Fraction:
     sums = _subset_sums(nums)
     total = 0
     for (pair, heavy), _ in _family_blocks("T1a", 5, sums, den):
-        light = sums[_mask(pair)]  # 2D - s(heavy), so M = D - light
-        a4 = _four_point_num((light, *[nums[i] for i in heavy]), den)
+        light = sums[pair]  # 2D - s(heavy), so M = D - light
+        a4 = _four_point_num((light, *[nums[i] for i in _bits(heavy)]), den)
         total += (2 * den - 4 * (den - light)) * a4
     for (_, _, heavy), _ in _family_blocks("T1b", 5, sums, den):
-        total -= 8 * den * (sums[_mask(heavy)] - den)
+        total -= 8 * den * (sums[heavy] - den)
     for (_, block1, block2), _ in _family_blocks("T2a", 5, sums, den):
-        m1, m2 = sums[_mask(block1)] - den, sums[_mask(block2)] - den
+        m1, m2 = sums[block1] - den, sums[block2] - den
         total += 16 * m1 * m2 - 8 * den * (m1 + m2)
     return Fraction(total, 48 * den * den)
 
@@ -215,9 +215,12 @@ def recursive_rhs_dform(mu, d: int, cache: Optional[MutableMapping] = None) -> F
 def vol1(mu, cache: Optional[MutableMapping] = None) -> PiValue:
     """Normalized volume (-1)**(n-3) * pi**(n-2) / (n-2)! times a_n; signed."""
     mu = WeightVector.coerce(mu)
-    n = mu.n
-    coeff = Fraction((-1) ** (n - 3), math.factorial(n - 2)) * a_n(mu, cache)
-    return PiValue(coeff, n - 2)
+    return _volume(mu.n, a_n(mu, cache))
+
+
+def _volume(n: int, value: Fraction) -> PiValue:
+    """``vol1`` of an n-point vector whose a_n is ``value``."""
+    return PiValue(Fraction((-1) ** (n - 3), math.factorial(n - 2)) * value, n - 2)
 
 
 @dataclass(frozen=True)
@@ -279,9 +282,9 @@ def quad_V_recursive(kappa, memo: Optional[MutableMapping] = None) -> Fraction:
     value = Fraction(0)
     # T1b: a pair of simple poles (every -k_i <= 1, so no other pair sums to
     # 2) plus a positive singleton; the rest sums to 2 + k1, odd and > 2
-    for (_, (single,), heavy), _ in _family_blocks("T1b", n, sums, 2):
-        k1 = orders[single]
-        sub = QuadSignature((k1 - 2, *(orders[i] for i in heavy)))
+    for (_, single, heavy), _ in _family_blocks("T1b", n, sums, 2):
+        k1 = orders[single.bit_length() - 1]
+        sub = QuadSignature((k1 - 2, *(orders[i] for i in _bits(heavy))))
         value -= (
             Fraction(2 * (n - 3), (n - 1) * (n - 2))
             * k1
@@ -289,7 +292,8 @@ def quad_V_recursive(kappa, memo: Optional[MutableMapping] = None) -> Fraction:
         )
     # two positive singletons paired with blocks summing to -2 with them;
     # each pairing counts once, so equal singletons give the epsilon = 2
-    for a, block_a, c, block_c in _paired_blocks(n, sums, 2):
+    for masks in _paired_blocks(n, sums, 2):
+        (a,), block_a, (c,), block_c = map(_bits, masks)
         n1, n2 = len(block_a), len(block_c)
         sub1 = QuadSignature((orders[a] - 2, *(orders[i] for i in block_a)))
         sub2 = QuadSignature((orders[c] - 2, *(orders[i] for i in block_c)))

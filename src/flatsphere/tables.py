@@ -13,7 +13,7 @@ from typing import Optional
 
 from .core import PiValue, Signature, ValidationError, weights_from_signature
 from .flat_charts import mv_ratio
-from .recursion import a_n, vol1
+from .recursion import _volume, a_n
 
 
 @dataclass(frozen=True, slots=True)
@@ -88,7 +88,7 @@ def expected_rows(n: int) -> list[TableRow]:
 
 def compute_row(row: TableRow, cache=None) -> ComputedRow:
     """Recompute a row from scratch: the intersection column through the
-    recursion, the ratio and lattice volume through the polygon chart."""
+    recursion, the ratio through the polygon chart, the volume from both."""
     kappa = row.signature()
     mu = weights_from_signature(kappa)
     col3 = a_n(mu, cache)
@@ -96,7 +96,7 @@ def compute_row(row: TableRow, cache=None) -> ComputedRow:
         ratio = mv_ratio(kappa)
     except ValidationError:  # no single-polygon chart, as in is_single_polygon
         return ComputedRow(row=row, col3=col3, ratio=None, mv=None)
-    mv = vol1(mu, cache) * (ratio / kappa.level)
+    mv = _volume(row.n, col3) * (ratio / kappa.level)
     return ComputedRow(row=row, col3=col3, ratio=ratio, mv=mv)
 
 

@@ -392,6 +392,40 @@ EXPLAIN_PINNED = json.loads(
     (Path(__file__).parent / "data" / "explain_pinned.json").read_text())
 
 
+KERNEL_PINNED = json.loads(
+    (Path(__file__).parent / "data" / "kernel_outputs_pinned.json").read_text())
+
+
+class TestBlockOrderPinned:
+    """Output printed before the partition kernel walked bitmasks: records
+    still come in the order of their blocks as index tuples, so ``explain``
+    and the entry order of ``--cache`` files are unchanged.  The vectors are
+    the README example and 20 seeded level vectors at n = 5..9."""
+
+    @pytest.mark.parametrize("weights", sorted(KERNEL_PINNED["explain"]))
+    def test_explain(self, runner, weights):
+        result = runner.invoke(main, ["explain", "--weights", weights])
+        assert result.exit_code == 0
+        assert result.output == KERNEL_PINNED["explain"][weights]
+
+    @pytest.mark.parametrize("name", sorted(KERNEL_PINNED["cache"]))
+    def test_cache_file(self, runner, tmp_path, name):
+        case = KERNEL_PINNED["cache"][name]
+        cache = tmp_path / "memo.json"
+        result = runner.invoke(main, [*case["args"], "--cache", str(cache)])
+        assert result.exit_code == 0
+        assert result.output == case["stdout"]
+        assert cache.read_text() == case["file"]
+
+    def test_table_looks_up_each_row_once(self, runner, tmp_path):
+        # a row's volume comes from its col3, so each row makes one lookup:
+        # a fresh memo takes no hit and a warm one one hit per row
+        cache = tmp_path / "memo.json"
+        args = ["table", "--n", "5", "--cache", str(cache), "--verbose"]
+        assert "cache: 0 hits, 47 entries" in runner.invoke(main, args).output
+        assert "cache: 47 hits, 47 entries" in runner.invoke(main, args).output
+
+
 class TestExplain:
     @pytest.mark.parametrize("weights", sorted(EXPLAIN_PINNED))
     def test_output_pinned(self, runner, weights):

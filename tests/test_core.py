@@ -172,6 +172,14 @@ class TestSignature:
         with pytest.raises(ValidationError, match="integers"):
             Signature((True, -1, -1, -1, -1, -1), 2)
 
+    def test_orders_from_a_generator(self):
+        # the orders are made a tuple before any check reads them
+        kappa = Signature((k for k in (1, -1, -1, -1, -1, -1)), 2)
+        assert kappa.orders == (1, -1, -1, -1, -1, -1)
+        assert kappa == Signature((1, -1, -1, -1, -1, -1), 2)
+        with pytest.raises(ValidationError, match="integers"):
+            Signature((k for k in (True, -1, -1, -1, -1, -1)), 2)
+
 
 class TestAsFraction:
     def test_exact_fraction_returned_unchanged(self):
@@ -271,6 +279,43 @@ class TestWeightsFromSignature:
     def test_table_row_reflex(self):
         w = weights_from_signature(Signature((-5, -5, -5, -5, 8), 6))
         assert w.entries == (F("5/6"),) * 4 + (F("-4/3"),)
+
+    @staticmethod
+    def _validated(kappa):
+        return WeightVector(tuple(F(-k, kappa.level) for k in kappa.orders))
+
+    def test_reducible_signature_carries_its_minimal_denominator(self):
+        # weights (1/3, 1/3, 1/3, 1/3, 2/3): every order is even, so D = 3
+        kappa = Signature((-2, -2, -2, -2, -4), 6)
+        w = weights_from_signature(kappa)
+        assert (w._den, w._nums) == (3, (1, 1, 1, 1, 2))
+        assert (w.entries, w._den, w._nums) == (
+            self._validated(kappa).entries, 3, self._validated(kappa)._nums)
+
+    def test_matches_the_validated_vector(self):
+        # built on the signature's integers without validation, the vector
+        # carries what validating the weights -k_i/d gives; orders drawn
+        # from the multiples of a divisor f of d reduce D to d/f or below
+        rng = random.Random(25)
+        reduced = 0
+        for d in range(2, 13):
+            divisors = [f for f in range(1, d + 1) if d % f == 0]
+            found = 0
+            while found < 20:
+                n, f = rng.randint(3, 9), rng.choice(divisors)
+                orders = [k for k in range(1 - d, d) if k % f == 0]
+                ks = [rng.choice(orders) for _ in range(n - 1)]
+                last = -2 * d - sum(ks)
+                if last < 1 - d:
+                    continue
+                kappa = Signature((*ks, last), d)
+                w, checked = weights_from_signature(kappa), self._validated(kappa)
+                assert (w.entries, w._den, w._nums) == (
+                    checked.entries, checked._den, checked._nums), kappa
+                assert all(x is _shared_weight(x) for x in w.entries)
+                reduced += w._den < d
+                found += 1
+        assert reduced >= 40
 
 
 class TestMinimalDenominator:

@@ -5,8 +5,11 @@ from itertools import combinations
 
 import pytest
 
-from flatsphere.core import ValidationError, WeightVector, parse_weights
+from flatsphere.core import ValidationError, WeightVector, _bits, _subset_sums, parse_weights
 from flatsphere.partitions import (
+    _family_blocks,
+    _paired_blocks,
+    _records,
     enum_P,
     enum_P0,
     enum_T1a,
@@ -30,6 +33,9 @@ from util import (
     ref_enum_T1b,
     ref_enum_T2a,
     ref_enum_T2b,
+    ref_family_blocks,
+    ref_odd_signatures,
+    ref_paired_blocks,
 )
 
 F = Fraction
@@ -286,6 +292,54 @@ class TestT2bReference:
     def test_vectors_with_an_integer_entry(self):
         vectors = _integer_entry_vectors(random.Random(3), 60)
         assert self.kinds_matching_reference(vectors) == EVERY_KIND
+
+
+def _as_tuples(found):
+    """Kernel partitions with each block bitmask as its sorted index tuple."""
+    return [(tuple(map(_bits, masks)), epsilon) for masks, epsilon in found]
+
+
+class TestMaskKernel:
+    """``_family_blocks`` yields blocks as bitmasks.  As index tuples they
+    are the partitions of the tuple kernel it replaced
+    (``util.ref_family_blocks``), each once, and ``_records`` lists them in
+    its order, which is the order of ``explain`` and of ``a_n``'s memo."""
+
+    @staticmethod
+    def kinds_matching_reference(vectors):
+        kinds = set()
+        for mu in map(WeightVector.coerce, vectors):
+            sums = _subset_sums(mu._nums)
+            for family in REFERENCES:
+                want = ref_family_blocks(family, mu.n, sums, mu._den)
+                got = _as_tuples(_family_blocks(family, mu.n, sums, mu._den))
+                assert len(got) == len(set(got)) and sorted(got) == want, (family, mu)
+                records = [(tuple(tuple(sorted(b)) for b in rec.blocks), rec.epsilon)
+                           for rec in _records(family, mu)]
+                assert records == want, (family, mu)
+                kinds.update((family, epsilon) for _, epsilon in want)
+        return kinds
+
+    def test_level_vectors(self):
+        level_vector = load_perfbench("workloads").level_vector
+        four = [level_vector(random.Random(f"mask:{d}"), 4, d) for d in range(2, 10)]
+        assert self.kinds_matching_reference(four + _level_vectors()) == EVERY_KIND
+
+    def test_vectors_with_an_integer_entry(self):
+        vectors = _integer_entry_vectors(random.Random(25), 60)
+        assert self.kinds_matching_reference(vectors) == EVERY_KIND
+
+    @pytest.mark.parametrize("n", [6, 8, 10])
+    def test_quadratic_tables(self, n):
+        # quad_V_recursive reads T1b and the pairings off the sums of -k_i
+        # with target 2; the pairings come in the reference's order
+        for orders in ref_odd_signatures(n):
+            sums = _subset_sums([-k for k in orders])
+            got = [(a.bit_length() - 1, _bits(block_a), c.bit_length() - 1, _bits(block_c))
+                   for a, block_a, c, block_c in _paired_blocks(n, sums, 2)]
+            assert got == list(ref_paired_blocks(n, sums, 2)), orders
+            got = _as_tuples(_family_blocks("T1b", n, sums, 2))
+            assert sorted(got) == ref_family_blocks("T1b", n, sums, 2), orders
 
 
 ORACLES = {

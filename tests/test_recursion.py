@@ -400,6 +400,11 @@ class TestQuadSignature:
         with pytest.raises(ValidationError, match="integers"):
             QuadSignature((True, -1, -1, -1, -1, -1))
 
+    def test_orders_from_a_generator(self):
+        kappa = QuadSignature(k for k in (1, -1, -1, -1, -1, -1))
+        assert kappa == QuadSignature((1, -1, -1, -1, -1, -1))
+        assert kappa.orders == (1, -1, -1, -1, -1, -1) and kappa.level == 2
+
     def test_is_a_level_two_signature(self):
         kappa = QuadSignature((1, -1, -1, -1, -1, -1))
         assert isinstance(kappa, Signature)

@@ -8,8 +8,8 @@ from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 from pathlib import Path
 
-from flatsphere.core import WeightVector
-from flatsphere.partitions import (PartitionRecord, _record, enum_T1a, enum_T1b,
+from flatsphere.core import WeightVector, _mask
+from flatsphere.partitions import (PartitionRecord, _heavy, _record, enum_T1a, enum_T1b,
                                    enum_T2a, enum_T2b, two_block_splits)
 from flatsphere.piecewise import MultiPoly, SignDomain, WallError
 from flatsphere.recursion import _coefficient, a_n
@@ -292,6 +292,56 @@ def ref_enum_T2b(mu) -> list[PartitionRecord]:
             out.append(_record(mu, "T2b", ((first,), (second,), block1, block2),
                                (block1, block2), (w1, w2), epsilon))
     out.sort(key=_sort_key)
+    return out
+
+
+def ref_paired_blocks(n: int, sums, target: int):
+    """Reference for ``partitions._paired_blocks`` on sorted index tuples:
+    each pairing as ``(a, block_a, c, block_c)`` with a, c indices."""
+    singles = [i for i in range(n) if sums[1 << i] < 0 and sums[1 << i] % target]
+    if len(singles) < 2:
+        return
+    for side in [m for m in range(1, 1 << n, 2) if sums[m] == target]:
+        inside = [i for i in range(n) if side >> i & 1]
+        outside = [i for i in range(n) if not side >> i & 1]
+        for a in [i for i in singles if side >> i & 1]:
+            block_a = tuple([i for i in inside if i != a])
+            for c in [i for i in singles if not side >> i & 1]:
+                yield a, block_a, c, tuple([i for i in outside if i != c])
+
+
+def ref_family_blocks(family: str, n: int, sums, den: int):
+    """Reference for ``partitions._family_blocks``: the kernel as it was on
+    sorted index tuples, each partition as ``(blocks, epsilon)`` with the
+    blocks as index tuples, sorted by blocks (the record order)."""
+    everyone = range(n)
+    out = []
+    if family == "T1a":
+        for pair in combinations(everyone, 2):
+            light = sums[_mask(pair)]
+            if light < den and light % den:
+                out.append(((pair, tuple([i for i in everyone if i not in pair])), 1))
+    elif family == "T1b":
+        for pair in [p for p in combinations(everyone, 2) if sums[_mask(p)] == den]:
+            rest = [i for i in everyone if i not in pair]
+            for single in [i for i in rest if sums[1 << i] < 0]:
+                heavy = tuple([i for i in rest if i != single])
+                if _heavy(sums[_mask(heavy)], den):
+                    out.append(((pair, (single,), heavy), 1))
+    elif family == "T2a":
+        for single in [i for i in everyone if sums[1 << i] < 0]:
+            for blocks in two_block_splits([i for i in everyone if i != single]):
+                if all(_heavy(sums[_mask(block)], den) for block in blocks):
+                    out.append((((single,), *blocks), 1))
+    else:
+        for a, block_a, c, block_c in ref_paired_blocks(n, sums, den):
+            if block_c[0] < block_a[0]:
+                a, block_a, c, block_c = c, block_c, a, block_a
+            epsilon = 2 if sums[1 << a] == sums[1 << c] else 1
+            if epsilon == 2 and c < a:
+                continue  # the same blocks, paired the other way
+            out.append((((a,), (c,), block_a, block_c), epsilon))
+    out.sort()
     return out
 
 
