@@ -20,13 +20,16 @@ class ValidationError(ValueError):
 
 def _as_fraction(value) -> Fraction:
     """Validate an exact rational; a value of exact type Fraction is returned
-    as it is, anything else but a bool or a float is converted."""
+    as it is, anything else but a bool, a float or a text with an exponent is
+    converted (Fraction would build 10**exponent in full, however large)."""
     if type(value) is Fraction:
         return value
     if type(value) is bool:
         raise ValidationError("bools are not accepted; pass exact rationals")
     if isinstance(value, float):
         raise ValidationError("floats are not accepted; pass exact rationals")
+    if isinstance(value, str) and re.search(r"[\d.][eE]", value):
+        raise ValidationError(f"invalid rational {value!r}: exponents are not accepted")
     try:
         return Fraction(value)
     except (ValueError, ZeroDivisionError, TypeError) as exc:
@@ -34,7 +37,7 @@ def _as_fraction(value) -> Fraction:
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse ``"p/q"`` or ``"p"`` into an exact rational."""
+    """Parse ``"p/q"``, ``"p"`` or a decimal ``"0.25"``, with no exponent, exactly."""
     return _as_fraction(text.strip())
 
 
@@ -259,10 +262,18 @@ def canonicalize(nu) -> WeightVector:
     return WeightVector(tuple(sorted(nu.entries)))
 
 
+def _fields(text: str, what: str) -> list[str]:
+    """The stripped comma-separated fields of text; an empty one (a trailing
+    comma's included) is an error naming its position, counted from 1."""
+    fields = [p.strip() for p in text.split(",")]
+    if "" in fields:
+        raise ValidationError(f"empty {what} at position {fields.index('') + 1} of {text!r}")
+    return fields
+
+
 def parse_weights(text: str) -> WeightVector:
     """Parse a comma-separated weight list like ``"2/3,1/3,1/3,1/3,1/3"``."""
-    parts = [p for p in text.split(",") if p.strip()]
-    return WeightVector(tuple(parse_rational(p) for p in parts))
+    return WeightVector(tuple(map(parse_rational, _fields(text, "weight"))))
 
 
 def parse_signature(text: str, negate_orders: bool = False) -> Signature:
@@ -273,9 +284,10 @@ def parse_signature(text: str, negate_orders: bool = False) -> Signature:
     if ":" not in text:
         raise ValidationError("signature syntax is 'k1,k2,...,kn:d'")
     orders_part, _, level_part = text.rpartition(":")
+    fields = _fields(orders_part, "order")
     try:
         level = int(level_part.strip())
-        orders = tuple(int(p.strip()) for p in orders_part.split(",") if p.strip())
+        orders = tuple(map(int, fields))
     except ValueError as exc:
         raise ValidationError(f"invalid signature {text!r}") from exc
     if negate_orders:

@@ -19,7 +19,6 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from typing import Iterator, Sequence
 
 from .core import (ValidationError, WeightVector, _bits, _shared_weight, _subset_sums,
@@ -87,41 +86,13 @@ class PartitionRecord:
         }
 
 
-def _record(mu: WeightVector, family: str, blocks, heavies, weights,
-            epsilon: int = 1) -> PartitionRecord:
-    """A record whose recursion data is derived from its heavy blocks and
-    their weights mu(I)."""
-    return PartitionRecord(
-        family=family,
-        blocks=tuple(map(frozenset, blocks)),
-        mu_bars=tuple([w - 1 for w in weights]),
-        block_sizes=tuple(map(len, heavies)),
-        source=mu,
-        epsilon=epsilon,
-    )
-
-
-def two_block_splits(indices: Sequence[int]) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """Each split of a sorted index list into two blocks of size >= 2, once.
-
-    The first block always holds ``indices[0]``; splits come by the size of
-    the first block, then in lexicographic order.
-    """
-    if len(indices) < 4:
-        return
-    anchor, others = indices[0], indices[1:]
-    for size in range(1, len(indices) - 2):
-        for tail in combinations(others, size):
-            yield (anchor, *tail), tuple([i for i in others if i not in tail])
-
-
 def enum_P(n: int) -> list[tuple[frozenset[int], frozenset[int]]]:
     """All two-block partitions with both block sizes >= 2 (none for n < 4),
     as ``(block without index 0, block with it)``, by the sorted first block."""
-    out = [(frozenset(second), frozenset(first))
-           for first, second in two_block_splits(range(n))]
-    out.sort(key=lambda p: tuple(sorted(p[0])))
-    return out
+    full = (1 << n) - 1
+    masks = sorted([m for m in range(1, full, 2) if 2 <= m.bit_count() <= n - 2],
+                   key=lambda m: _bits(full ^ m))
+    return [(frozenset(_bits(full ^ m)), frozenset(_bits(m))) for m in masks]
 
 
 def enum_P0(kappa) -> list[frozenset[int]]:
@@ -222,16 +193,19 @@ def _family_blocks(family: str, n: int, sums: Sequence[int],
 def _records(family: str, mu) -> list[PartitionRecord]:
     """The family's records of a weight vector, from ``_family_blocks`` on
     the subset sums of the numerators it carries over its denominator den, by
-    their blocks as index tuples; a heavy block's weight is s(I) / den."""
+    their blocks as index tuples; a heavy block I has mu(I) - 1 =
+    (s(I) - den) / den."""
     mu = WeightVector.coerce(mu)
     den = mu._den
     sums = _subset_sums(mu._nums)
     heavy_at = 2 if family in ("T1b", "T2b") else 1
     found = sorted((tuple(map(_bits, masks)), masks, epsilon)
                    for masks, epsilon in _family_blocks(family, mu.n, sums, den))
-    return [_record(mu, family, blocks, blocks[heavy_at:],
-                    [Fraction(sums[m], den) for m in masks[heavy_at:]], epsilon)
+    return [PartitionRecord(family, tuple(map(frozenset, blocks)),
+                            tuple([Fraction(sums[m] - den, den) for m in masks[heavy_at:]]),
+                            tuple([m.bit_count() for m in masks[heavy_at:]]), mu, epsilon)
             for blocks, masks, epsilon in found]
+
 
 def enum_T1a(mu) -> list[PartitionRecord]:
     """Two-block partitions {I0, I1}: |I0| = 2, mu(I0) < 1 and non-integral."""
@@ -257,18 +231,13 @@ def enum_T2b(mu) -> list[PartitionRecord]:
 
     I1 holds the lowest index outside the singletons.  Each block set appears
     once; epsilon = 2 exactly when the two singleton weights coincide (both
-    pairings are then valid, and I01 is the lower singleton).
+    pairings are then valid, and I01 is the lower singleton).  There is none
+    below n = 6, as each heavy block holds two entries or more.
     """
-    mu = WeightVector.coerce(mu)
-    # two singletons and two blocks of size >= 2 need n >= 6
-    return _records("T2b", mu) if mu.n >= 6 else []
+    return _records("T2b", mu)
 
 
 def enum_all(mu) -> dict[str, list[PartitionRecord]]:
     """All four families at once, keyed by family tag."""
-    return {
-        "T1a": enum_T1a(mu),
-        "T1b": enum_T1b(mu),
-        "T2a": enum_T2a(mu),
-        "T2b": enum_T2b(mu),
-    }
+    mu = WeightVector.coerce(mu)
+    return {family: _records(family, mu) for family in ("T1a", "T1b", "T2a", "T2b")}

@@ -6,7 +6,7 @@ import csv
 import functools
 import io
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from importlib import resources
 from typing import Optional
@@ -25,13 +25,15 @@ class TableRow:
     col3: Fraction
     ratio: Fraction
     mv: PiValue
+    _signature: Signature = field(repr=False, compare=False)
 
     @property
     def n(self) -> int:
         return len(self.label)
 
     def signature(self) -> Signature:
-        return Signature(tuple(-x for x in self.label), self.d)
+        """The row's signature, built and validated once, with the row."""
+        return self._signature
 
     def label_text(self) -> str:
         return ",".join(str(x) for x in self.label)
@@ -70,6 +72,7 @@ def _parsed_rows() -> dict[int, tuple[TableRow, ...]]:
                 col3=Fraction(entry["col3"]),
                 ratio=Fraction(entry["ratio"]),
                 mv=PiValue.parse(entry["mv"]),
+                _signature=Signature(tuple([-x for x in entry["label"]]), entry["d"]),
             )
             for entry in data[f"table_n{n}"]
         )

@@ -120,6 +120,41 @@ class TestAn:
         assert "A ~ 0.5" in result.output
 
 
+class TestMalformedText:
+    def test_huge_exponent_fails_at_once(self, runner):
+        # Fraction("1e999999999") would build 10**999999999 and never return
+        result = runner.invoke(main, ["an", "--weights", "1e999999999,1/2,1/2,1/2"])
+        assert result.exit_code == 1
+        assert result.stderr == ("error: invalid rational '1e999999999': "
+                                 "exponents are not accepted\n")
+        assert result.stdout == ""
+
+    def test_cache_key_with_huge_exponent_ignored(self, runner, tmp_path):
+        cache = tmp_path / "memo.json"
+        cache.write_text(json.dumps(
+            {"version": 1, "entries": {"1e999999999,1/2,1/2,1/2": "1/2"}}))
+        result = runner.invoke(main, ["an", "--weights", "1/2,1/2,1/2,1/2",
+                                      "--cache", str(cache)])
+        assert result.exit_code == 0
+        assert result.stderr == (f"warning: ignoring corrupt cache file {cache}: "
+                                 "invalid rational '1e999999999': exponents are not accepted\n")
+        assert result.stdout == "A = 1/2\nJ = 1\ne = 2\n"
+        assert json.loads(cache.read_text())["entries"] == {"1/2,1/2,1/2,1/2": "1/2"}
+
+    @pytest.mark.parametrize("args,message", [
+        (["an", "--weights", "1/2,,1/2,1/2,1/2"], "empty weight at position 2"),
+        (["an", "--weights", "1/2,1/2,1/2,1/2,"], "empty weight at position 5"),
+        (["volume", "--signature", "-1,-1,,-1,-1:2"], "empty order at position 3"),
+        (["explain", "--weights", "1/2, ,1/2,1/2,1/2"], "empty weight at position 2"),
+    ])
+    def test_empty_field_fails(self, runner, args, message):
+        # dropping the field would read four weights and print A = 1/2
+        result = runner.invoke(main, args)
+        assert result.exit_code == 1
+        assert result.stderr.startswith(f"error: {message} of ")
+        assert result.stdout == ""
+
+
 class TestVolume:
     def test_value(self, runner):
         result = runner.invoke(main, ["volume", "--weights", "1/2,1/2,1/2,1/2"])
@@ -394,6 +429,34 @@ EXPLAIN_PINNED = json.loads(
 
 KERNEL_PINNED = json.loads(
     (Path(__file__).parent / "data" / "kernel_outputs_pinned.json").read_text())
+
+
+CLI_PINNED = json.loads(
+    (Path(__file__).parent / "data" / "cli_pinned.json").read_text())
+
+
+class TestCliPinned:
+    """stdout, stderr and exit code of every command as the CLI printed them
+    before its memo, parsing and check rules were each stated once: ``an``
+    and ``volume`` with every option, ``table --n 4|5`` in every form,
+    ``piecewise`` and ``explain`` with their error and ceiling cases, and
+    every ``check`` suite at ``--max-n 6``.  A ``{cache}`` argument stands
+    for a memo file, seeded with ``cache_in`` when the case has one and
+    compared with ``cache_out`` afterwards."""
+
+    @pytest.mark.parametrize("case", CLI_PINNED, ids=lambda case: case["name"])
+    def test_output(self, runner, tmp_path, case):
+        cache = tmp_path / "memo.json"
+        if "cache_in" in case:
+            cache.write_text(case["cache_in"])
+        args = [str(cache) if arg == "{cache}" else arg for arg in case["args"]]
+        result = runner.invoke(main, args)
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        assert result.stdout.replace(str(cache), "{cache}") == case["stdout"]
+        assert result.stderr.replace(str(cache), "{cache}") == case["stderr"]
+        assert result.exit_code == case["exit_code"]
+        if "cache_out" in case:
+            assert cache.read_text() == case["cache_out"]
 
 
 class TestBlockOrderPinned:

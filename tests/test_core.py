@@ -366,6 +366,31 @@ class TestParsing:
         with pytest.raises(ValidationError):
             parse_signature("1,2,3")
 
+    def test_rational_decimals_still_exact(self):
+        assert parse_rational("0.25") == F(1, 4)
+        assert parse_rational(" -1.5 ") == F(-3, 2)
+
+    @pytest.mark.parametrize("text", ["1e5", "1E5", "2.5e-3", "1.e2", " 3e0 "])
+    def test_rational_rejects_exponent(self, text):
+        # Fraction would build 10**exponent in full: "1e999999999" never returns
+        with pytest.raises(ValidationError, match="exponents are not accepted"):
+            parse_rational(text)
+
+    @pytest.mark.parametrize("text,position", [
+        ("1/2,,1/2,1/2,1/2", 2), (",1/2,1/2,1/2,1/2", 1), ("1/2,1/2,1/2,1/2,", 5),
+        ("1/2, ,1/2,1/2,1/2", 2), ("", 1),
+    ])
+    def test_weights_reject_empty_field(self, text, position):
+        with pytest.raises(ValidationError, match=f"empty weight at position {position} "):
+            parse_weights(text)
+
+    @pytest.mark.parametrize("text,position", [
+        ("-1,,-1,-1,-1:2", 2), ("-1,-1,-1,-1,:2", 5), (" ,-1,-1,-1,-1:2", 1),
+    ])
+    def test_signature_rejects_empty_field(self, text, position):
+        with pytest.raises(ValidationError, match=f"empty order at position {position} "):
+            parse_signature(text)
+
 
 class TestPiValue:
     def test_str_and_parse(self):

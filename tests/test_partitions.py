@@ -16,7 +16,6 @@ from flatsphere.partitions import (
     enum_T1b,
     enum_T2a,
     enum_T2b,
-    two_block_splits,
 )
 from flatsphere.recursion import a_n
 
@@ -36,6 +35,7 @@ from util import (
     ref_family_blocks,
     ref_odd_signatures,
     ref_paired_blocks,
+    ref_splits,
 )
 
 F = Fraction
@@ -55,36 +55,6 @@ INTERESTING = [
 ]
 
 
-class TestTwoBlockSplits:
-    @staticmethod
-    def _brute_force(indices):
-        return {frozenset(map(frozenset, blocks))
-                for blocks in partitions_into(indices, 2)
-                if all(len(b) >= 2 for b in blocks)}
-
-    @pytest.mark.parametrize("indices", [
-        *(list(range(k)) for k in range(4, 10)),
-        [1, 3, 4, 7, 8, 12],
-        [0, 2, 5, 6, 9],
-        [], [0], [0, 1], [2, 5, 7],
-    ])
-    def test_every_split_exactly_once(self, indices):
-        splits = list(two_block_splits(indices))
-        keys = [frozenset({frozenset(a), frozenset(b)}) for a, b in splits]
-        assert len(keys) == len(set(keys))
-        assert set(keys) == self._brute_force(indices)
-        for first, second in splits:
-            assert first[0] == indices[0]
-            assert list(first) == sorted(first) and list(second) == sorted(second)
-            assert sorted(first + second) == indices
-
-    def test_order_by_first_block_size_then_lexicographic(self):
-        firsts = [first for first, _ in two_block_splits([0, 1, 2, 3, 4])]
-        assert firsts == [(0, 1), (0, 2), (0, 3), (0, 4),
-                          (0, 1, 2), (0, 1, 3), (0, 1, 4),
-                          (0, 2, 3), (0, 2, 4), (0, 3, 4)]
-
-
 class TestEnumP:
     @pytest.mark.parametrize("n,count", [(4, 3), (5, 10), (6, 25)])
     def test_counts_frozen(self, n, count):
@@ -96,6 +66,23 @@ class TestEnumP:
 
     def test_small_n_empty(self):
         assert enum_P(3) == []
+
+    @pytest.mark.parametrize("indices", [
+        *(list(range(k)) for k in range(4, 10)),
+        [1, 3, 4, 7, 8, 12],
+        [0, 2, 5, 6, 9],
+        [], [0], [0, 1], [2, 5, 7],
+    ])
+    def test_every_split_exactly_once(self, indices):
+        """enum_P(n), relabelled onto ``indices``, gives each split of them
+        into two blocks of two or more exactly once, against brute force."""
+        brute = {frozenset(map(frozenset, blocks))
+                 for blocks in partitions_into(indices, 2)
+                 if all(len(b) >= 2 for b in blocks)}
+        keys = [frozenset(frozenset(indices[i] for i in block) for block in split)
+                for split in enum_P(len(indices))]
+        assert len(keys) == len(set(keys))
+        assert set(keys) == brute
 
     def test_blocks_partition_and_no_swap_duplicates(self):
         seen = set()
@@ -526,7 +513,7 @@ class TestGenericSamples:
         heavy_splits = set()
         for single in range(n):
             rest = [i for i in range(n) if i != single]
-            for b1, b2 in two_block_splits(rest):
+            for b1, b2 in ref_splits(rest):
                 if mu.subset_sum(b1) > 1 and mu.subset_sum(b2) > 1:
                     heavy_splits.add(((single,), b1, b2))
         assert {(tuple(r.blocks[0]), tuple(sorted(r.blocks[1])), tuple(sorted(r.blocks[2])))

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from flatsphere.core import PiValue, ValidationError
+from flatsphere.core import PiValue, Signature, ValidationError
 from flatsphere.tables import (ComputedRow, compute_row, expected_rows, table_csv,
                                table_json)
 
@@ -38,6 +38,23 @@ def test_result_types_carry_no_instance_dict():
         assert not hasattr(value, "__dict__")
     with pytest.raises(AttributeError):
         row.d = 3
+
+
+def test_rows_carry_their_signature(monkeypatch):
+    # compute_row used to build and re-validate the row's Signature per call
+    rows = expected_rows(5)
+    assert all(row.signature() is row.signature() for row in rows)
+    assert rows[0].signature() == Signature(tuple(-x for x in rows[0].label), rows[0].d)
+    built = []
+    original = Signature.__post_init__
+
+    def counting(self):
+        built.append(self)
+        original(self)
+
+    monkeypatch.setattr(Signature, "__post_init__", counting)
+    table_csv(5, {})
+    assert built == []
 
 
 def test_row_counts():

@@ -9,8 +9,7 @@ from itertools import combinations, combinations_with_replacement
 from pathlib import Path
 
 from flatsphere.core import WeightVector, _mask
-from flatsphere.partitions import (PartitionRecord, _heavy, _record, enum_T1a, enum_T1b,
-                                   enum_T2a, enum_T2b, two_block_splits)
+from flatsphere.partitions import PartitionRecord, enum_T1a, enum_T1b, enum_T2a, enum_T2b
 from flatsphere.piecewise import MultiPoly, SignDomain, WallError
 from flatsphere.recursion import _coefficient, a_n
 
@@ -89,6 +88,15 @@ def partitions_into(items, k):
             q = [set(b) for b in p]
             q[i].add(first)
             yield q
+
+
+def ref_splits(indices):
+    """Each split of ``indices`` into two blocks of two indices or more, once,
+    as sorted tuples with the block holding the lowest index first."""
+    for blocks in partitions_into(indices, 2):
+        first, second = sorted(tuple(sorted(b)) for b in blocks)
+        if len(first) >= 2 and len(second) >= 2:
+            yield first, second
 
 
 def mcmullen_bell(mu) -> Fraction:
@@ -217,8 +225,8 @@ def ref_enum_T1a(mu) -> list[PartitionRecord]:
         light = mu.subset_sum(pair)
         if light >= 1 or light.denominator == 1:
             continue
-        heavy = [i for i in range(n) if i not in pair]
-        out.append(_record(mu, "T1a", (pair, heavy), (heavy,), (2 - light,)))
+        heavy = frozenset(range(n)) - set(pair)
+        out.append(PartitionRecord("T1a", (frozenset(pair), heavy), (1 - light,), (n - 2,), mu))
     out.sort(key=_sort_key)
     return out
 
@@ -241,7 +249,8 @@ def ref_enum_T1b(mu) -> list[PartitionRecord]:
             hw = mu.subset_sum(heavy)
             if hw <= 1 or hw.denominator == 1:
                 continue
-            out.append(_record(mu, "T1b", (pair, (single,), heavy), (heavy,), (hw,)))
+            out.append(PartitionRecord("T1b", (frozenset(pair), frozenset({single}),
+                                               frozenset(heavy)), (hw - 1,), (len(heavy),), mu))
     out.sort(key=_sort_key)
     return out
 
@@ -257,14 +266,15 @@ def ref_enum_T2a(mu) -> list[PartitionRecord]:
         if mu[single] >= 0:
             continue
         rest = [i for i in range(n) if i != single]
-        for block1, block2 in two_block_splits(rest):
+        for block1, block2 in ref_splits(rest):
             w1, w2 = mu.subset_sum(block1), mu.subset_sum(block2)
             if w1 <= 1 or w2 <= 1:
                 continue
             if w1.denominator == 1 or w2.denominator == 1:
                 continue
-            out.append(_record(mu, "T2a", ((single,), block1, block2),
-                               (block1, block2), (w1, w2)))
+            out.append(PartitionRecord(
+                "T2a", (frozenset({single}), frozenset(block1), frozenset(block2)),
+                (w1 - 1, w2 - 1), (len(block1), len(block2)), mu))
     out.sort(key=_sort_key)
     return out
 
@@ -277,7 +287,7 @@ def ref_enum_T2b(mu) -> list[PartitionRecord]:
     out = []
     for s1, s2 in combinations(range(n), 2):
         rest = [i for i in range(n) if i != s1 and i != s2]
-        for block1, block2 in two_block_splits(rest):
+        for block1, block2 in ref_splits(rest):
             w1, w2 = mu.subset_sum(block1), mu.subset_sum(block2)
             if w1 <= 1 or w2 <= 1:
                 continue
@@ -289,8 +299,10 @@ def ref_enum_T2b(mu) -> list[PartitionRecord]:
                 continue
             first, second = (s1, s2) if direct else (s2, s1)
             epsilon = 2 if mu[s1] == mu[s2] else 1
-            out.append(_record(mu, "T2b", ((first,), (second,), block1, block2),
-                               (block1, block2), (w1, w2), epsilon))
+            out.append(PartitionRecord(
+                "T2b", (frozenset({first}), frozenset({second}), frozenset(block1),
+                        frozenset(block2)),
+                (w1 - 1, w2 - 1), (len(block1), len(block2)), mu, epsilon))
     out.sort(key=_sort_key)
     return out
 
@@ -313,7 +325,8 @@ def ref_paired_blocks(n: int, sums, target: int):
 def ref_family_blocks(family: str, n: int, sums, den: int):
     """Reference for ``partitions._family_blocks``: the kernel as it was on
     sorted index tuples, each partition as ``(blocks, epsilon)`` with the
-    blocks as index tuples, sorted by blocks (the record order)."""
+    blocks as index tuples, sorted by blocks (the record order).  A block is
+    heavy when its sum s exceeds den and den does not divide s."""
     everyone = range(n)
     out = []
     if family == "T1a":
@@ -326,12 +339,14 @@ def ref_family_blocks(family: str, n: int, sums, den: int):
             rest = [i for i in everyone if i not in pair]
             for single in [i for i in rest if sums[1 << i] < 0]:
                 heavy = tuple([i for i in rest if i != single])
-                if _heavy(sums[_mask(heavy)], den):
+                total = sums[_mask(heavy)]
+                if total > den and total % den:
                     out.append(((pair, (single,), heavy), 1))
     elif family == "T2a":
         for single in [i for i in everyone if sums[1 << i] < 0]:
-            for blocks in two_block_splits([i for i in everyone if i != single]):
-                if all(_heavy(sums[_mask(block)], den) for block in blocks):
+            for blocks in ref_splits([i for i in everyone if i != single]):
+                totals = [sums[_mask(block)] for block in blocks]
+                if all(total > den and total % den for total in totals):
                     out.append((((single,), *blocks), 1))
     else:
         for a, block_a, c, block_c in ref_paired_blocks(n, sums, den):
