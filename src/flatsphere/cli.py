@@ -21,6 +21,7 @@ from .core import (
     Signature,
     ValidationError,
     WeightVector,
+    _fields,
     minimal_denominator,
     parse_rational,
     parse_signature,
@@ -140,13 +141,22 @@ def main():
     """Exact volumes of moduli of flat cone metrics on the sphere."""
 
 
+def _vector_options(command):
+    """The options of ``an`` and ``volume``, in their --help order."""
+    for option in reversed((
+        click.option("--weights", help='comma-separated weights, e.g. "2/3,1/3,1/3,1/3,1/3"'),
+        click.option("--signature", help='orders "k1,...,kn:d"'),
+        click.option("--neg-orders", is_flag=True, help="negate signature orders (table labels)"),
+        click.option("--cache", "cache_path", type=click.Path(), help="memo cache JSON file"),
+        click.option("--approx", is_flag=True, help="append decimal renderings"),
+        click.option("--verbose", is_flag=True, help="report memo hits and entries on stderr"),
+    )):
+        command = option(command)
+    return command
+
+
 @main.command("an")
-@click.option("--weights", help='comma-separated weights, e.g. "2/3,1/3,1/3,1/3,1/3"')
-@click.option("--signature", help='orders "k1,...,kn:d"')
-@click.option("--neg-orders", is_flag=True, help="negate signature orders (table labels)")
-@click.option("--cache", "cache_path", type=click.Path(), help="memo cache JSON file")
-@click.option("--approx", is_flag=True, help="append decimal renderings")
-@click.option("--verbose", is_flag=True)
+@_vector_options
 def cmd_an(weights, signature, neg_orders, cache_path, approx, verbose):
     """Print the normalized intersection value, its integer form, and the
     minimal denominator."""
@@ -162,12 +172,7 @@ def cmd_an(weights, signature, neg_orders, cache_path, approx, verbose):
 
 
 @main.command("volume")
-@click.option("--weights")
-@click.option("--signature")
-@click.option("--neg-orders", is_flag=True)
-@click.option("--cache", "cache_path", type=click.Path())
-@click.option("--approx", is_flag=True)
-@click.option("--verbose", is_flag=True)
+@_vector_options
 def cmd_volume(weights, signature, neg_orders, cache_path, approx, verbose):
     """Print the normalized volume as an exact pi-multiple."""
     mu = _parse_weights_opt(weights, signature, neg_orders)
@@ -191,9 +196,12 @@ def cmd_table(npoints, as_csv, as_json, diff, columns, cache_path, verbose):
     """Recompute a reference table; with --diff, verify it cell by cell."""
     if npoints not in (4, 5):
         _fail("--n must be 4 or 5")
-    wanted = [c.strip() for c in columns.split(",") if c.strip()]
-    if not wanted:
+    if not columns.replace(",", " ").strip():  # commas and blanks name no column
         _fail("--columns needs at least one of col3,ratio,mv")
+    try:
+        wanted = _fields(columns, "column")
+    except ValidationError as exc:
+        _fail(str(exc))
     if any(c not in ("col3", "ratio", "mv") for c in wanted):
         _fail("--columns entries must be among col3,ratio,mv")
     if as_csv and as_json:
@@ -427,8 +435,10 @@ _SUITES = {
 @click.option("--seed", type=int, default=0)
 def cmd_check(suite_name, max_n, seed):
     """Run a named property suite at desk scale; nonzero exit on failure."""
+    known = ", ".join(sorted(_SUITES))
+    if suite_name is None:  # not required=True: a usage error would exit 2
+        _fail(f"--suite is required (choose from {known})")
     if suite_name not in _SUITES:
-        known = ", ".join(sorted(_SUITES))
         _fail(f"unknown suite {suite_name!r} (choose from {known})")
     results = []
 

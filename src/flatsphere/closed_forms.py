@@ -200,7 +200,7 @@ def mcmullen_an(mu) -> Fraction:
     mu = WeightVector.coerce(mu)
     n, den = mu.n, mu._den
     factors = [max(0, den - s) ** (m.bit_count() - 1) if m else 0
-               for m, s in enumerate(_subset_sums(mu._nums))]
+               for m, s in enumerate(mu._sums)]
     by_blocks = _partition_sums(n, factors)
     total = sum((-1) ** (k + 1) * math.factorial(k - 3) * by_blocks[k] * den ** (k - 3)
                 for k in range(3, n + 1))

@@ -10,6 +10,7 @@ import functools
 import math
 import re
 from dataclasses import dataclass, field
+from decimal import Decimal
 from fractions import Fraction
 from typing import Iterable, Iterator
 
@@ -20,20 +21,30 @@ class ValidationError(ValueError):
 
 def _as_fraction(value) -> Fraction:
     """Validate an exact rational; a value of exact type Fraction is returned
-    as it is, anything else but a bool, a float or a text with an exponent is
-    converted (Fraction would build 10**exponent in full, however large)."""
+    as it is, anything else but a bool, a float or a text or Decimal whose
+    text shows an exponent is converted (Fraction would build 10**exponent
+    in full, however large)."""
     if type(value) is Fraction:
         return value
     if type(value) is bool:
         raise ValidationError("bools are not accepted; pass exact rationals")
     if isinstance(value, float):
         raise ValidationError("floats are not accepted; pass exact rationals")
-    if isinstance(value, str) and re.search(r"[\d.][eE]", value):
+    if isinstance(value, (str, Decimal)) and re.search(r"[\d.][eE]", str(value)):
         raise ValidationError(f"invalid rational {value!r}: exponents are not accepted")
     try:
         return Fraction(value)
-    except (ValueError, ZeroDivisionError, TypeError) as exc:
+    except (ValueError, ZeroDivisionError, TypeError, OverflowError) as exc:
         raise ValidationError(f"invalid rational {value!r}") from exc
+
+
+def _shown(value) -> str:
+    """str(value) for an error message, or a stand-in for a number with more
+    digits than str converts (sys.get_int_max_str_digits)."""
+    try:
+        return str(value)
+    except ValueError:
+        return "a number too long to print"
 
 
 def parse_rational(text: str) -> Fraction:
@@ -46,9 +57,9 @@ class WeightVector:
     """A curvature-weight tuple: n >= 3 rationals, each < 1, summing to 2.
 
     Validation runs on integers: the vector carries its minimal denominator
-    D (``_den``, the lcm of the entries' denominators) and the numerators
-    D * mu_i (``_nums``), which the recursion and the partition kernel read
-    instead of rescaling.  Neither takes part in equality, hash or repr.
+    D (``_den``, the lcm of the entries' denominators), the numerators
+    D * mu_i (``_nums``) and, once read, their subset sums (``_sums``), all
+    read instead of rescaling.  None takes part in equality, hash or repr.
     """
 
     entries: tuple[Fraction, ...]
@@ -63,9 +74,9 @@ class WeightVector:
         den, nums = _scale_to_integers(entries)
         if max(nums) >= den:
             bad = next(x for x in entries if x >= 1)
-            raise ValidationError(f"every weight must be < 1, got {bad}")
+            raise ValidationError(f"every weight must be < 1, got {_shown(bad)}")
         if sum(nums) != 2 * den:
-            raise ValidationError(f"weights must sum to 2, got {sum(entries)}")
+            raise ValidationError(f"weights must sum to 2, got {_shown(sum(entries))}")
         object.__setattr__(self, "_den", den)
         object.__setattr__(self, "_nums", tuple(nums))
 
@@ -78,6 +89,11 @@ class WeightVector:
         object.__setattr__(value, "_den", den)
         object.__setattr__(value, "_nums", nums)
         return value
+
+    @functools.cached_property
+    def _sums(self) -> list[int]:
+        """The ``_subset_sums`` of ``_nums``: s(I) by bitmask, mu(I) = s(I) / D."""
+        return _subset_sums(self._nums)
 
     @classmethod
     def coerce(cls, value) -> "WeightVector":
@@ -131,7 +147,7 @@ class Signature:
         total = sum(orders)
         if total != -2 * self.level:
             raise ValidationError(
-                f"orders must sum to -2d = {-2 * self.level}, got {total}"
+                f"orders must sum to -2d = {-2 * self.level}, got {_shown(total)}"
             )
 
     @property

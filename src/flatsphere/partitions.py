@@ -7,11 +7,11 @@ lower-dimensional weight vectors, their minimal denominators, and the
 multiplicity flag epsilon for the four-block family.
 
 ``_family_blocks`` owns every membership rule.  It reads a family off the
-subset sums of the weights scaled to integers over their common
-denominator, so each test is an integer comparison, and yields the blocks
-as the bitmasks that index those sums; the enumerators, the five-point leaf
-of ``a_n``, the symbolic pieces (``piecewise``) and the quadratic recursion
-all call it, and only the records turn masks into index tuples.
+subset sums of weights scaled to integers over their common denominator (a
+vector's ``_sums``), so each test is an integer comparison, and yields the
+light and the heavy blocks apart, as bitmasks of those sums; the
+enumerators, the five-point leaf of ``a_n``, the symbolic pieces and the
+quadratic recursion all call it, and only the records make index tuples.
 """
 from __future__ import annotations
 
@@ -143,9 +143,9 @@ def _paired_blocks(n: int, sums: Sequence[int], target: int) -> Iterator[tuple]:
 
 
 def _family_blocks(family: str, n: int, sums: Sequence[int],
-                   den: int) -> Iterator[tuple[tuple[int, ...], int]]:
-    """Each partition of ``family`` as ``(blocks, epsilon)``, blocks as the
-    bitmasks ``sums`` indexes, laid out as in ``PartitionRecord``.
+                   den: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...], int]]:
+    """Each partition of ``family`` as ``(light, heavy, epsilon)``, the light
+    and the heavy blocks of ``PartitionRecord`` as the bitmasks ``sums`` indexes.
 
     ``sums`` are the subset sums (by bitmask) of n weights scaled to
     integers over their common denominator den, so mu(I) = s(I) / den and
@@ -162,14 +162,14 @@ def _family_blocks(family: str, n: int, sums: Sequence[int],
         for pair in _pairs(n):
             light = sums[pair]
             if light < den and light % den:
-                yield (pair, full ^ pair), 1
+                yield (pair,), (full ^ pair,), 1
     elif family == "T1b":
         # a pair of weight 1 holds two positive weights, so no singleton
         for pair in [p for p in _pairs(n) if sums[p] == den]:
             for single in singles:
                 heavy = full ^ pair ^ single
                 if _heavy(sums[heavy], den):
-                    yield (pair, single, heavy), 1
+                    yield (pair, single), (heavy,), 1
     elif family == "T2a":
         for single in singles:
             rest = full ^ single
@@ -179,7 +179,7 @@ def _family_blocks(family: str, n: int, sums: Sequence[int],
                 first = lowest | sub
                 sub = (sub - 1) & others
                 if _heavy(sums[first], den) and _heavy(sums[rest ^ first], den):
-                    yield (single, first, rest ^ first), 1
+                    yield (single,), (first, rest ^ first), 1
     else:
         for a, block_a, c, block_c in _paired_blocks(n, sums, den):
             if block_c & -block_c < block_a & -block_a:
@@ -187,24 +187,21 @@ def _family_blocks(family: str, n: int, sums: Sequence[int],
             epsilon = 2 if sums[a] == sums[c] else 1
             if epsilon == 2 and c < a:
                 continue  # the same blocks, paired the other way
-            yield (a, c, block_a, block_c), epsilon
+            yield (a, c), (block_a, block_c), epsilon
 
 
 def _records(family: str, mu) -> list[PartitionRecord]:
     """The family's records of a weight vector, from ``_family_blocks`` on
-    the subset sums of the numerators it carries over its denominator den, by
-    their blocks as index tuples; a heavy block I has mu(I) - 1 =
-    (s(I) - den) / den."""
+    the subset sums it carries over its denominator den, by their blocks as
+    index tuples; a heavy block I has mu(I) - 1 = (s(I) - den) / den."""
     mu = WeightVector.coerce(mu)
-    den = mu._den
-    sums = _subset_sums(mu._nums)
-    heavy_at = 2 if family in ("T1b", "T2b") else 1
-    found = sorted((tuple(map(_bits, masks)), masks, epsilon)
-                   for masks, epsilon in _family_blocks(family, mu.n, sums, den))
+    den, sums = mu._den, mu._sums
+    found = sorted((tuple(map(_bits, light + heavy)), heavy, epsilon)
+                   for light, heavy, epsilon in _family_blocks(family, mu.n, sums, den))
     return [PartitionRecord(family, tuple(map(frozenset, blocks)),
-                            tuple([Fraction(sums[m] - den, den) for m in masks[heavy_at:]]),
-                            tuple([m.bit_count() for m in masks[heavy_at:]]), mu, epsilon)
-            for blocks, masks, epsilon in found]
+                            tuple([Fraction(sums[m] - den, den) for m in heavy]),
+                            tuple([m.bit_count() for m in heavy]), mu, epsilon)
+            for blocks, heavy, epsilon in found]
 
 
 def enum_T1a(mu) -> list[PartitionRecord]:

@@ -258,8 +258,7 @@ class WallError(ValidationError):
 def _wall_gaps(point: WeightVector, blocks) -> dict:
     """For each block I, mu(I) - 1 at the point scaled by the common
     denominator of its weights: an integer with the sign of mu(I) - 1."""
-    sums, den = _subset_sums(point._nums), point._den
-    return {block: sums[_mask(block)] - den for block in blocks}
+    return {block: point._sums[_mask(block)] - point._den for block in blocks}
 
 
 class SignDomain:
@@ -268,22 +267,20 @@ class SignDomain:
     The sample must avoid every two-block comparison wall and every locus
     where a proper subset of the weights sums to an integer; both are
     checked at construction.  Every test reads the integer subset sums of
-    the sample scaled by its common denominator, which the domain keeps
-    (``_sums`` by bitmask, over ``_den``).
+    the sample scaled by its common denominator, the sample's ``_sums`` over
+    ``_den``, which the domain keeps.
     """
 
     def __init__(self, sample):
         sample = WeightVector.coerce(sample)
-        den, n = sample._den, sample.n
-        sums = _subset_sums(sample._nums)
+        den, n, sums = sample._den, sample.n, sample._sums
         integral = [mask for mask in range(1, (1 << n) - 1) if sums[mask] % den == 0]
         if integral:
             # report the first such subset in combinations order
-            subset = min(([i for i in range(n) if mask >> i & 1] for mask in integral),
-                         key=lambda s: (len(s), s))
-            total = sums[_mask(subset)] // den
+            mask = min(integral, key=lambda m: (m.bit_count(), _bits(m)))
+            subset, total = list(_bits(mask)), sums[mask] // den
             if total == 1 and 2 <= len(subset) <= n - 2:
-                comp = sorted(set(range(n)) - set(subset))
+                comp = list(_bits(((1 << n) - 1) ^ mask))
                 raise WallError(f"sample lies on the wall {subset}|{comp}",
                                 frozenset(subset))
             raise WallError(f"subset {subset} has integral weight {total}",
@@ -458,8 +455,8 @@ def _piece(n: int, sums: list[int], den: int, memo: dict) -> MultiPoly:
         return memo[key]
     terms = []
     for family in ("T1a", "T2a"):
-        for blocks, _ in _family_blocks(family, n, sums, den):
-            heavies = [_bits(mask) for mask in blocks[1:]]
+        for _, heavy, _ in _family_blocks(family, n, sums, den):
+            heavies = [_bits(mask) for mask in heavy]
             block_sizes = tuple(map(len, heavies))
             shape = (family, n, block_sizes)
             template = memo.get(shape)

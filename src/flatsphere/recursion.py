@@ -73,10 +73,10 @@ def _coefficient(family: str, mu_bars, block_sizes, epsilon: int, n: int):
     return Fraction(epsilon * n1 * n2, (n - 1) * (n - 2)) * mb1 * mb2
 
 
-def _five_point(nums, den: int) -> Fraction:
-    """A five-point node on the integer numerators s_i of its weights over
-    D, none a multiple of D: ``_coefficient`` at n = 5 over 12 D**k (k heavy
-    blocks), each child's value read off the numerators.
+def _five_point(mu: WeightVector) -> Fraction:
+    """A five-point node, none of its numerators s_i over D a multiple of D:
+    ``_coefficient`` at n = 5 over 12 D**k (k heavy blocks), each child's
+    value read off the vector's numerators and subset sums.
 
     With M = s(I) - D for a heavy block I, a_5 = N / 48 D**2, where N sums
     (2D - 4M) * A4 over T1a (A4 the ``_four_point_num`` of the child
@@ -86,15 +86,15 @@ def _five_point(nums, den: int) -> Fraction:
     entry is an s_i, or 2D - s(I) for a heavy block, which the families
     keep off the multiples of D.  So no child needs a vector or a memo.
     """
-    sums = _subset_sums(nums)
+    den, nums, sums = mu._den, mu._nums, mu._sums
     total = 0
-    for (pair, heavy), _ in _family_blocks("T1a", 5, sums, den):
+    for (pair,), (heavy,), _ in _family_blocks("T1a", 5, sums, den):
         light = sums[pair]  # 2D - s(heavy), so M = D - light
         a4 = _four_point_num((light, *[nums[i] for i in _bits(heavy)]), den)
         total += (2 * den - 4 * (den - light)) * a4
-    for (_, _, heavy), _ in _family_blocks("T1b", 5, sums, den):
+    for _, (heavy,), _ in _family_blocks("T1b", 5, sums, den):
         total -= 8 * den * (sums[heavy] - den)
-    for (_, block1, block2), _ in _family_blocks("T2a", 5, sums, den):
+    for _, (block1, block2), _ in _family_blocks("T2a", 5, sums, den):
         m1, m2 = sums[block1] - den, sums[block2] - den
         total += 16 * m1 * m2 - 8 * den * (m1 + m2)
     return Fraction(total, 48 * den * den)
@@ -128,7 +128,7 @@ def a_n(mu, cache: Optional[MutableMapping] = None) -> Fraction:
     elif n == 4:
         value = _four_point(nums, den)
     elif n == 5:
-        value = _five_point(nums, den)
+        value = _five_point(mu)
     else:
         value = Fraction(0)
         # looked up by name on each call, so wrappers bound to these names see it
@@ -282,7 +282,7 @@ def quad_V_recursive(kappa, memo: Optional[MutableMapping] = None) -> Fraction:
     value = Fraction(0)
     # T1b: a pair of simple poles (every -k_i <= 1, so no other pair sums to
     # 2) plus a positive singleton; the rest sums to 2 + k1, odd and > 2
-    for (_, single, heavy), _ in _family_blocks("T1b", n, sums, 2):
+    for (_, single), (heavy,), _ in _family_blocks("T1b", n, sums, 2):
         k1 = orders[single.bit_length() - 1]
         sub = QuadSignature((k1 - 2, *(orders[i] for i in _bits(heavy))))
         value -= (

@@ -146,6 +146,8 @@ class TestMalformedText:
         (["an", "--weights", "1/2,1/2,1/2,1/2,"], "empty weight at position 5"),
         (["volume", "--signature", "-1,-1,,-1,-1:2"], "empty order at position 3"),
         (["explain", "--weights", "1/2, ,1/2,1/2,1/2"], "empty weight at position 2"),
+        (["table", "--n", "4", "--diff", "--columns", "col3,,mv"], "empty column at position 2"),
+        (["table", "--n", "4", "--diff", "--columns", "col3,"], "empty column at position 2"),
     ])
     def test_empty_field_fails(self, runner, args, message):
         # dropping the field would read four weights and print A = 1/2
@@ -160,6 +162,13 @@ class TestVolume:
         result = runner.invoke(main, ["volume", "--weights", "1/2,1/2,1/2,1/2"])
         assert result.exit_code == 0
         assert "vol1 = -1/4*pi^2" in result.output
+
+    def test_options_and_help_texts_as_an(self):
+        def options(command):
+            return [(param.opts, param.is_flag, param.help) for param in command.params]
+
+        assert options(cli.cmd_volume) == options(cli.cmd_an)
+        assert len(options(cli.cmd_an)) == 6 and all(h for *_, h in options(cli.cmd_an))
 
 
 class TestTable:

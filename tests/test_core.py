@@ -1,5 +1,6 @@
 import math
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -68,6 +69,11 @@ class TestWeightVector:
         assert w == same and hash(w) == hash(same)
         assert repr(w) == f"WeightVector(entries={w.entries!r})"
         assert (w._den, w._nums) == (6, (2, 4, 3, 3))
+        # the subset sums are built on first read, then kept, and take no
+        # part in equality, hash or repr either
+        assert "_sums" not in vars(w)
+        assert w._sums == _subset_sums(w._nums) and w._sums is w._sums
+        assert w == same and hash(w) == hash(same) and "_sums" not in repr(w)
 
 
 def _random_entries(rng: random.Random) -> list:
@@ -172,6 +178,10 @@ class TestSignature:
         with pytest.raises(ValidationError, match="integers"):
             Signature((True, -1, -1, -1, -1, -1), 2)
 
+    def test_huge_sum_fails_validation(self):
+        with pytest.raises(ValidationError, match="got a number too long to print"):
+            Signature((10**5000, 0, 0), 1)
+
     def test_orders_from_a_generator(self):
         # the orders are made a tuple before any check reads them
         kappa = Signature((k for k in (1, -1, -1, -1, -1, -1)), 2)
@@ -190,12 +200,13 @@ class TestAsFraction:
         class Sub(F):
             pass
 
-        for value, want in ((3, F(3)), ("5/10", F(1, 2)), (Sub(1, 2), F(1, 2))):
+        for value, want in ((3, F(3)), ("5/10", F(1, 2)), (Sub(1, 2), F(1, 2)),
+                            (Decimal("0.25"), F(1, 4))):
             got = _as_fraction(value)
             assert got == want and type(got) is F
 
     def test_rejects_floats_and_junk(self):
-        for bad in (0.5, 1.0, "x", "1/0", None):
+        for bad in (0.5, 1.0, "x", "1/0", None, Decimal("Infinity"), Decimal("NaN")):
             with pytest.raises(ValidationError):
                 _as_fraction(bad)
 
@@ -217,6 +228,21 @@ class TestAsFraction:
     def test_rejects_bools(self, build):
         with pytest.raises(ValidationError, match="bools"):
             build()
+
+    # each raised a bare ValueError ("Exceeds the limit (4300 digits) for
+    # integer string conversion") while formatting its own error message; a
+    # Decimal with an exponent is refused before Fraction builds 10**exponent
+    @pytest.mark.parametrize("entries,message", [
+        ((Decimal("1e5000"), Decimal("0.5"), Decimal("0.5")),
+         r"invalid rational Decimal\('1E\+5000'\): exponents are not accepted"),
+        ((F(1, 10**5000), F(1, 2), F(1, 2)),
+         "weights must sum to 2, got a number too long to print"),
+        ((F(10**5000), F(1, 2), F(1, 2)),
+         "every weight must be < 1, got a number too long to print"),
+    ], ids=["decimal_exponent", "huge_denominator", "huge_numerator"])
+    def test_huge_rationals_fail_validation(self, entries, message):
+        with pytest.raises(ValidationError, match=message):
+            WeightVector(entries)
 
     def test_weight_vector_shares_input_fractions(self):
         entries = (F(1, 2), F(1, 2), F(2, 3), F(1, 3))

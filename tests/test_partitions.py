@@ -282,13 +282,14 @@ class TestT2bReference:
 
 
 def _as_tuples(found):
-    """Kernel partitions with each block bitmask as its sorted index tuple."""
-    return [(tuple(map(_bits, masks)), epsilon) for masks, epsilon in found]
+    """Kernel partitions with each block bitmask, light blocks then heavy
+    ones, as its sorted index tuple."""
+    return [(tuple(map(_bits, light + heavy)), epsilon) for light, heavy, epsilon in found]
 
 
 class TestMaskKernel:
-    """``_family_blocks`` yields blocks as bitmasks.  As index tuples they
-    are the partitions of the tuple kernel it replaced
+    """``_family_blocks`` yields light and heavy blocks as bitmasks.  As
+    index tuples, light + heavy, they are the partitions of the tuple kernel
     (``util.ref_family_blocks``), each once, and ``_records`` lists them in
     its order, which is the order of ``explain`` and of ``a_n``'s memo."""
 

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from flatsphere import piecewise
+from flatsphere import core, piecewise
 from flatsphere.cli import _random_positive_weights, _wall_point_agrees
 from flatsphere.closed_forms import _partition_sums
 from flatsphere.core import ValidationError, WeightVector, parse_weights
@@ -354,6 +354,18 @@ class TestSignDomain:
         signs = dom.signs
         assert len(signs) == 10 and dom.signs is signs
         assert signs[frozenset({1, 2})] == -1 and signs[frozenset({1, 2, 3})] == 1
+
+    def test_reads_the_sample_table(self, monkeypatch):
+        # the domain keeps the subset sums its sample built, not a copy
+        sample = WeightVector.coerce(GENERIC5)
+        sums = sample._sums
+
+        def no_table(xs):
+            raise AssertionError("SignDomain built a subset-sum table")
+
+        monkeypatch.setattr(core, "_subset_sums", no_table)
+        monkeypatch.setattr(piecewise, "_subset_sums", no_table)
+        assert SignDomain(sample)._sums is sums
 
     def test_same_pattern(self):
         dom = SignDomain(GENERIC5)

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from flatsphere import recursion, tables
+from flatsphere import core, partitions, recursion, tables
 from flatsphere.cli import _random_positive_weights, _random_rational_weights
 from flatsphere.closed_forms import _partition_sums, mcmullen_an
 from flatsphere.core import (
@@ -272,6 +272,27 @@ class TestFivePointLeaf:
                     -8 * den * m1, 48 * den ** 2)
                 assert _coefficient("T2a", [mb1, mb2], (2, 2), 1, 5) == F(
                     16 * m1 * m2 - 8 * den * (m1 + m2), 48 * den ** 2)
+
+
+class TestOneTablePerNode:
+    """Every node reads the subset sums its vector builds on first access:
+    the four families of a node, or the five-point leaf, share one table."""
+
+    def test_one_table_per_memo_miss(self, monkeypatch):
+        build, built = core._subset_sums, []
+
+        def counting(xs):
+            built.append(len(xs))
+            return build(xs)
+
+        for module in (core, partitions, recursion):
+            monkeypatch.setattr(module, "_subset_sums", counting)
+        memo = {}
+        a_n(level_vector(random.Random(27), 9, 5), memo)
+        # a fresh memo misses once per entry; nodes below n = 5 need no table
+        misses = sorted(len(key) for key in memo if len(key) >= 5)
+        assert 9 in misses and 6 in misses
+        assert sorted(built) == misses
 
 
 class TestJn:
