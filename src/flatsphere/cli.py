@@ -414,6 +414,8 @@ def _suite_walls(max_n: int, seed: int, report) -> None:
 
 
 # each suite with the largest n it checks (None: as large as --max-n asks);
+# sympoly's is the largest n closed_forms.sum_dependence_check takes (its
+# n = 9 line runs 640 f_nab calls, about 0.5 s);
 # mcmullen's 9 is set by a_n, which takes 0.01-2.2 s per seed-0 vector at
 # n = 10, 10-53 s at n = 11 and 0.8-78 s at n = 12, not by the oracle;
 # walls' 8 by the pieces: at seed 0 its n = 8 points take 4.3 s and its
@@ -421,7 +423,7 @@ def _suite_walls(max_n: int, seed: int, report) -> None:
 _SUITES = {
     "kontsevich": (_suite_kontsevich, None),
     "identity": (_suite_identity, None),
-    "sympoly": (_suite_sympoly, 8),
+    "sympoly": (_suite_sympoly, closed_forms._SUM_CHECK_MAX_N),
     "oracle5": (_suite_oracle5, 5),
     "dform": (_suite_dform, 7),
     "mcmullen": (_suite_mcmullen, 9),

@@ -79,17 +79,19 @@ def _f_nab_rational(n: int, a, b, xs: list) -> Fraction:
     den, (big_a, big_b, *scaled) = _scale_to_integers((a, b, *xs))
     sums = _subset_sums(scaled)
     full = (1 << n) - 1
+    # per block size k: D * (a + i) for i = 1..k-1 on the block, and
+    # D * (S + b + i) for i = 1..n-k-1 on its complement, whose sum is S - s
+    left = [[big_a + i * den for i in range(1, k)] for k in range(n)]
+    big_sb = sums[full] + big_b
+    right = [[big_sb + i * den for i in range(1, n - k)] for k in range(n)]
     total = 0
     for mask in range(1, full):
-        comp = full ^ mask
+        s, k = sums[mask], mask.bit_count()
         term = 1
-        # D * (s + a + i) for i = 1..|mask|-1, then the same with b on comp
-        left = sums[mask] + big_a
-        for i in range(1, mask.bit_count()):
-            term *= left + i * den
-        right = sums[comp] + big_b
-        for i in range(1, comp.bit_count()):
-            term *= right + i * den
+        for offset in left[k]:
+            term *= s + offset
+        for offset in right[k]:
+            term *= offset - s
         total += term
     return Fraction(total, den ** (n - 2))
 
@@ -112,6 +114,11 @@ def _random_fraction(rng: random.Random) -> Fraction:
     return Fraction(rng.randint(-100, 100), rng.randint(1, 100))
 
 
+# the largest n sum_dependence_check takes (desk scale): an f_nab call sums
+# 2^n - 2 terms of n - 2 factors, about 0.4 ms at n = 9 on Python 3.11
+_SUM_CHECK_MAX_N = 9
+
+
 def sum_dependence_check(n: int, a, b, trials: int, seed: int = 0) -> bool:
     """True iff f_nab agrees on `trials` random pairs with equal entry sums."""
     if type(n) is not int:
@@ -119,8 +126,9 @@ def sum_dependence_check(n: int, a, b, trials: int, seed: int = 0) -> bool:
     if type(trials) is not int or trials < 1:
         raise ValidationError(
             f"sum_dependence_check needs an int trials >= 1, got {trials!r}")
-    if n > 9:
-        raise ValidationError("sum_dependence_check is desk-scale: n <= 9")
+    if n > _SUM_CHECK_MAX_N:
+        raise ValidationError(
+            f"sum_dependence_check is desk-scale: n <= {_SUM_CHECK_MAX_N}")
     a, b = _as_fraction(a), _as_fraction(b)
     rng = random.Random(seed)
     for _ in range(trials):

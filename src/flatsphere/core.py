@@ -227,13 +227,20 @@ def _shared_weight(value) -> Fraction:
     return _as_fraction(value)
 
 
+@functools.lru_cache(maxsize=4096)
+def _signature_weight(k: int, d: int) -> Fraction:
+    """The shared weight -k / d, cached under the int pair so that a warm
+    lookup builds and hashes no Fraction.  It is the ``_shared_weight``
+    object of its value as long as that cache has not evicted it since."""
+    return _shared_weight(Fraction(-k, d))
+
+
 def weights_from_signature(kappa: Signature) -> WeightVector:
     """Weights mu_i = -k_i / d of a signature, valid by its checks, so built
     unvalidated on D = d / g, g = gcd(d, k_1, ..., k_n), and numerators -k_i / g."""
     d, orders = kappa.level, kappa.orders
     g = math.gcd(d, *orders)
-    weight = {k: _shared_weight(Fraction(-k, d)) for k in set(orders)}
-    return WeightVector._exact(tuple([weight[k] for k in orders]),
+    return WeightVector._exact(tuple([_signature_weight(k, d) for k in orders]),
                                d // g, tuple([-k // g for k in orders]))
 
 

@@ -449,7 +449,8 @@ class TestCliPinned:
     before its memo, parsing and check rules were each stated once: ``an``
     and ``volume`` with every option, ``table --n 4|5`` in every form,
     ``piecewise`` and ``explain`` with their error and ceiling cases, and
-    every ``check`` suite at ``--max-n 6``.  A ``{cache}`` argument stands
+    every ``check`` suite at ``--max-n 6`` (sympoly's ceiling case since
+    raised from n = 8 to 9 on purpose).  A ``{cache}`` argument stands
     for a memo file, seeded with ``cache_in`` when the case has one and
     compared with ``cache_out`` afterwards."""
 
@@ -557,11 +558,12 @@ class TestCheck:
         assert "all checks passed" not in result.output
 
     def test_max_n_above_ceiling_notes_it_on_stderr(self, runner):
-        # sympoly checks n <= 8 only; stdout stays the plain report
+        # sympoly checks n <= 9 only, the largest n sum_dependence_check
+        # takes; stdout stays the plain report
         result = runner.invoke(main, ["check", "--suite", "sympoly", "--max-n", "10"])
         assert result.exit_code == 0, result.output
-        assert result.stderr == "note: suite 'sympoly' stops at n = 8, below --max-n 10\n"
-        assert result.stdout.endswith("ok   sympoly n=8\nall checks passed\n")
+        assert result.stderr == "note: suite 'sympoly' stops at n = 9, below --max-n 10\n"
+        assert result.stdout.endswith("ok   sympoly n=9\nall checks passed\n")
         result = runner.invoke(main, ["check", "--suite", "sympoly", "--max-n", "3"])
         assert result.exit_code == 0, result.output
         assert result.stderr == ""

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -110,7 +111,7 @@ class TestFnab:
     def test_integer_path_matches_ring_reference(self):
         rng = random.Random(11)
         shifts = [0, F(1), 2, F(1, 2)]  # int and Fraction shifts
-        for n in range(2, 9):
+        for n in range(2, 10):
             fractions = [F(rng.randint(-60, 60), rng.randint(1, 30)) for _ in range(n)]
             integers = [rng.randint(-9, 9) for _ in range(n)]
             mixed = [x if i % 2 else int(x) for i, x in enumerate(fractions)]
@@ -118,6 +119,57 @@ class TestFnab:
                 for b in shifts:
                     for xs in (fractions, integers, mixed):
                         assert f_nab(n, a, b, xs) == _f_nab_ring(n, a, b, xs), (n, a, b, xs)
+
+    @staticmethod
+    def _has_zero_factor(n, a, b, xs):
+        """Whether some term has a vanishing factor s + a + i (i < |I|) or
+        (S - s) + b + i (i < n - |I|), over the blocks I by position."""
+        total = sum(xs)
+        for k in range(1, n):
+            for block in itertools.combinations(xs, k):
+                s = sum(block)
+                if (any(s + a + i == 0 for i in range(1, k))
+                        or any(total - s + b + i == 0 for i in range(1, n - k))):
+                    return True
+        return False
+
+    @pytest.mark.parametrize("n, a, b, xs", [
+        # {1, 2, -5} sums to -2: its factor s + a + 2 is 0
+        (4, 0, 0, [1, 2, -5, 3]),
+        # {4} leaves S - s = -2 on five points: (S - s) + b + 1 is 0
+        (6, 1, 1, [-3, 2, 0, -1, 4, 0]),
+        # Fraction shifts: {-7/2, 1} sums to -5/2, and -5/2 + 3/2 + 1 = 0
+        (5, F(3, 2), F(-1, 2), [F(-7, 2), 1, F(1, 2), 2, -4]),
+    ])
+    def test_integer_path_with_a_vanishing_factor(self, n, a, b, xs):
+        assert self._has_zero_factor(n, a, b, xs)
+        assert f_nab(n, a, b, xs) == _f_nab_ring(n, a, b, xs)
+
+    @pytest.mark.parametrize("n, a, b, xs", [
+        # a == b
+        (6, F(3, 2), F(3, 2), [F(5, 3), -2, F(1, 4), 7, F(-9, 5), 0]),
+        (9, -1, -1, [3, -4, 1, 0, 2, -7, 5, 1, -2]),
+        # a negative total S
+        (8, -2, F(5, 4), [F(-7, 3), -4, F(1, 6), -9, 2, F(-11, 2), 3, -1]),
+        (9, F(1, 2), 0, [F(-40, 7)] * 4 + [F(3, 11)] * 5),
+    ])
+    def test_integer_path_on_equal_shifts_and_negative_sums(self, n, a, b, xs):
+        assert f_nab(n, a, b, xs) == _f_nab_ring(n, a, b, xs)
+
+    @pytest.mark.parametrize("n, a, b, x", [
+        (3, 0, 0, F(2)), (7, 1, F(-1, 3), F(2, 5)), (8, F(1, 2), F(1, 2), F(-3, 4)),
+        (9, -3, 2, F(-5)),
+    ])
+    def test_integer_path_on_equal_entries(self, n, a, b, x):
+        # all blocks of size k share one term: a sum over k with binomial
+        # weights, by no mask loop
+        expected = sum(
+            math.comb(n, k)
+            * math.prod(k * x + a + i for i in range(1, k))
+            * math.prod((n - k) * x + b + i for i in range(1, n - k))
+            for k in range(1, n))
+        assert f_nab(n, a, b, [x] * n) == expected
+        assert f_nab(n, a, b, [x] * n) == _f_nab_ring(n, a, b, [x] * n)
 
     def test_rejects_short(self):
         with pytest.raises(ValidationError):
