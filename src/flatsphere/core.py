@@ -38,6 +38,19 @@ def _as_fraction(value) -> Fraction:
         raise ValidationError(f"invalid rational {value!r}") from exc
 
 
+def _operand(value):
+    """An exact rational operand of a value type's arithmetic: an int as it
+    is, anything else through ``_as_fraction`` but never text, which
+    Fraction's own operators refuse as well; constructors and the
+    ``parse_*`` functions still read text."""
+    if type(value) is int:
+        return value
+    if isinstance(value, str):
+        raise ValidationError(f"text operands are not accepted, got {value!r}; "
+                              "parse it first")
+    return _as_fraction(value)
+
+
 def _shown(value) -> str:
     """str(value) for an error message, or a stand-in for a number with more
     digits than str converts (sys.get_int_max_str_digits)."""
@@ -187,7 +200,7 @@ class PiValue:
         if isinstance(other, PiValue):
             return PiValue(self.coefficient * other.coefficient,
                            self.pi_power + other.pi_power)
-        return PiValue(self.coefficient * _as_fraction(other), self.pi_power)
+        return PiValue(self.coefficient * _operand(other), self.pi_power)
 
     __rmul__ = __mul__
 

@@ -24,10 +24,11 @@ from .core import (
     Signature,
     ValidationError,
     _as_fraction,
+    _operand,
     _scale_to_integers,
     weights_from_signature,
 )
-from .recursion import vol1
+from .recursion import _volume, a_n
 
 _DEGREE = 8  # minimal polynomial x^8 - x^4 + 1
 
@@ -232,7 +233,7 @@ def _lowest(num, den: int) -> tuple[tuple[int, ...], int]:
 def _coerce_cyclo(value) -> Cyclo24:
     if isinstance(value, Cyclo24):
         return value
-    value = _as_fraction(value)
+    value = _operand(value)
     return Cyclo24._exact([value.numerator] + [0] * (_DEGREE - 1),
                           value.denominator)
 
@@ -504,12 +505,15 @@ def mv_ratio(kappa: Signature) -> Fraction:
     den = index * index * closing_norm * math.prod(norms[:-1])
     if _ZETA[d].omega:  # Im(omega)^2 = 3/4
         num, den = num * 4 ** m, den * 3 ** m
-    square = Fraction(num, den)
-    ratio = Fraction(math.isqrt(square.numerator), math.isqrt(square.denominator))
-    if ratio * ratio != square:
+    g = math.gcd(num, den)
+    num, den = num // g, den // g
+    root_num, root_den = math.isqrt(num), math.isqrt(den)
+    if root_num * root_num != num or root_den * root_den != den:
         raise ArithmeticError("volume-form ratio fell outside the rationals")
     # det H has the sign of minus the product of all n sines
-    return -ratio if sum(k % (2 * d) > d for k in orders) % 2 == 0 else ratio
+    if sum(k % (2 * d) > d for k in orders) % 2 == 0:
+        root_num = -root_num
+    return Fraction(root_num, root_den)
 
 
 def mv_table_entry(kappa: Signature, cache=None) -> PiValue:
@@ -517,7 +521,7 @@ def mv_table_entry(kappa: Signature, cache=None) -> PiValue:
     (1/d) * ratio * vol1(mu)."""
     mu = weights_from_signature(kappa)
     ratio = mv_ratio(kappa)
-    return vol1(mu, cache) * (ratio / kappa.level)
+    return _volume(kappa.n, a_n(mu, cache), ratio, kappa.level)
 
 
 def is_single_polygon(kappa: Signature) -> bool:

@@ -16,7 +16,7 @@ from itertools import combinations, product
 from operator import add, itemgetter
 from typing import Iterable, Mapping, Sequence
 
-from .core import (ValidationError, WeightVector, _as_fraction, _bits, _mask,
+from .core import (ValidationError, WeightVector, _as_fraction, _bits, _mask, _operand,
                    _scale_to_integers, _subset_sums)
 from .partitions import _family_blocks
 from .recursion import _coefficient, _four_point
@@ -136,7 +136,7 @@ class MultiPoly:
 
     def _coerce(self, other) -> "MultiPoly":
         if not isinstance(other, MultiPoly):
-            return MultiPoly.constant(other, self.nvars)
+            return MultiPoly.constant(_operand(other), self.nvars)
         if self.nvars != other.nvars:
             raise ValidationError("variable-count mismatch")
         return other
@@ -164,7 +164,7 @@ class MultiPoly:
 
     def __mul__(self, other):
         if not isinstance(other, MultiPoly):
-            scalar = _rational(other)
+            scalar = _operand(other)
             return MultiPoly._exact(
                 self.nvars, {e: c * scalar.numerator for e, c in self._num.items()},
                 self._den * scalar.denominator)

@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from operator import itemgetter
 from typing import MutableMapping, Optional
 
 from .closed_forms import double_factorial
@@ -41,15 +42,16 @@ def _four_point(weights, den: int = 1, signs=None):
     """The four-point closed form (2D - sum_j |d_j|) / 4D, for weights
     summing to 2D with pairing differences d_j = w_0 + w_j - w_k - w_l,
     {j, k, l} = {1, 2, 3}; each |d_j| is opened as signs[j - 1] * d_j.
-    Ring-generic, like ``_coefficient``: ``a_n`` passes a vector's integer
-    numerators over D and no signs (abs on integers), and a piece passes the
-    variables x_i (MultiPoly, D = 1) with the signs at its sample."""
+    Ring-generic, like ``_coefficient``: ``a4_closed`` passes a vector's
+    integer numerators over D and no signs (abs on integers), and a piece
+    passes the variables x_i (MultiPoly, D = 1) with the signs at its
+    sample."""
     return Fraction(1, 4 * den) * _four_point_num(weights, den, signs)
 
 
 def _four_point_num(weights, den: int, signs=None):
-    """The numerator 2D - sum_j |d_j| of ``_four_point``, which the
-    five-point leaf reads on integers."""
+    """The numerator 2D - sum_j |d_j| of ``_four_point``, which ``a_n``
+    reads on integers."""
     w0, w1, w2, w3 = weights
     diffs = (w0 + w1 - w2 - w3, w0 + w2 - w1 - w3, w0 + w3 - w1 - w2)
     if signs is None:
@@ -73,25 +75,37 @@ def _coefficient(family: str, mu_bars, block_sizes, epsilon: int, n: int):
     return Fraction(epsilon * n1 * n2, (n - 1) * (n - 2)) * mb1 * mb2
 
 
+def _t1a_child_num(sums, den: int, pair: int) -> int:
+    """The ``_four_point_num`` A4 of a five-point vector's T1a child
+    (s(pair), s_j for j in the heavy block), read off the vector's subset
+    sums: the child's pairing differences are s(pair) + s_j - s_k - s_l =
+    2 (s(pair | j) - D), as s_k + s_l = 2D - s(pair) - s_j, so
+    A4 = 2D - 2 * sum over j of |s(pair | j) - D|."""
+    a4 = 2 * den
+    for j in (1, 2, 4, 8, 16):
+        if not pair & j:
+            a4 -= 2 * abs(sums[pair | j] - den)
+    return a4
+
+
 def _five_point(mu: WeightVector) -> Fraction:
     """A five-point node, none of its numerators s_i over D a multiple of D:
     ``_coefficient`` at n = 5 over 12 D**k (k heavy blocks), each child's
-    value read off the vector's numerators and subset sums.
+    value read off the vector's subset sums.
 
     With M = s(I) - D for a heavy block I, a_5 = N / 48 D**2, where N sums
-    (2D - 4M) * A4 over T1a (A4 the ``_four_point_num`` of the child
-    (s(pair), s_i for i in I), whose a_4 is A4 / 4D), -8 D M over T1b and
-    16 M1 M2 - 8 D (M1 + M2) over T2a; the T1b and T2a children have three
-    entries, so a_3 = 1, and T2b needs n >= 6.  No child vanishes: each
-    entry is an s_i, or 2D - s(I) for a heavy block, which the families
-    keep off the multiples of D.  So no child needs a vector or a memo.
+    (2D - 4M) * A4 over T1a (A4 the child's ``_t1a_child_num``, whose a_4
+    is A4 / 4D), -8 D M over T1b and 16 M1 M2 - 8 D (M1 + M2) over T2a; the
+    T1b and T2a children have three entries, so a_3 = 1, and T2b needs
+    n >= 6.  No child vanishes: each entry is an s_i, or 2D - s(I) for a
+    heavy block, which the families keep off the multiples of D.  So no
+    child needs a vector or a memo.
     """
-    den, nums, sums = mu._den, mu._nums, mu._sums
+    den, sums = mu._den, mu._sums
     total = 0
-    for (pair,), (heavy,), _ in _family_blocks("T1a", 5, sums, den):
-        light = sums[pair]  # 2D - s(heavy), so M = D - light
-        a4 = _four_point_num((light, *[nums[i] for i in _bits(heavy)]), den)
-        total += (2 * den - 4 * (den - light)) * a4
+    for (pair,), _, _ in _family_blocks("T1a", 5, sums, den):
+        # 2D - 4M, with M = s(heavy) - D = D - s(pair)
+        total += (4 * sums[pair] - 2 * den) * _t1a_child_num(sums, den, pair)
     for _, (heavy,), _ in _family_blocks("T1b", 5, sums, den):
         total -= 8 * den * (sums[heavy] - den)
     for _, (block1, block2), _ in _family_blocks("T2a", 5, sums, den):
@@ -106,9 +120,10 @@ def a_n(mu, cache: Optional[MutableMapping] = None) -> Fraction:
     Vanishes when any entry is an integer; equals 1 for n = 3 and the
     closed form for n = 4 and the leaf ``_five_point`` for n = 5; for
     n >= 6 it is the four-family recursion with denominator-free
-    coefficients.  ``cache`` maps sorted weight tuples to values down the
-    recursion, to the n = 5 nodes and not below; ``None`` gives this call
-    a fresh one.
+    coefficients.  ``cache`` maps sorted weight tuples to the values of
+    every node the recursion visits, the three- and four-point children of
+    n >= 6 nodes included; a five-point node stores nothing below itself.
+    ``None`` gives this call a fresh one.
     """
     mu = WeightVector.coerce(mu)
     den, nums = mu._den, mu._nums
@@ -117,8 +132,7 @@ def a_n(mu, cache: Optional[MutableMapping] = None) -> Fraction:
     if cache is None:
         cache = {}
     # the entries ordered by their integer numerators: tuple(sorted(entries))
-    entries = mu.entries
-    key = tuple([entries[i] for i in sorted(range(len(nums)), key=nums.__getitem__)])
+    key = itemgetter(*sorted(range(len(nums)), key=nums.__getitem__))(mu.entries)
     hit = cache.get(key)
     if hit is not None:
         return hit
@@ -126,7 +140,7 @@ def a_n(mu, cache: Optional[MutableMapping] = None) -> Fraction:
     if n == 3:
         value = Fraction(1)
     elif n == 4:
-        value = _four_point(nums, den)
+        value = Fraction(_four_point_num(nums, den), 4 * den)
     elif n == 5:
         value = _five_point(mu)
     else:
@@ -218,9 +232,16 @@ def vol1(mu, cache: Optional[MutableMapping] = None) -> PiValue:
     return _volume(mu.n, a_n(mu, cache))
 
 
-def _volume(n: int, value: Fraction) -> PiValue:
-    """``vol1`` of an n-point vector whose a_n is ``value``."""
-    return PiValue(Fraction((-1) ** (n - 3), math.factorial(n - 2)) * value, n - 2)
+def _volume(n: int, value: Fraction, ratio=1, d: int = 1) -> PiValue:
+    """``vol1`` of an n-point vector whose a_n is ``value``, times
+    ratio / d: the lattice-normalized volume of a level-d stratum whose
+    volume-form ratio is ``ratio``.  Its coefficient
+    (-1)**(n-3) * value * ratio / ((n-2)! * d) is one Fraction, built from
+    the integers."""
+    num = value.numerator * ratio.numerator
+    return PiValue(Fraction(-num if n % 2 == 0 else num,
+                            value.denominator * ratio.denominator
+                            * math.factorial(n - 2) * d), n - 2)
 
 
 @dataclass(frozen=True)

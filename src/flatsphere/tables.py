@@ -99,7 +99,7 @@ def compute_row(row: TableRow, cache=None) -> ComputedRow:
         ratio = mv_ratio(kappa)
     except ValidationError:  # no single-polygon chart, as in is_single_polygon
         return ComputedRow(row=row, col3=col3, ratio=None, mv=None)
-    mv = _volume(row.n, col3) * (ratio / kappa.level)
+    mv = _volume(row.n, col3, ratio, kappa.level)
     return ComputedRow(row=row, col3=col3, ratio=ratio, mv=mv)
 
 

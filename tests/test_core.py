@@ -229,6 +229,31 @@ class TestAsFraction:
         with pytest.raises(ValidationError, match="bools"):
             build()
 
+    # each of these parsed its text operand as a number (PiValue(1, 1) * "2"
+    # gave 2*pi^1, Cyclo24 one times "3" equalled 3), where Fraction(1) * "2"
+    # raises TypeError
+    @pytest.mark.parametrize("build", [
+        lambda: PiValue(1, 1) * "2",
+        lambda: "2" * PiValue(1, 1),
+        lambda: MultiPoly.variable(0, 2) + "2",
+        lambda: "2" - MultiPoly.variable(0, 2),
+        lambda: MultiPoly.variable(0, 2) * "2",
+        lambda: Cyclo24([1] + [0] * 7) * "3",
+        lambda: Cyclo24([1] + [0] * 7) + "3",
+        lambda: "3" / Cyclo24([1] + [0] * 7),
+    ], ids=["PiValue_mul", "PiValue_rmul", "MultiPoly_add", "MultiPoly_rsub",
+            "MultiPoly_mul", "Cyclo24_mul", "Cyclo24_add", "Cyclo24_rtruediv"])
+    def test_rejects_text_operands(self, build):
+        with pytest.raises(ValidationError, match="text operands"):
+            build()
+
+    def test_constructors_still_read_text(self):
+        assert PiValue("1/2", 1) == PiValue(F(1, 2), 1)
+        assert MultiPoly.constant("2", 2) == MultiPoly.constant(2, 2)
+        one = Cyclo24(["1"] + [0] * 7)
+        assert one == Cyclo24([1] + [0] * 7) == 1
+        assert one != "1"
+
     # each raised a bare ValueError ("Exceeds the limit (4300 digits) for
     # integer string conversion") while formatting its own error message; a
     # Decimal with an exponent is refused before Fraction builds 10**exponent

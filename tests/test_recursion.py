@@ -17,10 +17,14 @@ from flatsphere.core import (
     parse_weights,
     weights_from_signature,
 )
-from flatsphere.partitions import enum_T1b
+from flatsphere.flat_charts import is_single_polygon, mv_ratio, mv_table_entry
+from flatsphere.partitions import enum_T1a, enum_T1b
 from flatsphere.recursion import (
     QuadSignature,
     _coefficient,
+    _four_point_num,
+    _t1a_child_num,
+    _volume,
     a4_closed,
     a5_direct,
     a_n,
@@ -33,8 +37,8 @@ from flatsphere.recursion import (
     recursive_rhs_dform,
     vol1,
 )
-from util import (a4_reference, a5_reference, level_vector, load_perfbench, mcmullen_bell,
-                  ref_odd_signatures)
+from util import (a4_reference, a5_reference, chart_orders, level_vector, load_perfbench,
+                  mcmullen_bell, ref_odd_signatures)
 
 F = Fraction
 
@@ -223,6 +227,25 @@ class TestFivePointLeaf:
         assert len(vectors) >= 2000
         assert walls >= 600 and negative >= 1500 and mixed >= 600 and vanishing >= 100
 
+    def test_t1a_child_read_off_the_sums(self):
+        # A4 = 2D - 2 * sum over the heavy j of |s(pair | j) - D| is the
+        # child's _four_point_num: the child (s(pair), s_i for i in heavy)
+        # over D, and its value A4 / 4D that of the record's sub-vector
+        rng = random.Random(29)
+        children = 0
+        for d in range(3, 13):
+            for _ in range(40):
+                mu = level_vector(rng, 5, d)
+                den, nums, sums = mu._den, mu._nums, mu._sums
+                for rec in enum_T1a(mu):
+                    pair, heavy = (sorted(block) for block in rec.blocks)
+                    got = _t1a_child_num(sums, den, core._mask(pair))
+                    child = (sum(nums[i] for i in pair), *[nums[i] for i in heavy])
+                    assert got == _four_point_num(child, den), (mu, pair)
+                    assert F(got, 4 * den) == a4_closed(rec.sub_weights[0]), (mu, pair)
+                    children += 1
+        assert children >= 1000
+
     def test_node_builds_no_vector_and_stores_only_itself(self, monkeypatch):
         mu = parse_weights("5/6,5/6,1/2,1/6,-1/3")
         want = a5_reference(mu)
@@ -405,6 +428,52 @@ class TestVol1:
     def test_integer_entry_zero(self):
         v = vol1(parse_weights("0,2/3,2/3,2/3"))
         assert v.is_zero() and v.pi_power == 2
+
+
+class TestVolumeHelper:
+    """``_volume`` builds (-1)**(n-3) * a * ratio / ((n-2)! * d) as one
+    Fraction; it must equal vol1 times ratio / d in PiValue arithmetic, and
+    the volume rule written out with PiValue and Fraction."""
+
+    @staticmethod
+    def _rule(n, value):
+        return PiValue(F((-1) ** (n - 3), math.factorial(n - 2)), n - 2) * value
+
+    def _check(self, kappa, memo):
+        n, d = kappa.n, kappa.level
+        mu = weights_from_signature(kappa)
+        ratio, value = mv_ratio(kappa), a_n(mu, memo)
+        want = self._rule(n, value) * (ratio / d)
+        got = _volume(n, value, ratio, d)
+        assert got == want == vol1(mu, memo) * (ratio / d), kappa
+        assert str(got) == str(want), kappa
+        assert mv_table_entry(kappa, memo) == got, kappa
+        return got
+
+    def test_single_polygon_golden_rows(self):
+        memo = {}
+        rows = [row for n in (4, 5) for row in tables.expected_rows(n)
+                if is_single_polygon(row.signature())]
+        for row in rows:
+            got = self._check(row.signature(), memo)
+            assert tables.compute_row(row, memo).mv == got
+        assert len(rows) == 60
+
+    @pytest.mark.parametrize("n", [6, 7, 8])
+    def test_seeded_chart_signatures(self, n):
+        memo = {}
+        for d in (2, 3, 4, 6) if n % 2 == 0 else (3, 4, 6):
+            rng = random.Random(f"volume:{n}:{d}")
+            for _ in range(6):
+                self._check(Signature(chart_orders(rng, n, d), d), memo)
+
+    def test_vol1_is_the_unit_ratio(self):
+        rng = random.Random(30)
+        for n in range(4, 8):
+            for _ in range(10):
+                mu = level_vector(rng, n, 6)
+                value = a_n(mu, {})
+                assert vol1(mu) == _volume(n, value) == self._rule(n, value), mu
 
 
 class TestQuadSignature:

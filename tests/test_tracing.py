@@ -81,6 +81,25 @@ def test_chart_layers_record_calls():
     assert layers <= recorded, layers - recorded
 
 
+def test_five_point_row_records_each_row_layer_once():
+    # `--trace 1` on tables-charts needs the row path to pass through these
+    # spans; one five-point single-polygon row with a fresh memo records
+    # each exactly once
+    tracing = load_perfbench("tracing")
+    row = next(row for row in tables.expected_rows(5)
+               if flat_charts.is_single_polygon(row.signature()))
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        computed = tables.compute_row(row, {})
+    finally:
+        tracer.uninstall()
+    assert computed.mv is not None
+    for metric in ("tables.rows", "core.weights_from_signature", "recursion.a_n",
+                   "flat_charts.mv_ratio"):
+        assert tracer.counts[metric] == 1, metric
+
+
 def test_a_n_records_every_boundary_family():
     # `--trace 1` counts records per family by wrapping the enumerators
     # under their module names; a_n must call them through those names
