@@ -225,8 +225,9 @@ def cmd_table(npoints, as_csv, as_json, diff, columns, cache_path, verbose):
         sys.exit(2)
 
 
-# one piece takes about 0.3 s at n = 8, 2 s at n = 9 and 49 s (119 MB) at
-# n = 10 (Python 3.11 on a shared 2-CPU VM), so n = 10 is not interactive
+# one piece takes about 0.3 s at n = 8, 1.7 s at n = 9 and 42 s (166 MB
+# peak) at n = 10 (Python 3.11 on a shared 2-CPU VM), so n = 10 is not
+# interactive
 PIECEWISE_MAX_N = 9
 
 # explain lists every record of the four families: on the seeded level-7

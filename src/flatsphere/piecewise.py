@@ -212,6 +212,16 @@ class MultiPoly:
             total += term
         return Fraction(total, self._den * q ** degree)
 
+    def _renamed(self, nvars: int, rename) -> "MultiPoly":
+        """The polynomial in nvars variables whose exponent tuples are
+        ``rename`` of this one's: for an injective ``rename`` every term
+        moves on its own, so the numerators and denominator stay as they
+        are, in lowest terms."""
+        poly = MultiPoly.__new__(MultiPoly)
+        poly.nvars, poly._den = nvars, self._den
+        poly._num = dict(zip(map(rename, self._num), self._num.values()))
+        return poly
+
     def substitute_linear(self, forms: Sequence["MultiPoly"]) -> "MultiPoly":
         """Substitute a degree-<=1 polynomial for each variable: every term is
         its coefficient times the forms' powers, which are built once per
@@ -239,8 +249,25 @@ class MultiPoly:
 
     @classmethod
     def from_json(cls, nvars: int, data: Iterable) -> "MultiPoly":
+        """The inverse of ``to_json``: [exponents, coefficient] pairs, each
+        exponent vector at most once."""
         nvars = _nvars(nvars)
-        return cls(nvars, {_exponents(exps, nvars): coeff for exps, coeff in data})
+        try:
+            items = list(data)
+        except TypeError as exc:
+            raise ValidationError(f"polynomial terms must be a list, got {data!r}") from exc
+        terms = {}
+        for item in items:
+            try:
+                exps, coeff = item
+            except (TypeError, ValueError) as exc:
+                raise ValidationError(
+                    f"a term must be an [exponents, coefficient] pair, got {item!r}") from exc
+            exps = _exponents(exps, nvars)
+            if exps in terms:
+                raise ValidationError(f"exponent vector {list(exps)} appears twice")
+            terms[exps] = coeff
+        return cls(nvars, terms)
 
     def __repr__(self) -> str:
         return f"MultiPoly({self.nvars}, {self.terms!r})"
@@ -317,9 +344,10 @@ class SignDomain:
 
 
 # One exponent tuple per distinct monomial of the pieces an_polynomial
-# returns.  A tuple is most of a stored term's memory, so pieces that share
-# them cost about half as much to keep; the table holds at most C(2n-3, n)
-# tuples per n (5005 at n = 9).
+# returns and of the expanded memo pieces (``_expanded``).  A tuple is most
+# of a stored term's memory, so pieces that share them cost about half as
+# much to keep; the table holds at most C(2n-3, n) tuples of each length n
+# (5005 at n = 9).
 _EXPONENTS: dict[tuple[int, ...], tuple[int, ...]] = {}
 
 
@@ -342,6 +370,49 @@ def _sum(polys: Iterable[MultiPoly], nvars: int) -> MultiPoly:
     return MultiPoly._exact(nvars, {share(e, e): c for e, c in acc.items()}, den)
 
 
+def _composite_powers(m: int, slot: int, memo: dict) -> list[dict]:
+    """The integer powers 0..m-3 of the composite 2 - sum(y_j, j != slot)
+    in m sorted variables, enough for a piece in m variables (its degree is
+    at most m - 3): built once per call for each (m, slot) and kept in the
+    memo under ("composite", m, slot)."""
+    powers = memo.get(("composite", m, slot))
+    if powers is None:
+        composite = {(0,) * m: 2}
+        for j in range(m):
+            if j != slot:
+                composite[_unit(j, m)] = -1
+        powers = memo["composite", m, slot] = [{(0,) * m: 1}]
+        for _ in range(m - 3):
+            powers.append(_mul_into({}, powers[-1], composite))
+    return powers
+
+
+def _expanded(key: tuple[int, ...], slot: int, den: int, memo: dict) -> MultiPoly:
+    """The memo piece of a sorted sub-sample ``key`` over den, in its own
+    sorted variables y_j, with y_slot replaced by the composite
+    2 - sum(y_j, j != slot), so y_slot no longer occurs.  The piece is
+    built by ``_piece`` on a new key; each of its terms is expanded into one
+    integer accumulator over the piece's denominator."""
+    piece = memo.get(key)
+    if piece is None:
+        piece = memo[key] = _piece(len(key), _subset_sums(key), den, memo)
+    powers = _composite_powers(len(key), slot, memo)
+    acc: dict[tuple[int, ...], int] = {}
+    get = acc.get
+    for exps, c in piece._num.items():
+        power = exps[slot]
+        if not power:
+            acc[exps] = get(exps, 0) + c
+            continue
+        base = (*exps[:slot], 0, *exps[slot + 1:])
+        for comp_exps, comp_c in powers[power].items():
+            out = tuple(map(add, base, comp_exps))
+            acc[out] = get(out, 0) + c * comp_c
+    share = _EXPONENTS.setdefault
+    return MultiPoly._exact(len(key), {share(e, e): c for e, c in acc.items()},
+                            piece._den)
+
+
 def _sub_piece(n: int, sums: list[int], den: int, heavy: Sequence[int],
                memo: dict) -> MultiPoly:
     """The piece of a heavy block's sub-sample (2 - mu(heavy), mu_i for i in
@@ -349,13 +420,16 @@ def _sub_piece(n: int, sums: list[int], den: int, heavy: Sequence[int],
 
     The sub-sample is read off the integer subset sums, over the sample's
     own denominator D; its sorted numerators are its memo key, and a new key
-    is built by ``_piece`` from the subset sums of the sorted ints.  The memo maps each key to its piece
-    in sorted variables.  Each sorted variable is renamed back: a weight
-    mu_i becomes x_i, which only moves its exponent, and 2 - mu(heavy)
-    becomes the composite 2 - sum(x_i for i in heavy), whose integer powers
-    are built once.  Every term is expanded into one integer accumulator
-    over the piece's denominator.  Equal weights need no care: swapping them
-    fixes the chamber, so the piece is symmetric in their variables.
+    is built by ``_piece`` from the subset sums of the sorted ints.  The
+    memo maps each key to its piece in sorted variables.  The sorted
+    variable that holds 2 - mu(heavy), its slot, is then replaced by the
+    composite 2 - sum of the other sorted variables, once per call for each
+    (key, slot), and the memo keeps that expanded form under (key, slot).
+    Every other sorted variable is a weight mu_i of the block, so the
+    mapping into the sample's variables is a renaming of the expanded form:
+    an injective scatter of exponents with no accumulator.  Equal weights
+    need no care: swapping them fixes the chamber, so the piece is
+    symmetric in their variables.
 
     The sorted memo and the renaming stay because they share work that a
     recursion in the sample's own variables repeats (see README).
@@ -363,36 +437,17 @@ def _sub_piece(n: int, sums: list[int], den: int, heavy: Sequence[int],
     sub = (2 * den - sums[_mask(heavy)], *(sums[1 << i] for i in heavy))
     order = sorted(range(len(sub)), key=sub.__getitem__)
     key = tuple(sub[j] for j in order)
-    piece = memo.get(key)
-    if piece is None:
-        piece = memo[key] = _piece(len(key), _subset_sums(key), den, memo)
-    # sorted variable j is the composite when order[j] == 0, else
-    # x_heavy[order[j] - 1]; the renaming reads each x_i's exponent from its
-    # sorted position, the other x_i read a 0 appended after them
-    where = [len(sub)] * n
+    slot = order.index(0)
+    expanded = memo.get((key, slot))
+    if expanded is None:
+        expanded = memo[key, slot] = _expanded(key, slot, den, memo)
+    # sorted variable j != slot is x_heavy[order[j] - 1]; the other x_i
+    # read the slot's exponent, which is 0 in the expanded form
+    where = [slot] * n
     for j, k in enumerate(order):
         if k:
             where[heavy[k - 1]] = j
-    rename = itemgetter(*where)
-    slot = order.index(0)
-    composite = {(0,) * n: 2}
-    for i in heavy:
-        composite[_unit(i, n)] = -1
-    powers = [{(0,) * n: 1}]
-    for _ in range(max((exps[slot] for exps in piece._num), default=0)):
-        powers.append(_mul_into({}, powers[-1], composite))
-    acc: dict[tuple[int, ...], int] = {}
-    get = acc.get
-    for exps, c in piece._num.items():
-        base = rename((*exps, 0))
-        power = exps[slot]
-        if not power:
-            acc[base] = get(base, 0) + c
-            continue
-        for comp_exps, comp_c in powers[power].items():
-            out = tuple(map(add, base, comp_exps))
-            acc[out] = get(out, 0) + c * comp_c
-    return MultiPoly._exact(n, acc, piece._den)
+    return expanded._renamed(n, itemgetter(*where))
 
 
 def _template(family: str, block_sizes: tuple[int, ...],

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import random
@@ -219,6 +220,20 @@ class TestMultiPoly:
             MultiPoly(2, {("1", 0): 1})
         with pytest.raises(ValidationError):
             MultiPoly.from_json(2, [[["1", 0], "1"]])
+
+    def test_from_json_rejects_term_without_coefficient(self):
+        with pytest.raises(ValidationError):
+            MultiPoly.from_json(2, [[[1, 0]]])
+
+    @pytest.mark.parametrize("data", [5, None])
+    def test_from_json_rejects_non_list(self, data):
+        with pytest.raises(ValidationError):
+            MultiPoly.from_json(2, data)
+
+    def test_from_json_rejects_repeated_exponents(self):
+        # used to keep the last of the two terms and return x_0/3
+        with pytest.raises(ValidationError):
+            MultiPoly.from_json(2, [[[1, 0], "1/2"], [[1, 0], "1/3"]])
 
 
 class TestMultiPolyRepresentation:
@@ -585,6 +600,40 @@ class TestSubPiece:
                                                   for i in range(n)], n)]
                     forms += [MultiPoly.variable(i, n) for i in heavy]
                     assert got == piece.substitute_linear([forms[j] for j in order])
+
+
+    def test_each_key_and_slot_expanded_once_per_call(self, monkeypatch):
+        # every mapping of a sorted piece with the same composite slot reuses
+        # one expanded form, however many heavy blocks share the key
+        expanded, mapped = [], []
+        original_expanded, original_sub_piece = piecewise._expanded, piecewise._sub_piece
+
+        def recording_expanded(key, slot, den, memo):
+            expanded.append((key, slot))
+            return original_expanded(key, slot, den, memo)
+
+        def recording_sub_piece(*args):
+            mapped.append(args[3])
+            return original_sub_piece(*args)
+
+        monkeypatch.setattr(piecewise, "_expanded", recording_expanded)
+        monkeypatch.setattr(piecewise, "_sub_piece", recording_sub_piece)
+        sample = random_generic_sample(random.Random(3), 7)
+        an_polynomial(SignDomain(sample))
+        assert len(set(expanded)) == len(expanded)
+        assert len(expanded) < len(mapped)
+        # some key is expanded at two slots, which need two forms
+        assert len({key for key, _ in expanded}) < len(expanded)
+
+    def test_n8_piece_pinned(self):
+        # the piece of generic_sample(random.Random(11), 8, 22) from
+        # perfbench/workloads.py as printed before the sub-pieces were mapped
+        # by renaming: n = 8 reaches further than pieces_pinned.json (n <= 7)
+        sample = parse_weights("52/97,-10/97,-31/97,-26/97,-68/97,93/97,93/97,91/97")
+        terms = an_polynomial(SignDomain(sample)).to_json()
+        assert len(terms) == 630
+        assert hashlib.sha256(json.dumps(terms).encode()).hexdigest() == (
+            "203f5754c70becf85d74449ce18ad3e5a2c37c3e37ad1babe93378b871c95161")
 
 
 class TestCoefficientTemplate:
