@@ -6,16 +6,18 @@ Exit codes: 0 success, 1 input validation error, 2 verification mismatch
 from __future__ import annotations
 
 import contextlib
+import functools
 import json
 import os
 import random
 import sys
-import tempfile
 from fractions import Fraction
 
 import click
 
-from . import closed_forms, partitions, piecewise, recursion, tables
+# tables and piecewise load in the commands that run them, so `an` and
+# `volume` import neither (nor flat_charts, which tables imports)
+from . import closed_forms, partitions, recursion
 from .core import (
     PiValue,
     Signature,
@@ -52,6 +54,8 @@ CACHE_VERSION = 1
 
 def _load_cache(path: str) -> CountingCache:
     cache = CountingCache()
+    # the keys share few distinct weights: parse each text once
+    parse = functools.cache(parse_rational)
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
@@ -59,7 +63,7 @@ def _load_cache(path: str) -> CountingCache:
             raise ValueError(f"unknown version {raw.get('version')!r}")
         for key, text in raw["entries"].items():
             # validate before trusting; memo keys are sorted weight tuples
-            mu = WeightVector(tuple(sorted(map(parse_rational, key.split(",")))))
+            mu = WeightVector(tuple(sorted(map(parse, key.split(",")))))
             value = parse_rational(text)
             if (minimal_denominator(mu) ** (mu.n - 3) * value).denominator != 1:
                 raise ValueError(f"{key}: j_n of {value} is not an integer")
@@ -69,8 +73,11 @@ def _load_cache(path: str) -> CountingCache:
             # no memo below it: check the value exactly
             if mu.n <= 5 and value != (exact := recursion.a_n(mu, {})):
                 raise ValueError(f"{key}: {value} is not a_n = {exact}")
-    except FileNotFoundError:
-        pass
+    except FileNotFoundError as exc:
+        # a missing file starts an empty memo, but one that cannot be
+        # written at the end must not cost the whole run first
+        if not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+            _fail(f"cannot write cache file {path}: {exc.strerror}")
     except OSError as exc:
         _fail(f"cannot read cache file {path}: {exc.strerror or exc}")
     except (ValueError, KeyError, TypeError, AttributeError) as exc:
@@ -80,18 +87,24 @@ def _load_cache(path: str) -> CountingCache:
 
 
 def _save_cache(path: str, cache: dict) -> None:
-    """Replace the file atomically, so no reader sees half of it."""
+    """Replace the file atomically, so no reader sees half of it; exit 1 if
+    it cannot be written."""
+    import tempfile
+
     entries = {",".join(str(x) for x in key): str(value)
                for key, value in cache.items()}
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
-                               prefix=".flatsphere-cache-", suffix=".tmp")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            json.dump({"version": CACHE_VERSION, "entries": entries}, fh, indent=0)
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
+                                   prefix=".flatsphere-cache-", suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                json.dump({"version": CACHE_VERSION, "entries": entries}, fh, indent=0)
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
+    except OSError as exc:
+        _fail(f"cannot write cache file {path}: {exc.strerror or exc}")
 
 
 @contextlib.contextmanager
@@ -194,6 +207,8 @@ def cmd_volume(weights, signature, neg_orders, cache_path, approx, verbose):
 @click.option("--verbose", is_flag=True)
 def cmd_table(npoints, as_csv, as_json, diff, columns, cache_path, verbose):
     """Recompute a reference table; with --diff, verify it cell by cell."""
+    from . import tables
+
     if npoints not in (4, 5):
         _fail("--n must be 4 or 5")
     if not columns.replace(",", " ").strip():  # commas and blanks name no column
@@ -242,6 +257,8 @@ EXPLAIN_MAX_N = 16
 @click.option("--pretty", is_flag=True, help="indent the JSON output")
 def cmd_piecewise(sample, pretty):
     """Print the volume polynomial on the sample's sign domain as JSON."""
+    from . import piecewise
+
     point = _weights_up_to(sample, "--sample", "piecewise", PIECEWISE_MAX_N)
     try:
         domain = piecewise.SignDomain(point)
@@ -315,6 +332,8 @@ def _suite_sympoly(max_n: int, seed: int, report) -> None:
 
 
 def _suite_oracle5(max_n: int, seed: int, report) -> None:
+    from . import tables
+
     if max_n < 5:
         return
     cache: dict = {}
@@ -385,6 +404,8 @@ def _wall_point_agrees(mu: WeightVector, rng: random.Random) -> bool:
     entry): the piece of a chamber next to mu, reached by a seeded zero-sum
     shift of about 1e-6, takes a_n's value at mu.  A piece sums only T1a and
     T2a terms, while a_n at mu also sums its T1b and T2b terms."""
+    from . import piecewise
+
     n = mu.n
     while True:
         raw = [rng.randint(-9, 9) for _ in range(n)]
@@ -414,20 +435,24 @@ def _suite_walls(max_n: int, seed: int, report) -> None:
         report(f"walls n={n}", good)
 
 
-# each suite with the largest n it checks (None: as large as --max-n asks);
-# sympoly's is the largest n closed_forms.sum_dependence_check takes (its
-# n = 9 line runs 640 f_nab calls, about 0.5 s);
-# mcmullen's 9 is set by a_n, which takes 0.01-2.2 s per seed-0 vector at
-# n = 10, 10-53 s at n = 11 and 0.8-78 s at n = 12, not by the oracle;
-# walls' 8 by the pieces: at seed 0 its n = 8 points take 4.3 s and its
-# n = 9 points 53 s (Python 3.11 on a shared 2-CPU VM)
+# each suite with the largest n it checks.  Except where a bound of the
+# suite itself sets it, that is the largest n at which the whole command
+# `flatsphere check --suite NAME --max-n N` at seed 0 stays inside a 6 s
+# budget (times on Python 3.11, a shared 2-CPU VM; the next n in brackets)
 _SUITES = {
-    "kontsevich": (_suite_kontsevich, None),
-    "identity": (_suite_identity, None),
+    # --max-n 16: 5.3-5.7 s (steps by 2; 18: 43 s)
+    "kontsevich": (_suite_kontsevich, 16),
+    # --max-n 16: 1.6 s (steps by 2; 18: 9.5-9.9 s, 20: 66-69 s)
+    "identity": (_suite_identity, 16),
+    # the largest n sum_dependence_check takes; --max-n 9: 0.7 s
     "sympoly": (_suite_sympoly, closed_forms._SUM_CHECK_MAX_N),
+    # the five-point oracle itself
     "oracle5": (_suite_oracle5, 5),
-    "dform": (_suite_dform, 7),
-    "mcmullen": (_suite_mcmullen, 9),
+    # --max-n 9: 3.7-4.0 s (8: 1.0 s; 10: 16-20 s)
+    "dform": (_suite_dform, 9),
+    # --max-n 10: 0.95 s, nearly all in a_n (11: one vector takes 5.2-22.6 s)
+    "mcmullen": (_suite_mcmullen, 10),
+    # --max-n 8: 2.8 s, nearly all in the pieces (9: 30 s)
     "walls": (_suite_walls, 8),
 }
 
@@ -450,10 +475,10 @@ def cmd_check(suite_name, max_n, seed):
         results.append(good)
 
     suite, ceiling = _SUITES[suite_name]
-    if ceiling is not None and max_n > ceiling:
+    if max_n > ceiling:
         click.echo(f"note: suite {suite_name!r} stops at n = {ceiling}, "
                    f"below --max-n {max_n}", err=True)
-    suite(max_n if ceiling is None else min(max_n, ceiling), seed, report)
+    suite(min(max_n, ceiling), seed, report)
     if not results:
         _fail(f"suite {suite_name!r} ran no checks at --max-n {max_n}")
     failures = results.count(False)

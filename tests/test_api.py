@@ -1,8 +1,15 @@
 """The package surface: ``flatsphere.__all__`` is the library API the README
-documents, and ``from flatsphere import *`` binds exactly it."""
+documents, ``from flatsphere import *`` binds exactly it, and each name loads
+its submodule only when first read."""
+import json
+import os
 import re
+import subprocess
+import sys
 import types
 from pathlib import Path
+
+import pytest
 
 import flatsphere
 from flatsphere import closed_forms, core, flat_charts, partitions, recursion
@@ -38,3 +45,58 @@ def test_readme_lists_the_public_api():
     listed = [name for line in section.splitlines() if line.startswith(("- ", "  "))
               for name in re.findall(r"`(\w+)`", line)]
     assert sorted(listed) == sorted(flatsphere.__all__)
+
+
+SRC = Path(flatsphere.__file__).resolve().parent.parent
+# what every command loads: the recursion and the cli itself
+BASE = {"flatsphere.cli", "flatsphere.closed_forms", "flatsphere.core",
+        "flatsphere.partitions", "flatsphere.recursion"}
+
+
+def _fresh(code: str, cwd: Path) -> dict:
+    """Run ``code`` in a fresh interpreter on this checkout's package; it
+    leaves its findings as JSON in ``out``, returned with the source modules
+    of flatsphere loaded by then under "loaded" (the data directory, which
+    reading the golden tables imports, is not one)."""
+    probe = (f"import json, sys\nout = {{}}\n{code}\n"
+             "out['loaded'] = sorted(m for m in sys.modules if m.startswith('flatsphere.')"
+             " and (getattr(sys.modules[m], '__file__', None) or '').endswith('.py'))\n"
+             "print(json.dumps(out))\n")
+    proc = subprocess.run([sys.executable, "-c", probe], cwd=cwd, capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+@pytest.mark.parametrize("args,more", [
+    (None, set()),
+    (["an", "--weights", "2/3,1/3,1/3,1/3,1/3"], set()),
+    (["volume", "--weights", "2/3,1/3,1/3,1/3,1/3", "--cache", "memo.json"], set()),
+    (["table", "--n", "4"], {"flatsphere.flat_charts", "flatsphere.tables"}),
+    (["piecewise", "--sample", "9/11,5/11,4/11,3/11,1/11"], {"flatsphere.piecewise"}),
+], ids=["import", "an", "volume-cache", "table", "piecewise"])
+def test_each_command_loads_only_the_modules_it_runs(tmp_path, args, more):
+    # `an` and `volume` need the recursion alone; `table` and `piecewise`
+    # still load theirs
+    code = "import flatsphere.cli\n"
+    if args is not None:
+        code += ("import contextlib, io\n"
+                 "with contextlib.redirect_stdout(io.StringIO()):\n"
+                 f"    flatsphere.cli.main.main(args={args!r}, standalone_mode=False)\n")
+    assert set(_fresh(code, tmp_path)["loaded"]) == BASE | more
+
+
+def test_names_load_on_first_use(tmp_path):
+    out = _fresh("import flatsphere\n"
+                 "out['on_import'] = sorted(m for m in sys.modules if m.startswith('flatsphere.'))\n"
+                 "out['all'] = flatsphere.__all__\n"
+                 "out['dir'] = dir(flatsphere)\n"
+                 "out['homes'] = {n: getattr(flatsphere, n).__module__ for n in out['all']}\n"
+                 "try:\n    flatsphere.no_such_name\nexcept AttributeError as exc:\n"
+                 "    out['unknown'] = str(exc)\n", tmp_path)
+    assert out["on_import"] == []
+    assert out["all"] == flatsphere.__all__
+    assert set(out["all"]) <= set(out["dir"])
+    assert sorted(out["homes"]) == sorted(out["all"])
+    assert all(home.startswith("flatsphere.") for home in out["homes"].values())
+    assert out["unknown"] == "module 'flatsphere' has no attribute 'no_such_name'"

@@ -387,9 +387,33 @@ class TestCache:
 
         monkeypatch.setattr(cli.json, "dump", fail)
         result = self._an_with_cache(runner, cache)
-        assert isinstance(result.exception, OSError)
+        assert result.exit_code == 1
+        assert result.stderr == f"error: cannot write cache file {cache}: disk full\n"
         assert cache.read_text() == old
         assert [p.name for p in tmp_path.iterdir()] == ["memo.json"]
+
+    def test_unwritable_directory_fails_cleanly(self, runner, tmp_path, monkeypatch):
+        # the values are printed, then the save fails: one error line, exit 1
+        def refuse(*args, **kwargs):
+            raise PermissionError(13, "Permission denied")
+
+        monkeypatch.setattr("tempfile.mkstemp", refuse)
+        cache = tmp_path / "memo.json"
+        result = self._an_with_cache(runner, cache)
+        assert result.exit_code == 1
+        assert result.stdout == "A = 1/9\nJ = 1\ne = 3\n"
+        assert result.stderr == f"error: cannot write cache file {cache}: Permission denied\n"
+        assert not cache.exists()
+
+    @pytest.mark.parametrize("args", [["an", "--weights", "1/2,1/2,1/2,1/2"],
+                                      ["table", "--n", "4"]])
+    def test_missing_directory_fails_before_any_work(self, runner, tmp_path, args):
+        cache = tmp_path / "no-such-dir" / "memo.json"
+        result = runner.invoke(main, [*args, "--cache", str(cache)])
+        assert result.exit_code == 1
+        assert result.stdout == ""
+        assert result.stderr == (f"error: cannot write cache file {cache}: "
+                                 "No such file or directory\n")
 
 
 PIECES_PINNED = json.loads(
@@ -567,6 +591,25 @@ class TestCheck:
         result = runner.invoke(main, ["check", "--suite", "sympoly", "--max-n", "3"])
         assert result.exit_code == 0, result.output
         assert result.stderr == ""
+
+    @pytest.mark.parametrize("suite,ceiling", [("kontsevich", 16), ("identity", 16),
+                                               ("dform", 9), ("mcmullen", 10)])
+    def test_budget_ceiling_notes_it_on_stderr(self, runner, monkeypatch, suite, ceiling):
+        # the suite itself is stubbed: at its ceiling it takes up to 6 s
+        ran = []
+
+        def stub(max_n, seed, report):
+            ran.append(max_n)
+            report(f"{suite} stub", True)
+
+        monkeypatch.setitem(cli._SUITES, suite, (stub, cli._SUITES[suite][1]))
+        result = runner.invoke(main, ["check", "--suite", suite, "--max-n", str(ceiling)])
+        assert result.exit_code == 0 and result.stderr == ""
+        result = runner.invoke(main, ["check", "--suite", suite, "--max-n", "20"])
+        assert result.exit_code == 0, result.output
+        assert result.stderr == (f"note: suite {suite!r} stops at n = {ceiling}, "
+                                 "below --max-n 20\n")
+        assert ran == [ceiling, ceiling]
 
     def test_mcmullen_starts_at_four_points(self, runner):
         result = runner.invoke(main, ["check", "--suite", "mcmullen", "--max-n", "3"])
