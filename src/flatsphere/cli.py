@@ -62,12 +62,13 @@ def _load_cache(path: str) -> CountingCache:
         if raw.get("version") != CACHE_VERSION:
             raise ValueError(f"unknown version {raw.get('version')!r}")
         for key, text in raw["entries"].items():
-            # validate before trusting; memo keys are sorted weight tuples
-            mu = WeightVector(tuple(sorted(map(parse, key.split(",")))))
+            # validate before trusting, in the key's own order; the memo key
+            # orders the entries by their integer numerators, as a_n does
+            mu = WeightVector(tuple(map(parse, key.split(","))))
             value = parse_rational(text)
             if (minimal_denominator(mu) ** (mu.n - 3) * value).denominator != 1:
                 raise ValueError(f"{key}: j_n of {value} is not an integer")
-            if cache.setdefault(mu.entries, value) != value:
+            if cache.setdefault(recursion._memo_key(mu), value) != value:
                 raise ValueError(f"{key}: conflicting values")
             # up to n = 5, a_n is a closed form or the five-point leaf, with
             # no memo below it: check the value exactly
@@ -242,13 +243,16 @@ def cmd_table(npoints, as_csv, as_json, diff, columns, cache_path, verbose):
 
 # one piece takes about 0.3 s at n = 8, 1.7 s at n = 9 and 42 s (166 MB
 # peak) at n = 10 (Python 3.11 on a shared 2-CPU VM), so n = 10 is not
-# interactive
+# interactive.  Re-measured on a day that VM ran slower, the piece of
+# tests/util.py's random_generic_sample(random.Random(11), n) took 0.7 s,
+# 3.7-4.5 s and 53 s (173 MB)
 PIECEWISE_MAX_N = 9
 
 # explain lists every record of the four families: on the seeded level-7
-# vector level_vector(random.Random(1), n, 7) it takes 2.9 s (91 MB) at
-# n = 15, 7.0 s (192 MB) at n = 16 and 18.5 s (432 MB) at n = 17 (Python
-# 3.11 on a shared 2-CPU VM), about 2.5x per weight
+# vector level_vector(random.Random(1), n, 7) of tests/util.py the command
+# takes 4.7 s (200 MB) at n = 16, and building and dumping the records
+# in-process takes 1.6 s (87 MB) at n = 15 and 11.3 s (427 MB) at n = 17
+# (Python 3.11 on a shared 2-CPU VM), about 2.6x per weight
 EXPLAIN_MAX_N = 16
 
 
@@ -438,9 +442,13 @@ def _suite_walls(max_n: int, seed: int, report) -> None:
 # each suite with the largest n it checks.  Except where a bound of the
 # suite itself sets it, that is the largest n at which the whole command
 # `flatsphere check --suite NAME --max-n N` at seed 0 stays inside a 6 s
-# budget (times on Python 3.11, a shared 2-CPU VM; the next n in brackets)
+# budget (times on Python 3.11, a shared 2-CPU VM; the next n in brackets).
+# The VM's speed drifts: "slow" times were taken on a day it ran the
+# kontsevich command 1.3-1.9x slower, and a suite past its ceiling was
+# timed in-process
 _SUITES = {
-    # --max-n 16: 5.3-5.7 s (steps by 2; 18: 43 s)
+    # --max-n 16: 5.3-5.7 s, slow 8.3-9.5 s; a_n's children there have
+    # three entries or vanish (steps by 2; 18: 43 s, slow 76 s and 407 MB)
     "kontsevich": (_suite_kontsevich, 16),
     # --max-n 16: 1.6 s (steps by 2; 18: 9.5-9.9 s, 20: 66-69 s)
     "identity": (_suite_identity, 16),
@@ -448,9 +456,10 @@ _SUITES = {
     "sympoly": (_suite_sympoly, closed_forms._SUM_CHECK_MAX_N),
     # the five-point oracle itself
     "oracle5": (_suite_oracle5, 5),
-    # --max-n 9: 3.7-4.0 s (8: 1.0 s; 10: 16-20 s)
+    # --max-n 9: 3.7-4.0 s, slow 4.4-6.3 s (8: 1.0 s; 10: 16-20 s, slow 27 s)
     "dform": (_suite_dform, 9),
-    # --max-n 10: 0.95 s, nearly all in a_n (11: one vector takes 5.2-22.6 s)
+    # --max-n 10: 0.95 s, slow 1.6-2.1 s, nearly all in a_n (11: one vector
+    # takes 5.2-22.6 s; the suite slow 94 s)
     "mcmullen": (_suite_mcmullen, 10),
     # --max-n 8: 2.8 s, nearly all in the pieces (9: 30 s)
     "walls": (_suite_walls, 8),

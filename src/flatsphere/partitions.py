@@ -50,24 +50,9 @@ class PartitionRecord:
     @property
     def sub_weights(self) -> tuple[WeightVector, ...]:
         """Per heavy block I, the induced vector (2 - mu(I), sorted mu_i for
-        i in I); built on access, so callers that never read it pay nothing.
-
-        Built on integers from the source's numerators s_i over its
-        denominator D: (2D - s(I), s_i for i in I) by numerator, over D.
-        It is valid by construction (each entry below 1 as s(I) > D, sum
-        2D), so only one gcd brings D down to its minimal denominator."""
-        mu = self.source
-        den, nums, entries = mu._den, mu._nums, mu.entries
-        out = []
-        for heavy in self.heavy_blocks:
-            block = sorted(heavy, key=nums.__getitem__)
-            sub = [nums[i] for i in block]
-            sub.insert(0, 2 * den - sum(sub))
-            g = math.gcd(den, *sub)
-            out.append(WeightVector._exact(
-                (_shared_weight(Fraction(sub[0], den)), *[entries[i] for i in block]),
-                den // g, tuple([s // g for s in sub])))
-        return tuple(out)
+        i in I) that ``_sub_vector`` builds; built on access, so callers
+        that never read it pay nothing."""
+        return tuple([_sub_vector(self.source, heavy) for heavy in self.heavy_blocks])
 
     @property
     def min_denoms(self) -> tuple[int, ...]:
@@ -84,6 +69,29 @@ class PartitionRecord:
             "min_denoms": list(self.min_denoms),
             "epsilon": self.epsilon,
         }
+
+
+def _child_nums(mu: WeightVector, block) -> list[int]:
+    """The numerators (2D - s(I), s_i for i in block) of the vector a heavy
+    block I of mu induces, over mu's denominator D, in block's order.  They
+    are valid weights by construction: each is below D, as s(I) > D, and
+    they sum to 2D."""
+    sub = [mu._nums[i] for i in block]
+    sub.insert(0, 2 * mu._den - sum(sub))
+    return sub
+
+
+def _sub_vector(mu: WeightVector, heavy) -> WeightVector:
+    """The induced vector (2 - mu(I), mu_i for i in I) of a heavy block I,
+    its block sorted by numerator: the ``_child_nums`` brought down to the
+    minimal denominator by one gcd, and not re-checked."""
+    den, entries = mu._den, mu.entries
+    block = sorted(heavy, key=mu._nums.__getitem__)
+    sub = _child_nums(mu, block)
+    g = math.gcd(den, *sub)
+    return WeightVector._exact(
+        (_shared_weight(Fraction(sub[0], den)), *[entries[i] for i in block]),
+        den // g, tuple([s // g for s in sub]))
 
 
 def enum_P(n: int) -> list[tuple[frozenset[int], frozenset[int]]]:

@@ -25,8 +25,8 @@ from .core import (
     _subset_sums,
     weights_from_signature,
 )
-from .partitions import (_family_blocks, _paired_blocks, enum_T1a, enum_T1b, enum_T2a,
-                         enum_T2b)
+from .partitions import (_child_nums, _family_blocks, _paired_blocks, _sub_vector, enum_T1a,
+                         enum_T1b, enum_T2a, enum_T2b)
 
 
 def a4_closed(nu) -> Fraction:
@@ -88,20 +88,20 @@ def _t1a_child_num(sums, den: int, pair: int) -> int:
     return a4
 
 
-def _five_point(mu: WeightVector) -> Fraction:
-    """A five-point node, none of its numerators s_i over D a multiple of D:
-    ``_coefficient`` at n = 5 over 12 D**k (k heavy blocks), each child's
-    value read off the vector's subset sums.
+def _five_point_num(sums, den: int) -> int:
+    """The numerator N of a five-point node's a_5 = N / 48 D**2, read off
+    the subset sums ``sums`` of its numerators s_i over D, none a multiple
+    of D: ``_coefficient`` at n = 5 over 12 D**k (k heavy blocks), each
+    child's value read off the same sums.
 
-    With M = s(I) - D for a heavy block I, a_5 = N / 48 D**2, where N sums
-    (2D - 4M) * A4 over T1a (A4 the child's ``_t1a_child_num``, whose a_4
-    is A4 / 4D), -8 D M over T1b and 16 M1 M2 - 8 D (M1 + M2) over T2a; the
-    T1b and T2a children have three entries, so a_3 = 1, and T2b needs
-    n >= 6.  No child vanishes: each entry is an s_i, or 2D - s(I) for a
-    heavy block, which the families keep off the multiples of D.  So no
-    child needs a vector or a memo.
+    With M = s(I) - D for a heavy block I, N sums (2D - 4M) * A4 over T1a
+    (A4 the child's ``_t1a_child_num``, whose a_4 is A4 / 4D), -8 D M over
+    T1b and 16 M1 M2 - 8 D (M1 + M2) over T2a; the T1b and T2a children
+    have three entries, so a_3 = 1, and T2b needs n >= 6.  No child
+    vanishes: each entry is an s_i, or 2D - s(I) for a heavy block, which
+    the families keep off the multiples of D.  So no child needs a vector
+    or a memo.
     """
-    den, sums = mu._den, mu._sums
     total = 0
     for (pair,), _, _ in _family_blocks("T1a", 5, sums, den):
         # 2D - 4M, with M = s(heavy) - D = D - s(pair)
@@ -111,19 +111,39 @@ def _five_point(mu: WeightVector) -> Fraction:
     for _, (block1, block2), _ in _family_blocks("T2a", 5, sums, den):
         m1, m2 = sums[block1] - den, sums[block2] - den
         total += 16 * m1 * m2 - 8 * den * (m1 + m2)
-    return Fraction(total, 48 * den * den)
+    return total
+
+
+def _leaf(nums, den: int) -> Fraction:
+    """a_n of three, four or five numerators over den, none a multiple of
+    den: 1, the four-point closed form over 4D, or the five-point leaf
+    ``_five_point_num`` over 48 D**2.  Both are homogeneous in (den, nums),
+    so numerators over any common denominator give the same value."""
+    if len(nums) == 3:
+        return Fraction(1)
+    if len(nums) == 4:
+        return Fraction(_four_point_num(nums, den), 4 * den)
+    return Fraction(_five_point_num(_subset_sums(nums), den), 48 * den * den)
+
+
+def _memo_key(mu: WeightVector) -> tuple:
+    """The memo key of a vector: its entries ordered by their integer
+    numerators, that is tuple(sorted(mu.entries))."""
+    nums = mu._nums
+    return itemgetter(*sorted(range(len(nums)), key=nums.__getitem__))(mu.entries)
 
 
 def a_n(mu, cache: Optional[MutableMapping] = None) -> Fraction:
     """The normalized intersection function on a weight vector.
 
-    Vanishes when any entry is an integer; equals 1 for n = 3 and the
-    closed form for n = 4 and the leaf ``_five_point`` for n = 5; for
-    n >= 6 it is the four-family recursion with denominator-free
-    coefficients.  ``cache`` maps sorted weight tuples to the values of
-    every node the recursion visits, the three- and four-point children of
-    n >= 6 nodes included; a five-point node stores nothing below itself.
-    ``None`` gives this call a fresh one.
+    Vanishes when any entry is an integer; equals 1 for n = 3, the closed
+    form for n = 4 and the five-point leaf for n = 5; for n >= 6 it is the
+    four-family recursion with denominator-free coefficients.  A child of
+    three, four or five weights is evaluated inline on its numerators
+    (2D - s(I), s_i for i in I) over the node's own D, with no vector or
+    lookup.  ``cache`` maps sorted weight tuples to values: it holds the
+    input vector and every node of six or more weights the recursion
+    visits.  ``None`` gives this call a fresh one.
     """
     mu = WeightVector.coerce(mu)
     den, nums = mu._den, mu._nums
@@ -131,18 +151,13 @@ def a_n(mu, cache: Optional[MutableMapping] = None) -> Fraction:
         return Fraction(0)
     if cache is None:
         cache = {}
-    # the entries ordered by their integer numerators: tuple(sorted(entries))
-    key = itemgetter(*sorted(range(len(nums)), key=nums.__getitem__))(mu.entries)
+    key = _memo_key(mu)
     hit = cache.get(key)
     if hit is not None:
         return hit
     n = mu.n
-    if n == 3:
-        value = Fraction(1)
-    elif n == 4:
-        value = Fraction(_four_point_num(nums, den), 4 * den)
-    elif n == 5:
-        value = _five_point(mu)
+    if n <= 5:
+        value = _leaf(nums, den)
     else:
         value = Fraction(0)
         # looked up by name on each call, so wrappers bound to these names see it
@@ -150,8 +165,12 @@ def a_n(mu, cache: Optional[MutableMapping] = None) -> Fraction:
             for rec in enum(mu):
                 term = _coefficient(rec.family, rec.mu_bars, rec.block_sizes,
                                     rec.epsilon, n)
-                for sub in rec.sub_weights:
-                    term *= a_n(sub, cache)
+                for heavy in rec.heavy_blocks:
+                    # a heavy block's child never vanishes (see _five_point_num)
+                    if len(heavy) >= 5:
+                        term *= a_n(_sub_vector(mu, heavy), cache)
+                    elif len(heavy) > 2:  # a three-point child is 1
+                        term *= _leaf(_child_nums(mu, heavy), den)
                 value += term
     cache[key] = value
     return value

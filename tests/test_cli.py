@@ -8,6 +8,9 @@ from click.testing import CliRunner
 
 from flatsphere import cli
 from flatsphere.cli import main
+from flatsphere.core import parse_weights
+
+from util import an_reference
 
 
 TABLE_N4_CSV = """\
@@ -368,6 +371,27 @@ class TestCache:
         assert result.exit_code == 0 and "A = 1/9\n" in result.output
         assert json.loads(cache.read_text())["entries"] == {
             "1/3,1/3,1/3,1/3,2/3": "1/9"}
+
+    def test_file_with_small_children_loads_and_keeps_them(self, runner, tmp_path):
+        # a file written while the memo stored every three-, four- and
+        # five-point child loads with no warning, serves the values of a
+        # fresh run, and is saved back with every entry in its order
+        full = {}
+        an_reference(parse_weights("1/5,-2/5,-4/5,4/5,4/5,3/5,4/5"), full)
+        assert {len(key) for key in full} == {3, 4, 5, 6, 7}
+        text = json.dumps({"version": 1, "entries": {
+            ",".join(map(str, key)): str(value) for key, value in full.items()}}, indent=0)
+        cache = tmp_path / "memo.json"
+        # the input, and a six-, five-, four- and three-point entry of the file
+        for key in [next(k for k in full if len(k) == size) for size in (7, 6, 5, 4, 3)]:
+            weights = ",".join(map(str, key))
+            cache.write_text(text)
+            result = runner.invoke(main, ["an", "--weights", weights, "--cache", str(cache),
+                                          "--verbose"])
+            assert result.exit_code == 0
+            assert result.stderr == f"cache: 1 hits, {len(full)} entries\n", weights
+            assert result.stdout == runner.invoke(main, ["an", "--weights", weights]).stdout
+            assert cache.read_text() == text
 
     def test_unreadable_path_fails_cleanly(self, runner, tmp_path):
         result = runner.invoke(main, ["an", "--weights", "1/2,1/2,1/2,1/2",

@@ -37,8 +37,8 @@ from flatsphere.recursion import (
     recursive_rhs_dform,
     vol1,
 )
-from util import (a4_reference, a5_reference, chart_orders, level_vector, load_perfbench,
-                  mcmullen_bell, ref_odd_signatures)
+from util import (a4_reference, a5_reference, an_reference, chart_orders, level_vector,
+                  load_perfbench, mcmullen_bell, ref_odd_signatures)
 
 F = Fraction
 
@@ -297,25 +297,83 @@ class TestFivePointLeaf:
                     16 * m1 * m2 - 8 * den * (m1 + m2), 48 * den ** 2)
 
 
-class TestOneTablePerNode:
-    """Every node reads the subset sums its vector builds on first access:
-    the four families of a node, or the five-point leaf, share one table."""
+class TestInlineChildren:
+    """A node of six or more weights evaluates each child of three, four or
+    five weights inline, on the numerators (2D - s(I), s_i for i in I) over
+    its own D: the memo holds the input and the nodes of six or more
+    weights, as the full memo of ``an_reference`` does without the rest."""
 
-    def test_one_table_per_memo_miss(self, monkeypatch):
+    def test_one_table_per_memo_miss_and_per_five_point_child(self, monkeypatch):
         build, built = core._subset_sums, []
 
         def counting(xs):
             built.append(len(xs))
             return build(xs)
 
+        rng = random.Random(27)
+        vectors = [level_vector(rng, n, d) for n in (7, 8, 9) for d in (3, 5, 6)]
         for module in (core, partitions, recursion):
             monkeypatch.setattr(module, "_subset_sums", counting)
+        runs = []
+        for mu in vectors:
+            memo = {}
+            a_n(mu, memo)
+            runs.append((mu, memo, built[:]))
+            built.clear()
+        monkeypatch.undo()
+        fives_seen = 0
+        for mu, memo, tables in runs:
+            # no key of five or fewer weights: the input has seven or more
+            assert tuple(sorted(mu)) in memo and min(map(len, memo)) >= 6, mu
+            # a fresh memo misses once per entry, and each miss builds the
+            # one table its four families share
+            assert sorted(t for t in tables if t != 5) == sorted(map(len, memo)), mu
+            # each five-point child builds its own; a smaller child needs none
+            fives = sum(len(heavy) == 4 for key in memo
+                        for records in partitions.enum_all(key).values()
+                        for rec in records for heavy in rec.heavy_blocks)
+            assert tables.count(5) == fives, mu
+            fives_seen += fives
+        assert max(len(memo) for _, memo, _ in runs) > 50 and fives_seen > 1000
+
+    @pytest.mark.parametrize("n", [5, 6, 7, 8])
+    def test_memo_is_the_full_memo_without_small_children(self, n):
+        # the same values, and the full memo's entries of six or more
+        # weights, or the input, in the order the full memo stores them
+        rng = random.Random(40 + n)
+        checked = 0
+        while checked < 6:
+            mu = _random_weights(rng, n)
+            if any(s % mu._den == 0 for s in mu._nums):
+                continue
+            memo, full = {}, {}
+            assert a_n(mu, memo) == an_reference(mu, full), mu
+            key = tuple(sorted(mu))
+            assert list(memo.items()) == [
+                (k, v) for k, v in full.items() if len(k) >= 6 or k == key], mu
+            checked += 1
+
+    @pytest.mark.parametrize("n", [6, 7, 8])
+    def test_only_children_of_six_or_more_weights_become_vectors(self, monkeypatch, n):
+        mu = level_vector(random.Random(n), n, 6)
+        built = []
+        original = WeightVector._exact.__func__
+
+        def counting(cls, entries, *args):
+            built.append(len(entries))
+            return original(cls, entries, *args)
+
+        monkeypatch.setattr(WeightVector, "_exact", classmethod(counting))
         memo = {}
-        a_n(level_vector(random.Random(27), 9, 5), memo)
-        # a fresh memo misses once per entry; nodes below n = 5 need no table
-        misses = sorted(len(key) for key in memo if len(key) >= 5)
-        assert 9 in misses and 6 in misses
-        assert sorted(built) == misses
+        a_n(mu, memo)
+        monkeypatch.undo()
+        assert memo
+        # one vector per child of six or more weights of each node visited
+        big = [len(heavy) + 1 for key in memo
+               for records in partitions.enum_all(key).values()
+               for rec in records for heavy in rec.heavy_blocks if len(heavy) >= 5]
+        assert sorted(built) == sorted(big)
+        assert (not built) == (n == 6)
 
 
 class TestJn:

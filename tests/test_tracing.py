@@ -116,3 +116,24 @@ def test_a_n_records_every_boundary_family():
     for family, count in top_level.items():
         assert tracer.counts[f"partitions.enum_{family}"] > 0, family
         assert tracer.counts[f"partitions.records.{family}"] >= count, family
+
+
+def test_an_layers_record_calls():
+    # `--trace 1` on an-cold and an-shared fails when an expected layer
+    # records no call; one a_n call at n = 7 must reach every one but cli,
+    # however the recursion walks its children
+    tracing = load_perfbench("tracing")
+    workloads = load_perfbench("workloads")
+    layers = {"core", "partitions", "recursion"}
+    for workload in (workloads.AnCold, workloads.AnShared):
+        assert layers == set(workload.expected_layers) - {"cli"}
+    tracer = tracing.Tracer()
+    mu = [Fraction(a, 6) for a in (5, 5, 5, 3, 1, -2, -5)]
+    try:
+        tracer.install()
+        flatsphere.recursion.a_n(mu, {})
+    finally:
+        tracer.uninstall()
+    recorded = {metric.split(".")[0] for metric, count in tracer.counts.items()
+                if count}
+    assert layers <= recorded, layers - recorded

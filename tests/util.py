@@ -69,6 +69,37 @@ def a5_reference(mu) -> Fraction:
     return value
 
 
+def an_reference(mu, memo: dict) -> Fraction:
+    """a_n as the Fraction recursion evaluated it while every child was a
+    node of its own: each child of an n >= 6 node is its ``sub_weights``
+    vector, and every node, three-, four- and five-point children included,
+    is stored in ``memo`` under its sorted entries once its children are;
+    n = 4 is ``a4_reference`` and n = 5 ``a5_reference``."""
+    mu = WeightVector.coerce(mu)
+    if any(x.denominator == 1 for x in mu):
+        return Fraction(0)
+    key = tuple(sorted(mu))
+    if key in memo:
+        return memo[key]
+    if mu.n == 3:
+        value = Fraction(1)
+    elif mu.n == 4:
+        value = a4_reference(mu)
+    elif mu.n == 5:
+        value = a5_reference(mu)
+    else:
+        value = Fraction(0)
+        for enum in (enum_T1a, enum_T1b, enum_T2a, enum_T2b):
+            for rec in enum(mu):
+                term = _coefficient(rec.family, rec.mu_bars, rec.block_sizes,
+                                    rec.epsilon, mu.n)
+                for sub in rec.sub_weights:
+                    term *= an_reference(sub, memo)
+                value += term
+    memo[key] = value
+    return value
+
+
 def partitions_into(items, k):
     """All set partitions of `items` into exactly k nonempty blocks, each
     once, as lists of sets."""
