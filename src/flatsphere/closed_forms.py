@@ -24,11 +24,20 @@ def double_factorial(k: int) -> int:
     return result
 
 
+def _order_product(orders) -> Fraction:
+    """prod k!!/(k+1)!! over the orders k, each an int >= -1."""
+    num = den = 1
+    for k in orders:
+        num *= double_factorial(k)
+        den *= double_factorial(k + 1)
+    return Fraction(num, den)
+
+
 def v_kontsevich(k: int) -> PiValue:
     """The per-singularity factor k!!/(k+1)!! * pi**k * (pi if k odd else 2)."""
     if type(k) is not int or k < -1:
         raise ValidationError(f"v(k) needs an int k >= -1, got {k!r}")
-    ratio = Fraction(double_factorial(k), double_factorial(k + 1))
+    ratio = _order_product((k,))
     if k % 2:  # odd, including k = -1
         return PiValue(ratio, k + 1)
     return PiValue(2 * ratio, k)

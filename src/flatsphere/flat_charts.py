@@ -244,7 +244,7 @@ CY_I = Cyclo24.zeta_pow(6)
 CY_OMEGA = Cyclo24.zeta_pow(8)
 _CONJ_MAP = _galois_map(-1)
 _GALOIS_STEPS = tuple(_galois_map(k) for k in (5, 7, 13))
-_INV_2I = (CY_I + CY_I).inverse()
+_INV_2I = CY_I * Fraction(-1, 2)  # 1 / (2i)
 CY_SQRT3 = Cyclo24.zeta_pow(2) + Cyclo24.zeta_pow(-2)
 
 
@@ -286,9 +286,6 @@ class QuadInt:
         self._check_ring(other)
         return QuadInt(self.a - other.a, self.b - other.b, self.omega)
 
-    def __neg__(self) -> "QuadInt":
-        return QuadInt(-self.a, -self.b, self.omega)
-
     def __mul__(self, other: "QuadInt") -> "QuadInt":
         self._check_ring(other)
         if self.omega:  # omega^2 = -1 - omega
@@ -316,10 +313,6 @@ class QuadInt:
     def to_cyclo(self) -> Cyclo24:
         gen = CY_OMEGA if self.omega else CY_I
         return Cyclo24.from_rational(self.a) + Fraction(self.b) * gen
-
-    def __str__(self) -> str:
-        unit = "w" if self.omega else "i"
-        return f"{self.a}{self.b:+}{unit}"
 
 
 def quadint_gcd(*values: QuadInt) -> QuadInt:

@@ -19,7 +19,7 @@ from typing import Iterable, Mapping, Sequence
 from .core import (ValidationError, WeightVector, _as_fraction, _bits, _mask, _operand,
                    _scale_to_integers, _subset_sums)
 from .partitions import _family_blocks
-from .recursion import _coefficient, _four_point
+from .recursion import _coefficient, _four_point_num
 
 
 def _nvars(nvars) -> int:
@@ -46,12 +46,6 @@ def _exponents(exps, nvars: int) -> tuple[int, ...]:
 def _unit(i: int, n: int) -> tuple[int, ...]:
     """The exponent vector of x_i among n variables."""
     return (0,) * i + (1,) + (0,) * (n - 1 - i)
-
-
-def _rational(value):
-    """An exact rational: ints pass as they are (they carry numerator and
-    denominator too), anything else through the validating conversion."""
-    return value if type(value) is int else _as_fraction(value)
 
 
 def _lowest(num: Mapping, den: int) -> tuple[dict, int]:
@@ -88,7 +82,7 @@ class MultiPoly:
 
     def __init__(self, nvars: int, terms: Mapping[tuple[int, ...], Fraction] | None = None):
         nvars = _nvars(nvars)
-        coeffs = {_exponents(exps, nvars): _rational(c) for exps, c in (terms or {}).items()}
+        coeffs = {_exponents(exps, nvars): _as_fraction(c) for exps, c in (terms or {}).items()}
         den, nums = _scale_to_integers(coeffs.values())
         self.nvars = nvars
         self._num, self._den = _lowest(dict(zip(coeffs, nums)), den)
@@ -112,7 +106,7 @@ class MultiPoly:
     @classmethod
     def constant(cls, value, nvars: int) -> "MultiPoly":
         nvars = _nvars(nvars)
-        value = _rational(value)
+        value = _as_fraction(value)
         return cls._exact(nvars, {(0,) * nvars: value.numerator}, value.denominator)
 
     @classmethod
@@ -505,8 +499,8 @@ def _piece(n: int, sums: list[int], den: int, memo: dict) -> MultiPoly:
         signs = tuple(1 if sums[1 | 1 << j] > den else -1 for j in (1, 2, 3))
         key = ("four-point", signs)
         if key not in memo:
-            memo[key] = _four_point([MultiPoly.variable(i, 4) for i in range(4)],
-                                    signs=signs)
+            memo[key] = Fraction(1, 4) * _four_point_num(
+                [MultiPoly.variable(i, 4) for i in range(4)], 1, signs)
         return memo[key]
     terms = []
     for family in ("T1a", "T2a"):

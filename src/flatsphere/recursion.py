@@ -15,7 +15,7 @@ from itertools import combinations
 from operator import itemgetter
 from typing import MutableMapping, Optional
 
-from .closed_forms import double_factorial
+from .closed_forms import _order_product
 from .core import (
     PiValue,
     Signature,
@@ -25,8 +25,8 @@ from .core import (
     _subset_sums,
     weights_from_signature,
 )
-from .partitions import (_child_nums, _family_blocks, _paired_blocks, _sub_vector, enum_T1a,
-                         enum_T1b, enum_T2a, enum_T2b)
+from .partitions import (_child_nums, _family_blocks, _paired_blocks, _sub_vector, enum_all,
+                         enum_T1a, enum_T1b, enum_T2a, enum_T2b)
 
 
 def a4_closed(nu) -> Fraction:
@@ -35,23 +35,17 @@ def a4_closed(nu) -> Fraction:
     nu = WeightVector.coerce(nu)
     if nu.n != 4:
         raise ValidationError("a4_closed needs exactly 4 weights")
-    return _four_point(nu._nums, nu._den)
-
-
-def _four_point(weights, den: int = 1, signs=None):
-    """The four-point closed form (2D - sum_j |d_j|) / 4D, for weights
-    summing to 2D with pairing differences d_j = w_0 + w_j - w_k - w_l,
-    {j, k, l} = {1, 2, 3}; each |d_j| is opened as signs[j - 1] * d_j.
-    Ring-generic, like ``_coefficient``: ``a4_closed`` passes a vector's
-    integer numerators over D and no signs (abs on integers), and a piece
-    passes the variables x_i (MultiPoly, D = 1) with the signs at its
-    sample."""
-    return Fraction(1, 4 * den) * _four_point_num(weights, den, signs)
+    return _leaf(nu._nums, nu._den)
 
 
 def _four_point_num(weights, den: int, signs=None):
-    """The numerator 2D - sum_j |d_j| of ``_four_point``, which ``a_n``
-    reads on integers."""
+    """The numerator 2D - sum_j |d_j| of the four-point closed form
+    (2D - sum_j |d_j|) / 4D, for weights summing to 2D with pairing
+    differences d_j = w_0 + w_j - w_k - w_l, {j, k, l} = {1, 2, 3}; each
+    |d_j| is opened as signs[j - 1] * d_j.  Ring-generic, like
+    ``_coefficient``: ``_leaf`` passes a vector's integer numerators over D
+    and no signs (abs on integers), and a piece passes the variables x_i
+    (MultiPoly, D = 1) with the signs at its sample."""
     w0, w1, w2, w3 = weights
     diffs = (w0 + w1 - w2 - w3, w0 + w2 - w1 - w3, w0 + w3 - w1 - w2)
     if signs is None:
@@ -197,6 +191,10 @@ def recursive_rhs_dform(mu, d: int, cache: Optional[MutableMapping] = None) -> F
     verbatim; must equal (d/e)**(n-3) * j_n(mu).  Only defined for n >= 5
     (the boundary expansion degenerates below that), and returns 0 outright
     for integer-entry weights, mirroring the vanishing statement.
+
+    Each family's signed coefficient a_s is written in m = d * mu_bar; a
+    record with b blocks adds a_s * d**(n-2-b) * prod j_n(w) / e_w**(|I|-2),
+    one factor per heavy block I with sub-vector w of minimal denominator e_w.
     """
     mu = WeightVector.coerce(mu)
     n = mu.n
@@ -205,43 +203,25 @@ def recursive_rhs_dform(mu, d: int, cache: Optional[MutableMapping] = None) -> F
         raise ValidationError("the literal recursion needs n >= 5")
     if any(x.denominator == 1 for x in mu):
         return Fraction(0)
-    dd = Fraction(d)
     total = Fraction(0)
-    for rec in enum_T1a(mu):
-        m = d * rec.mu_bars[0]
-        a_s = Fraction(d * (n - 3), (n - 1) * (n - 2)) - m / (n - 2)
-        total += a_s * (dd / rec.min_denoms[0]) ** (n - 4) * j_n(rec.sub_weights[0], cache)
-    for rec in enum_T1b(mu):
-        m = d * rec.mu_bars[0]
-        a_s = Fraction(d * (n - 3), (n - 1) * (n - 2)) * m
-        total -= a_s * (dd / rec.min_denoms[0]) ** (n - 5) * j_n(rec.sub_weights[0], cache)
-    for rec in enum_T2a(mu):
-        m1, m2 = (d * x for x in rec.mu_bars)
-        n1, n2 = rec.block_sizes
-        a_s = (
-            Fraction(d, (n - 1) * (n - 2)) * (n1 * n2 * (m1 + m2) - m1 * n1 - m2 * n2)
-            - m1 * m2 / (n - 2)
-        )
-        e1, e2 = rec.min_denoms
-        total -= (
-            a_s
-            * dd ** (n - 5)
-            / (Fraction(e1) ** (n1 - 2) * Fraction(e2) ** (n2 - 2))
-            * j_n(rec.sub_weights[0], cache)
-            * j_n(rec.sub_weights[1], cache)
-        )
-    for rec in enum_T2b(mu):
-        m1, m2 = (d * x for x in rec.mu_bars)
-        n1, n2 = rec.block_sizes
-        a_s = Fraction(rec.epsilon * d * n1 * n2, (n - 1) * (n - 2)) * m1 * m2
-        e1, e2 = rec.min_denoms
-        total += (
-            a_s
-            * dd ** (n - 6)
-            / (Fraction(e1) ** (n1 - 2) * Fraction(e2) ** (n2 - 2))
-            * j_n(rec.sub_weights[0], cache)
-            * j_n(rec.sub_weights[1], cache)
-        )
+    for family, records in enum_all(mu).items():
+        for rec in records:
+            m = [d * x for x in rec.mu_bars]
+            if family == "T1a":
+                a_s = Fraction(d * (n - 3), (n - 1) * (n - 2)) - m[0] / (n - 2)
+            elif family == "T1b":
+                a_s = -Fraction(d * (n - 3), (n - 1) * (n - 2)) * m[0]
+            else:
+                (m1, m2), (n1, n2) = m, rec.block_sizes
+                if family == "T2a":
+                    a_s = m1 * m2 / (n - 2) - Fraction(d, (n - 1) * (n - 2)) * (
+                        n1 * n2 * (m1 + m2) - m1 * n1 - m2 * n2)
+                else:
+                    a_s = Fraction(rec.epsilon * d * n1 * n2, (n - 1) * (n - 2)) * m1 * m2
+            term = a_s * Fraction(d) ** (n - 2 - len(rec.blocks))
+            for w, e, size in zip(rec.sub_weights, rec.min_denoms, rec.block_sizes):
+                term *= j_n(w, cache) / Fraction(e) ** (size - 2)
+            total += term
     return total
 
 
@@ -295,10 +275,7 @@ def quad_V_closed(kappa) -> Fraction:
     """Closed form (-1)**(n/2) * (n-3)! * prod k!!/(k+1)!!."""
     kappa = QuadSignature.coerce(kappa)
     n = kappa.n
-    value = Fraction((-1) ** (n // 2) * math.factorial(n - 3))
-    for k in kappa.orders:
-        value *= Fraction(double_factorial(k), double_factorial(k + 1))
-    return value
+    return (-1) ** (n // 2) * math.factorial(n - 3) * _order_product(kappa.orders)
 
 
 def quad_V_recursive(kappa, memo: Optional[MutableMapping] = None) -> Fraction:
@@ -352,10 +329,7 @@ def mv_quadratic_aez(kappa) -> PiValue:
     """Masur-Veech volume of an all-odd quadratic stratum in the
     dimension-normalized convention: 2 * pi**(n-2) * prod k!!/(k+1)!!."""
     kappa = QuadSignature.coerce(kappa)
-    coeff = Fraction(2)
-    for k in kappa.orders:
-        coeff *= Fraction(double_factorial(k), double_factorial(k + 1))
-    return PiValue(coeff, kappa.n - 2)
+    return PiValue(2 * _order_product(kappa.orders), kappa.n - 2)
 
 
 def _boundary_pairing(s: frozenset, t: frozenset) -> int:

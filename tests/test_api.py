@@ -1,6 +1,8 @@
 """The package surface: ``flatsphere.__all__`` is the library API the README
-documents, ``from flatsphere import *`` binds exactly it, and each name loads
-its submodule only when first read."""
+documents, ``from flatsphere import *`` binds exactly it, each name loads
+its submodule only when first read, and every top-level definition in the
+package is reachable from that API or a command."""
+import ast
 import json
 import os
 import re
@@ -13,6 +15,9 @@ import pytest
 
 import flatsphere
 from flatsphere import closed_forms, core, flat_charts, partitions, recursion
+from flatsphere.cli import main
+
+from util import load_perfbench
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -100,3 +105,106 @@ def test_names_load_on_first_use(tmp_path):
     assert sorted(out["homes"]) == sorted(out["all"])
     assert all(home.startswith("flatsphere.") for home in out["homes"].values())
     assert out["unknown"] == "module 'flatsphere' has no attribute 'no_such_name'"
+
+
+PACKAGE = Path(flatsphere.__file__).resolve().parent
+TESTS = Path(__file__).resolve().parent
+
+
+def _reads(node: ast.AST):
+    """Every node below ``node`` but annotations, which no module evaluates
+    (each has ``from __future__ import annotations``)."""
+    for field, value in ast.iter_fields(node):
+        if field in ("annotation", "returns"):
+            continue
+        for child in value if isinstance(value, list) else [value]:
+            if isinstance(child, ast.AST):
+                yield child
+                yield from _reads(child)
+
+
+def _package_graph():
+    """Per module of the package, its top-level functions and classes with
+    the (module, name) pairs each one's code reads, and the pairs its other
+    module-level statements read, which run on import.  A name resolves
+    through the module's own definitions and its relative imports, those
+    inside functions included; ``module.name`` resolves when ``module`` is
+    a package module."""
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in PACKAGE.glob("*.py")}
+    defs, imports = {}, {}
+    for module, tree in trees.items():
+        defs[module] = {node.name: node for node in tree.body if isinstance(
+            node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))}
+        imports[module] = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                for alias in node.names:
+                    target = (node.module, alias.name) if node.module else (alias.name, None)
+                    imports[module][alias.asname or alias.name] = target
+
+    def resolve(module, name):
+        while name not in defs[module]:
+            if name not in imports[module]:
+                return None
+            module, name = imports[module][name]
+            if name is None or module not in defs:
+                return None
+        return module, name
+
+    def reads(module, node):
+        found = set()
+        for child in [node, *_reads(node)]:
+            if isinstance(child, ast.Name):
+                found.add(resolve(module, child.id))
+            elif isinstance(child, ast.Attribute) and isinstance(child.value, ast.Name):
+                target = imports[module].get(child.value.id)
+                if target is not None and target[1] is None and target[0] in defs:
+                    found.add(resolve(target[0], child.attr))
+        return found - {None}
+
+    edges = {(module, name): reads(module, node)
+             for module in trees for name, node in defs[module].items()}
+    on_import = set().union(*[reads(module, node) for module, tree in trees.items()
+                              for node in tree.body if node not in defs[module].values()])
+    return edges, on_import
+
+
+def _acceptance_imports() -> set:
+    """The (module, name) pairs tests/test_acceptance.py imports from the
+    package's modules."""
+    tree = ast.parse((TESTS / "test_acceptance.py").read_text(encoding="utf-8"))
+    return {(node.module.split(".")[1], alias.name) for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("flatsphere.")
+            for alias in node.names}
+
+
+# Definitions no code path of the API or the commands reaches, each group
+# kept for its reason:
+REACHABLE_FROM_OUTSIDE = {
+    # the perfbench tracer wraps each of its targets by name and raises
+    # KeyError on one that is gone
+    *[(module, path.split(".")[0])
+      for module, path, *_ in load_perfbench("tracing").TARGETS],
+    # the acceptance criteria import these from their modules
+    *_acceptance_imports(),
+    # the module protocol: Python calls them on attribute lookup and dir()
+    ("__init__", "__getattr__"), ("__init__", "__dir__"),
+}
+
+
+def test_every_top_level_definition_is_reachable():
+    edges, on_import = _package_graph()
+    roots = {*on_import, *REACHABLE_FROM_OUTSIDE}
+    roots |= {(getattr(flatsphere, name).__module__.split(".")[1], name)
+              for name in flatsphere.__all__}
+    roots |= {("cli", "main")} | {("cli", command.callback.__name__)
+                                  for command in main.commands.values()}
+    assert REACHABLE_FROM_OUTSIDE <= set(edges)
+    reached, todo = set(), list(roots)
+    while todo:
+        node = todo.pop()
+        if node not in reached:
+            reached.add(node)
+            todo += edges.get(node, ())
+    assert sorted(set(edges) - reached) == []

@@ -17,6 +17,7 @@ from flatsphere.flat_charts import (
     QuadInt,
     UnsupportedChart,
     UnsupportedLevel,
+    _INV_2I,
     _NORMS,
     _area_entries,
     _zeta_power,
@@ -72,6 +73,9 @@ class TestCyclo24:
         assert Cyclo24([F(5, 3)]).rational_value() == F(5, 3)
         with pytest.raises(ValidationError):
             CY_SQRT3.rational_value()
+
+    def test_inverse_of_two_i(self):
+        assert _INV_2I * (CY_I + CY_I) == CY_ONE
 
     def test_imag(self):
         two = Cyclo24([2])

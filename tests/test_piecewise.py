@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import random
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -189,6 +190,30 @@ class TestMultiPoly:
         # floats and text used to raise a bare TypeError, True to give p ** 1
         with pytest.raises(ValidationError):
             MultiPoly.linear(1, [1, 2], 2) ** exponent
+
+    @pytest.mark.parametrize("value,expected", [
+        (3, F(3)),
+        (F(-2, 6), F(-1, 3)),
+        ("5/10", F(1, 2)),
+        (Decimal("-1.25"), F(-5, 4)),
+        (True, "bools are not accepted; pass exact rationals"),
+        (0.5, "floats are not accepted; pass exact rationals"),
+        ("1e3", "invalid rational '1e3': exponents are not accepted"),
+    ], ids=["int", "fraction", "text", "decimal", "bool", "float", "exponent_text"])
+    @pytest.mark.parametrize("build", [
+        lambda value: MultiPoly(2, {(1, 0): value}),
+        lambda value: MultiPoly.constant(value, 2),
+    ], ids=["constructor", "constant"])
+    def test_coefficient_coercion(self, build, value, expected):
+        # the coefficient rules of core._as_fraction, with its messages
+        if isinstance(expected, str):
+            with pytest.raises(ValidationError) as exc:
+                build(value)
+            assert str(exc.value) == expected
+        else:
+            poly = build(value)
+            (coeff,) = poly.terms.values()
+            assert type(coeff) is F and coeff == expected
 
     def test_zero_variables_accepted(self):
         assert MultiPoly(0, {(): 3}) == MultiPoly.constant(3, 0)
