@@ -71,7 +71,8 @@ def _load_cache(path: str) -> CountingCache:
             if cache.setdefault(recursion._memo_key(mu), value) != value:
                 raise ValueError(f"{key}: conflicting values")
             # up to n = 5, a_n is a closed form or the five-point leaf, with
-            # no memo below it: check the value exactly
+            # no memo below it: check the value exactly.  a_n never reads
+            # such an entry, but a wrong one shows the file is corrupt
             if mu.n <= 5 and value != (exact := recursion.a_n(mu, {})):
                 raise ValueError(f"{key}: {value} is not a_n = {exact}")
     except FileNotFoundError as exc:

@@ -21,8 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-from .core import (ValidationError, WeightVector, _bits, _shared_weight, _subset_sums,
-                   minimal_denominator)
+from .core import ValidationError, WeightVector, _bits, _shared_weight, _subset_sums
 
 
 @dataclass(frozen=True)
@@ -57,16 +56,17 @@ class PartitionRecord:
     @property
     def min_denoms(self) -> tuple[int, ...]:
         """Per sub-vector; 2 - mu(I) adds no denominator to the block's."""
-        return tuple([minimal_denominator(w) for w in self.sub_weights])
+        return tuple([w._den for w in self.sub_weights])
 
     def to_json(self) -> dict:
+        subs = self.sub_weights
         return {
             "family": self.family,
             "blocks": [sorted(b) for b in self.blocks],
             "mu_bars": [str(x) for x in self.mu_bars],
             "block_sizes": list(self.block_sizes),
-            "sub_weights": [[str(x) for x in w] for w in self.sub_weights],
-            "min_denoms": list(self.min_denoms),
+            "sub_weights": [[str(x) for x in w] for w in subs],
+            "min_denoms": [w._den for w in subs],
             "epsilon": self.epsilon,
         }
 

@@ -132,40 +132,40 @@ def a_n(mu, cache: Optional[MutableMapping] = None) -> Fraction:
 
     Vanishes when any entry is an integer; equals 1 for n = 3, the closed
     form for n = 4 and the five-point leaf for n = 5; for n >= 6 it is the
-    four-family recursion with denominator-free coefficients.  A child of
-    three, four or five weights is evaluated inline on its numerators
-    (2D - s(I), s_i for i in I) over the node's own D, with no vector or
-    lookup.  ``cache`` maps sorted weight tuples to values: it holds the
-    input vector and every node of six or more weights the recursion
-    visits.  ``None`` gives this call a fresh one.
+    four-family recursion with denominator-free coefficients.  A vector of
+    three, four or five weights, input or child, never touches the memo: an
+    input is evaluated on its own numerators, and a child inline on its
+    numerators (2D - s(I), s_i for i in I) over the node's D, with no
+    vector.  ``cache`` maps sorted weight tuples to values and holds exactly
+    the vectors of six or more weights the call visits, the input among
+    them when it has six or more.  ``None`` gives this call a fresh one.
     """
     mu = WeightVector.coerce(mu)
     den, nums = mu._den, mu._nums
     if any(s % den == 0 for s in nums):
         return Fraction(0)
+    n = mu.n
+    if n <= 5:
+        return _leaf(nums, den)
     if cache is None:
         cache = {}
     key = _memo_key(mu)
     hit = cache.get(key)
     if hit is not None:
         return hit
-    n = mu.n
-    if n <= 5:
-        value = _leaf(nums, den)
-    else:
-        value = Fraction(0)
-        # looked up by name on each call, so wrappers bound to these names see it
-        for enum in (enum_T1a, enum_T1b, enum_T2a, enum_T2b):
-            for rec in enum(mu):
-                term = _coefficient(rec.family, rec.mu_bars, rec.block_sizes,
-                                    rec.epsilon, n)
-                for heavy in rec.heavy_blocks:
-                    # a heavy block's child never vanishes (see _five_point_num)
-                    if len(heavy) >= 5:
-                        term *= a_n(_sub_vector(mu, heavy), cache)
-                    elif len(heavy) > 2:  # a three-point child is 1
-                        term *= _leaf(_child_nums(mu, heavy), den)
-                value += term
+    value = Fraction(0)
+    # looked up by name on each call, so wrappers bound to these names see it
+    for enum in (enum_T1a, enum_T1b, enum_T2a, enum_T2b):
+        for rec in enum(mu):
+            term = _coefficient(rec.family, rec.mu_bars, rec.block_sizes,
+                                rec.epsilon, n)
+            for heavy in rec.heavy_blocks:
+                # a heavy block's child never vanishes (see _five_point_num)
+                if len(heavy) >= 5:
+                    term *= a_n(_sub_vector(mu, heavy), cache)
+                elif len(heavy) > 2:  # a three-point child is 1
+                    term *= _leaf(_child_nums(mu, heavy), den)
+            value += term
     cache[key] = value
     return value
 
@@ -219,8 +219,8 @@ def recursive_rhs_dform(mu, d: int, cache: Optional[MutableMapping] = None) -> F
                 else:
                     a_s = Fraction(rec.epsilon * d * n1 * n2, (n - 1) * (n - 2)) * m1 * m2
             term = a_s * Fraction(d) ** (n - 2 - len(rec.blocks))
-            for w, e, size in zip(rec.sub_weights, rec.min_denoms, rec.block_sizes):
-                term *= j_n(w, cache) / Fraction(e) ** (size - 2)
+            for w, size in zip(rec.sub_weights, rec.block_sizes):
+                term *= j_n(w, cache) / Fraction(w._den) ** (size - 2)
             total += term
     return total
 

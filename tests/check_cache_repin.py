@@ -4,16 +4,16 @@
 
 Run from the root of a checkout.  Compares ``tests/data/cli_pinned.json``
 and the ``cache`` cases of ``tests/data/kernel_outputs_pinned.json`` with
-the same files at git revision REV, written when the memo held every
-three-, four- and five-point child.  Each memo file a case writes from
-scratch (``cache_out``, ``file``) must be REV's file minus its entries of
-five or fewer weights other than the input, in the same order with the
-same values.  A case seeded with ``cache_in`` keeps what it loads, and a
-``table`` file holds only its rows' own inputs, so their files must be
-unchanged.  A ``cache: H hits, E entries`` line on stderr may change,
-with E the number of entries left; every other field of every case must
-be equal.  Prints
-the cases that changed and exits 1 on the first violation.
+the same files at git revision REV, written when the memo held every input
+vector as well as the nodes of six or more weights.  Each memo file a case
+writes (``cache_out``, ``file``) must be REV's file minus the entries it
+stored for inputs of five or fewer weights, the rest in the same order with
+the same values: at REV such a file holds no other entry of five or fewer
+weights that the case did not load from ``cache_in``, and a voided
+``cache_in`` loads nothing.  A ``cache: H hits, E entries`` line on stderr
+may change, with E the number of entries left; every other field of every
+case must be equal.  Prints the cases that changed and exits 1 on the
+first violation.
 """
 from __future__ import annotations
 
@@ -27,6 +27,7 @@ from pathlib import Path
 CLI = "tests/data/cli_pinned.json"
 KERNEL = "tests/data/kernel_outputs_pinned.json"
 REPORT = re.compile(r"^cache: \d+ hits, (\d+) entries$", re.M)
+VOIDED = "warning: ignoring corrupt cache file"
 
 
 def at_revision(rev: str, path: str):
@@ -34,17 +35,29 @@ def at_revision(rev: str, path: str):
                                      capture_output=True, text=True).stdout)
 
 
-def input_key(args: list[str]) -> str:
-    """The memo key of the --weights argument: its sorted weights."""
-    weights = args[args.index("--weights") + 1].split(",")
-    return ",".join(map(str, sorted(map(Fraction, weights))))
+def memo_key(text: str) -> str:
+    """A memo file's key for comma-separated weights: the sorted weights."""
+    return ",".join(map(str, sorted(map(Fraction, text.split(",")))))
 
 
-def expected_file(old: str, key: str) -> str:
-    """REV's file with the entries of five or fewer weights but the input
-    left out, written as the CLI writes a memo file."""
+def loaded_keys(case: dict) -> set[str]:
+    """The keys the case loads from ``cache_in``: none when it voids the file."""
+    if "cache_in" not in case or VOIDED in case["stderr"]:
+        return set()
+    return {memo_key(key) for key in json.loads(case["cache_in"])["entries"]}
+
+
+def expected_file(name: str, case: dict, old: str) -> str:
+    """REV's file without the entries of five or fewer weights the case did
+    not load, written as the CLI writes a memo file; for an ``an`` or
+    ``volume`` case the one entry left out may only be its input."""
     entries = json.loads(old)["entries"]
-    kept = {k: v for k, v in entries.items() if k == key or k.count(",") >= 5}
+    loaded = loaded_keys(case)
+    kept = {k: v for k, v in entries.items() if k.count(",") >= 5 or k in loaded}
+    if "--weights" in case["args"]:
+        inputs = {memo_key(case["args"][case["args"].index("--weights") + 1])}
+        if set(entries) - set(kept) - inputs:
+            fail(f"{name}: REV's file holds a small entry that is not the input")
     return json.dumps({"version": 1, "entries": kept}, indent=0)
 
 
@@ -57,12 +70,10 @@ def check_case(name: str, old: dict, new: dict, file_field: str) -> bool:
         fail(f"{name}: fields {sorted(old)} became {sorted(new)}")
     changed = False
     entries = None
-    # a case seeded with cache_in keeps what it loads, and every entry of a
-    # table's file is a row's own input, so those files are as before
-    if file_field in old and "cache_in" not in old and "--weights" in old["args"]:
-        want = expected_file(old[file_field], input_key(old["args"]))
+    if file_field in old:
+        want = expected_file(name, old, old[file_field])
         if new[file_field] != want:
-            fail(f"{name}: {file_field} is not the old file minus its small entries")
+            fail(f"{name}: {file_field} is not the old file minus its small inputs")
         changed = new[file_field] != old[file_field]
         entries = len(json.loads(want)["entries"])
     for field in sorted(set(old) - ({file_field} if entries is not None else set())):

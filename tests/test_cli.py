@@ -6,9 +6,9 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from flatsphere import cli
+from flatsphere import cli, tables
 from flatsphere.cli import main
-from flatsphere.core import parse_weights
+from flatsphere.core import parse_weights, weights_from_signature
 
 from util import an_reference
 
@@ -142,7 +142,8 @@ class TestMalformedText:
         assert result.stderr == (f"warning: ignoring corrupt cache file {cache}: "
                                  "invalid rational '1e999999999': exponents are not accepted\n")
         assert result.stdout == "A = 1/2\nJ = 1\ne = 2\n"
-        assert json.loads(cache.read_text())["entries"] == {"1/2,1/2,1/2,1/2": "1/2"}
+        # the file is voided, and a four-point input adds no entry
+        assert json.loads(cache.read_text()) == {"version": 1, "entries": {}}
 
     @pytest.mark.parametrize("args,message", [
         (["an", "--weights", "1/2,,1/2,1/2,1/2"], "empty weight at position 2"),
@@ -259,7 +260,7 @@ class TestTable:
 class TestCache:
     def test_cold_and_warm_identical(self, runner, tmp_path):
         cache = tmp_path / "memo.json"
-        args = ["an", "--weights", "5/6,5/6,5/6,5/6,-4/3",
+        args = ["an", "--weights", "5/6,5/6,5/6,5/6,5/6,-5/6,-4/3",
                 "--cache", str(cache)]
         cold = runner.invoke(main, args)
         assert cold.exit_code == 0 and cache.exists()
@@ -267,12 +268,14 @@ class TestCache:
         assert warm.output == cold.output
 
     def test_verbose_reports_hits(self, runner, tmp_path):
+        # the cold run shares six-point children; the warm one answers the
+        # seven-point input from the file
         cache = tmp_path / "memo.json"
-        args = ["an", "--weights", "5/6,5/6,5/6,5/6,-4/3",
+        args = ["an", "--weights", "5/6,5/6,5/6,5/6,5/6,-5/6,-4/3",
                 "--cache", str(cache), "--verbose"]
-        runner.invoke(main, args)
-        warm = runner.invoke(main, args)
-        assert "cache:" in warm.output and "hits" in warm.output
+        assert runner.invoke(main, args).stderr == "cache: 4 hits, 3 entries\n"
+        assert len(json.loads(cache.read_text())["entries"]) == 3
+        assert runner.invoke(main, args).stderr == "cache: 1 hits, 3 entries\n"
 
     def test_corrupt_cache_recovers(self, runner, tmp_path):
         cache = tmp_path / "memo.json"
@@ -304,19 +307,21 @@ class TestCache:
         assert result.exit_code == 0
         assert "warning: ignoring corrupt cache file" in result.output
         assert "A = 1/9" in result.output and "J = 1\n" in result.output
-        rewritten = json.loads(cache.read_text())
-        assert rewritten["version"] == 1
-        assert rewritten["entries"]["1/3,1/3,1/3,1/3,2/3"] == "1/9"
+        # the file is voided, and a five-point input adds no entry
+        assert json.loads(cache.read_text()) == {"version": 1, "entries": {}}
 
     def test_keys_canonicalised(self, runner, tmp_path):
+        # a key in any order serves the input it sorts to, and is saved sorted
         cache = tmp_path / "memo.json"
-        cache.write_text(json.dumps(
-            {"version": 1, "entries": {"2/3,1/3,1/3,1/3,1/3": "1/9"}}))
-        result = self._an_with_cache(runner, cache, "--verbose")
+        cache.write_text(json.dumps({"version": 1, "entries": {
+            "2/3,1/3,1/3,1/3,1/3": "1/9", "3/4,-1/2,3/4,3/4,-1/2,3/4": "3/8"}}))
+        result = runner.invoke(main, ["an", "--weights", "3/4,3/4,-1/2,3/4,3/4,-1/2",
+                                      "--cache", str(cache), "--verbose"])
         assert "warning" not in result.output
-        assert "cache: 1 hits, 1 entries" in result.output
+        assert result.stdout == "A = 3/8\nJ = 24\ne = 4\n"
+        assert result.stderr == "cache: 1 hits, 2 entries\n"
         assert json.loads(cache.read_text())["entries"] == {
-            "1/3,1/3,1/3,1/3,2/3": "1/9"}
+            "1/3,1/3,1/3,1/3,2/3": "1/9", "-1/2,-1/2,3/4,3/4,3/4,3/4": "3/8"}
 
     def test_conflicting_orderings_rejected(self, runner, tmp_path):
         cache = tmp_path / "memo.json"
@@ -350,7 +355,7 @@ class TestCache:
         assert "warning: ignoring corrupt cache file" in result.output
         assert f"{stored} is not a_n = {exact}" in result.output
         assert f"A = {exact}\n" in result.output
-        assert json.loads(cache.read_text())["entries"] == {weights: exact}
+        assert json.loads(cache.read_text())["entries"] == {}
 
     def test_wrong_value_at_n5_rejected(self, runner, tmp_path):
         # J = 9 * 2/9 = 2 is an integer; the five-point leaf checks it exactly
@@ -362,20 +367,20 @@ class TestCache:
         assert "warning: ignoring corrupt cache file" in result.output
         assert "2/9 is not a_n = 1/9" in result.output
         assert "A = 1/9\n" in result.output and "J = 1\n" in result.output
-        assert json.loads(cache.read_text())["entries"] == {
-            "1/3,1/3,1/3,1/3,2/3": "1/9"}
+        assert json.loads(cache.read_text())["entries"] == {}
 
     def test_five_point_node_stores_no_children(self, runner, tmp_path):
+        # nor itself: a five-point input never enters the memo
         cache = tmp_path / "memo.json"
         result = self._an_with_cache(runner, cache)
         assert result.exit_code == 0 and "A = 1/9\n" in result.output
-        assert json.loads(cache.read_text())["entries"] == {
-            "1/3,1/3,1/3,1/3,2/3": "1/9"}
+        assert json.loads(cache.read_text()) == {"version": 1, "entries": {}}
 
     def test_file_with_small_children_loads_and_keeps_them(self, runner, tmp_path):
         # a file written while the memo stored every three-, four- and
         # five-point child loads with no warning, serves the values of a
-        # fresh run, and is saved back with every entry in its order
+        # fresh run, and is saved back with every entry in its order; only
+        # an input of six or more weights is answered from it
         full = {}
         an_reference(parse_weights("1/5,-2/5,-4/5,4/5,4/5,3/5,4/5"), full)
         assert {len(key) for key in full} == {3, 4, 5, 6, 7}
@@ -389,7 +394,8 @@ class TestCache:
             result = runner.invoke(main, ["an", "--weights", weights, "--cache", str(cache),
                                           "--verbose"])
             assert result.exit_code == 0
-            assert result.stderr == f"cache: 1 hits, {len(full)} entries\n", weights
+            hits = int(len(key) >= 6)
+            assert result.stderr == f"cache: {hits} hits, {len(full)} entries\n", weights
             assert result.stdout == runner.invoke(main, ["an", "--weights", weights]).stdout
             assert cache.read_text() == text
 
@@ -538,13 +544,26 @@ class TestBlockOrderPinned:
         assert result.output == case["stdout"]
         assert cache.read_text() == case["file"]
 
-    def test_table_looks_up_each_row_once(self, runner, tmp_path):
-        # a row's volume comes from its col3, so each row makes one lookup:
-        # a fresh memo takes no hit and a warm one one hit per row
+    def test_table_carries_the_file_through(self, runner, tmp_path):
+        # a row's vector has five or fewer weights, so no row reads or
+        # writes the memo: a fresh file stays empty, and a full one, a
+        # seven-point entry included, is saved back as it was loaded
         cache = tmp_path / "memo.json"
         args = ["table", "--n", "5", "--cache", str(cache), "--verbose"]
-        assert "cache: 0 hits, 47 entries" in runner.invoke(main, args).output
-        assert "cache: 47 hits, 47 entries" in runner.invoke(main, args).output
+        cold = runner.invoke(main, args)
+        assert "cache: 0 hits, 0 entries" in cold.output
+        assert json.loads(cache.read_text()) == {"version": 1, "entries": {}}
+        full = {}
+        an_reference(parse_weights("1/5,-2/5,-4/5,4/5,4/5,3/5,4/5"), full)
+        for row in tables.expected_rows(5):
+            an_reference(weights_from_signature(row.signature()), full)
+        text = json.dumps({"version": 1, "entries": {
+            ",".join(map(str, key)): str(value) for key, value in full.items()}}, indent=0)
+        cache.write_text(text)
+        warm = runner.invoke(main, args)
+        assert f"cache: 0 hits, {len(full)} entries" in warm.output
+        assert warm.stdout == cold.stdout
+        assert cache.read_text() == text
 
 
 class TestExplain:

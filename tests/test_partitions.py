@@ -5,6 +5,7 @@ from itertools import combinations
 
 import pytest
 
+from flatsphere import partitions
 from flatsphere.core import ValidationError, WeightVector, _bits, _subset_sums, parse_weights
 from flatsphere.partitions import (
     _family_blocks,
@@ -401,6 +402,24 @@ def test_records_serialize_to_json():
     assert data["epsilon"] == 2
     assert all(isinstance(b, list) for b in data["blocks"])
     assert data["min_denoms"] == [4, 4]
+
+
+def test_to_json_builds_each_sub_vector_once(monkeypatch):
+    build, calls = partitions._sub_vector, []
+
+    def counting(mu, heavy):
+        calls.append(heavy)
+        return build(mu, heavy)
+
+    monkeypatch.setattr(partitions, "_sub_vector", counting)
+    rng = random.Random(79)
+    for mu in [random_generic_sample(rng, n, q=12) for n in (5, 6, 7)]:
+        for enum, _ in ORACLES.values():
+            for rec in enum(mu):
+                calls.clear()
+                data = rec.to_json()
+                assert len(calls) == len(rec.heavy_blocks)
+                assert data["min_denoms"] == [w._den for w in rec.sub_weights]
 
 
 def test_min_denoms_match_heavy_block_denominators():

@@ -246,7 +246,7 @@ class TestFivePointLeaf:
                     children += 1
         assert children >= 1000
 
-    def test_node_builds_no_vector_and_stores_only_itself(self, monkeypatch):
+    def test_node_builds_no_vector_and_stores_nothing(self, monkeypatch):
         mu = parse_weights("5/6,5/6,1/2,1/6,-1/3")
         want = a5_reference(mu)
         built = []
@@ -260,7 +260,7 @@ class TestFivePointLeaf:
         memo = {}
         assert a_n(mu, memo) == want
         assert not built
-        assert memo == {tuple(sorted(mu)): want}
+        assert memo == {}
 
     @pytest.mark.parametrize("n", [5, 6, 7, 8, 9, 10])
     def test_integer_forms_derive_from_coefficient(self, n):
@@ -300,8 +300,9 @@ class TestFivePointLeaf:
 class TestInlineChildren:
     """A node of six or more weights evaluates each child of three, four or
     five weights inline, on the numerators (2D - s(I), s_i for i in I) over
-    its own D: the memo holds the input and the nodes of six or more
-    weights, as the full memo of ``an_reference`` does without the rest."""
+    its own D, and an input of five or fewer weights on its own numerators:
+    the memo holds exactly the nodes of six or more weights, as the full
+    memo of ``an_reference`` does without the rest."""
 
     def test_one_table_per_memo_miss_and_per_five_point_child(self, monkeypatch):
         build, built = core._subset_sums, []
@@ -336,10 +337,11 @@ class TestInlineChildren:
             fives_seen += fives
         assert max(len(memo) for _, memo, _ in runs) > 50 and fives_seen > 1000
 
-    @pytest.mark.parametrize("n", [5, 6, 7, 8])
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8, 9])
     def test_memo_is_the_full_memo_without_small_children(self, n):
         # the same values, and the full memo's entries of six or more
-        # weights, or the input, in the order the full memo stores them
+        # weights, in the order the full memo stores them: an input of five
+        # or fewer weights leaves the memo empty
         rng = random.Random(40 + n)
         checked = 0
         while checked < 6:
@@ -348,10 +350,21 @@ class TestInlineChildren:
                 continue
             memo, full = {}, {}
             assert a_n(mu, memo) == an_reference(mu, full), mu
-            key = tuple(sorted(mu))
-            assert list(memo.items()) == [
-                (k, v) for k, v in full.items() if len(k) >= 6 or k == key], mu
+            assert tuple(sorted(mu)) in full
+            assert list(memo.items()) == [(k, v) for k, v in full.items() if len(k) >= 6], mu
+            assert bool(memo) == (n >= 6), mu
             checked += 1
+
+    @pytest.mark.parametrize("weights", ["2/3,2/3,2/3", "1/3,1/3,2/3,2/3",
+                                         "5/6,5/6,1/2,1/6,-1/3"])
+    def test_small_input_neither_reads_nor_writes_the_memo(self, weights):
+        # a planted wrong value under the input's key is not served, and
+        # the memo comes back as it went in
+        mu = parse_weights(weights)
+        memo = {tuple(sorted(mu)): F(7)}
+        assert a_n(mu, memo) == an_reference(mu, {}) != 7
+        assert j_n(mu, memo) == mu._den ** (mu.n - 3) * an_reference(mu, {})
+        assert memo == {tuple(sorted(mu)): F(7)}
 
     @pytest.mark.parametrize("n", [6, 7, 8])
     def test_only_children_of_six_or_more_weights_become_vectors(self, monkeypatch, n):
@@ -474,6 +487,26 @@ class TestDform:
     def test_rejects_bad_level(self, d):
         with pytest.raises(ValidationError):
             recursive_rhs_dform(parse_weights("2/3,1/3,1/3,1/3,1/3"), d)
+
+    def test_builds_each_sub_vector_once(self, monkeypatch):
+        # e_w is read off the sub-vector built for j_n, not off a second one
+        rng = random.Random(78)
+        vectors = [level_vector(rng, n, d) for n in (5, 6, 7, 8) for d in (4, 6)]
+        blocks = [sum(len(rec.heavy_blocks) for records in partitions.enum_all(mu).values()
+                      for rec in records) for mu in vectors]
+        build, calls = partitions._sub_vector, []
+
+        def counting(mu, heavy):
+            calls.append(heavy)
+            return build(mu, heavy)
+
+        monkeypatch.setattr(partitions, "_sub_vector", counting)
+        for mu, count in zip(vectors, blocks):
+            calls.clear()
+            literal = recursive_rhs_dform(mu, 2 * mu._den)
+            assert len(calls) == count, mu
+            assert literal == 2 ** (mu.n - 3) * j_n(mu), mu
+        assert sum(blocks) > 200
 
 
 class TestVol1:
