@@ -448,8 +448,8 @@ def _suite_walls(max_n: int, seed: int, report) -> None:
 # kontsevich command 1.3-1.9x slower, and a suite past its ceiling was
 # timed in-process
 _SUITES = {
-    # --max-n 16: 5.3-5.7 s, slow 8.3-9.5 s; a_n's children there have
-    # three entries or vanish (steps by 2; 18: 43 s, slow 76 s and 407 MB)
+    # --max-n 16: 5.2-6.1 s; a_n's children there have three entries or
+    # vanish (steps by 2; 18: 43 s, slow 76 s and 407 MB)
     "kontsevich": (_suite_kontsevich, 16),
     # --max-n 16: 1.6 s (steps by 2; 18: 9.5-9.9 s, 20: 66-69 s)
     "identity": (_suite_identity, 16),
@@ -457,10 +457,10 @@ _SUITES = {
     "sympoly": (_suite_sympoly, closed_forms._SUM_CHECK_MAX_N),
     # the five-point oracle itself
     "oracle5": (_suite_oracle5, 5),
-    # --max-n 9: 3.7-4.0 s, slow 4.4-6.3 s (8: 1.0 s; 10: 16-20 s, slow 27 s)
+    # --max-n 9: 3.1-4.2 s (8: 1.0 s; the suite to 10: 10.6 s)
     "dform": (_suite_dform, 9),
-    # --max-n 10: 0.95 s, slow 1.6-2.1 s, nearly all in a_n (11: one vector
-    # takes 5.2-22.6 s; the suite slow 94 s)
+    # --max-n 10: 0.91-1.05 s, nearly all in a_n (11: one vector takes
+    # 5.2-22.6 s; the suite slow 94 s)
     "mcmullen": (_suite_mcmullen, 10),
     # --max-n 8: 2.8 s, nearly all in the pieces (9: 30 s)
     "walls": (_suite_walls, 8),

@@ -22,6 +22,7 @@ from .core import (
     ValidationError,
     WeightVector,
     _bits,
+    _mask,
     _subset_sums,
     weights_from_signature,
 )
@@ -55,8 +56,12 @@ def _four_point_num(weights, den: int, signs=None):
 
 def _coefficient(family: str, mu_bars, block_sizes, epsilon: int, n: int):
     """The coefficient of a record's term, signed: T1b and T2a terms carry the
-    minus.  Ring-generic (only Fraction and int factors), so ``a_n`` passes
-    Fractions and ``an_polynomial`` linear forms (MultiPoly)."""
+    minus.  Ring-generic (only Fraction and int factors), so
+    ``an_polynomial``'s templates pass linear forms (MultiPoly) and the
+    Fraction references of the tests pass Fractions.  ``a_n`` evaluates it
+    as the integer numerators of ``_term_num``, and the five-point leaf as
+    those of ``_five_point_num``; only the pieces and the test references
+    still call it."""
     if family == "T1a":
         return Fraction(n - 3, (n - 1) * (n - 2)) - Fraction(1, n - 2) * mu_bars[0]
     if family == "T1b":
@@ -67,6 +72,21 @@ def _coefficient(family: str, mu_bars, block_sizes, epsilon: int, n: int):
         lead = n1 * n2 * (mb1 + mb2) - n1 * mb1 - n2 * mb2
         return Fraction(1, n - 2) * (mb1 * mb2) - Fraction(1, (n - 1) * (n - 2)) * lead
     return Fraction(epsilon * n1 * n2, (n - 1) * (n - 2)) * mb1 * mb2
+
+
+def _term_num(family: str, ms, block_sizes, epsilon: int, n: int, den: int) -> int:
+    """The numerator of ``_coefficient`` over (n - 1)(n - 2) D**k, k heavy
+    blocks, for a vector of numerators over D: each heavy block I gives
+    M = s(I) - D, so mu_bar = M / D, and the numerator is an integer."""
+    if family == "T1a":
+        return (n - 3) * den - (n - 1) * ms[0]
+    if family == "T1b":
+        return (3 - n) * ms[0]
+    m1, m2 = ms
+    n1, n2 = block_sizes
+    if family == "T2a":
+        return (n - 1) * m1 * m2 - den * (n1 * n2 * (m1 + m2) - n1 * m1 - n2 * m2)
+    return epsilon * n1 * n2 * m1 * m2
 
 
 def _t1a_child_num(sums, den: int, pair: int) -> int:
@@ -86,7 +106,9 @@ def _five_point_num(sums, den: int) -> int:
     """The numerator N of a five-point node's a_5 = N / 48 D**2, read off
     the subset sums ``sums`` of its numerators s_i over D, none a multiple
     of D: ``_coefficient`` at n = 5 over 12 D**k (k heavy blocks), each
-    child's value read off the same sums.
+    child's value read off the same sums.  These are the n = 5 forms of
+    ``_term_num``, which holds a_n's integer numerators for n >= 6; only
+    the pieces and the test references still evaluate ``_coefficient``.
 
     With M = s(I) - D for a heavy block I, N sums (2D - 4M) * A4 over T1a
     (A4 the child's ``_t1a_child_num``, whose a_4 is A4 / 4D), -8 D M over
@@ -132,7 +154,8 @@ def a_n(mu, cache: Optional[MutableMapping] = None) -> Fraction:
 
     Vanishes when any entry is an integer; equals 1 for n = 3, the closed
     form for n = 4 and the five-point leaf for n = 5; for n >= 6 it is the
-    four-family recursion with denominator-free coefficients.  A vector of
+    four-family recursion with denominator-free coefficients, each record's
+    the integer ``_term_num`` over (n - 1)(n - 2) D**k.  A vector of
     three, four or five weights, input or child, never touches the memo: an
     input is evaluated on its own numerators, and a child inline on its
     numerators (2D - s(I), s_i for i in I) over the node's D, with no
@@ -153,13 +176,15 @@ def a_n(mu, cache: Optional[MutableMapping] = None) -> Fraction:
     hit = cache.get(key)
     if hit is not None:
         return hit
-    value = Fraction(0)
+    sums, lead, value = mu._sums, (n - 1) * (n - 2), Fraction(0)
     # looked up by name on each call, so wrappers bound to these names see it
     for enum in (enum_T1a, enum_T1b, enum_T2a, enum_T2b):
         for rec in enum(mu):
-            term = _coefficient(rec.family, rec.mu_bars, rec.block_sizes,
-                                rec.epsilon, n)
-            for heavy in rec.heavy_blocks:
+            heavies = rec.heavy_blocks
+            ms = [sums[_mask(heavy)] - den for heavy in heavies]
+            term = Fraction(_term_num(rec.family, ms, rec.block_sizes, rec.epsilon,
+                                      n, den), lead * den ** len(ms))
+            for heavy in heavies:
                 # a heavy block's child never vanishes (see _five_point_num)
                 if len(heavy) >= 5:
                     term *= a_n(_sub_vector(mu, heavy), cache)

@@ -18,12 +18,13 @@ from flatsphere.core import (
     weights_from_signature,
 )
 from flatsphere.flat_charts import is_single_polygon, mv_ratio, mv_table_entry
-from flatsphere.partitions import enum_T1a, enum_T1b
+from flatsphere.partitions import enum_T1a, enum_T1b, enum_T2b
 from flatsphere.recursion import (
     QuadSignature,
     _coefficient,
     _four_point_num,
     _t1a_child_num,
+    _term_num,
     _volume,
     a4_closed,
     a5_direct,
@@ -264,28 +265,25 @@ class TestFivePointLeaf:
 
     @pytest.mark.parametrize("n", [5, 6, 7, 8, 9, 10])
     def test_integer_forms_derive_from_coefficient(self, n):
-        # with M = s(I) - D per heavy block, each family's term is an integer
-        # numerator over (n - 1)(n - 2) D**k, k heavy blocks
+        # with M = s(I) - D per heavy block, ``a_n``'s numerator of each
+        # family's term over (n - 1)(n - 2) D**k, k heavy blocks, is
+        # ``_coefficient`` at mu_bar = M / D; both ignore epsilon outside T2b
         rng = random.Random(80 + n)
         lead = (n - 1) * (n - 2)
         for _ in range(40):
             den = rng.randint(1, 60)
             m1, m2 = rng.randint(-3 * den, 3 * den), rng.randint(-3 * den, 3 * den)
             mb1, mb2 = F(m1, den), F(m2, den)
-            assert _coefficient("T1a", [mb1], (n - 2,), 1, n) == F(
-                (n - 3) * den - (n - 1) * m1, lead * den)
-            assert _coefficient("T1b", [mb1], (n - 3,), 1, n) == F(
-                (3 - n) * m1, lead * den)
             n1 = rng.randint(2, n - 3)
-            n2 = n - 1 - n1
-            assert _coefficient("T2a", [mb1, mb2], (n1, n2), 1, n) == F(
-                (n - 1) * m1 * m2 - den * (n1 * n2 * (m1 + m2) - n1 * m1 - n2 * m2),
-                lead * den ** 2)
-            if n >= 6:
-                n1, epsilon = rng.randint(2, n - 4), rng.choice((1, 2))
-                n2 = n - 2 - n1
-                assert _coefficient("T2b", [mb1, mb2], (n1, n2), epsilon, n) == F(
-                    epsilon * n1 * n2 * m1 * m2, lead * den ** 2)
+            n3 = rng.randint(1, n - 3)  # an identity, so n = 5 checks T2b too
+            for family, ms, sizes in (("T1a", [m1], (n - 2,)), ("T1b", [m1], (n - 3,)),
+                                      ("T2a", [m1, m2], (n1, n - 1 - n1)),
+                                      ("T2b", [m1, m2], (n3, n - 2 - n3))):
+                mu_bars = [mb1, mb2][:len(ms)]
+                for epsilon in (1, 2):
+                    assert F(_term_num(family, ms, sizes, epsilon, n, den),
+                             lead * den ** len(ms)) == _coefficient(
+                        family, mu_bars, sizes, epsilon, n), (family, epsilon)
             if n == 5:
                 # the leaf's numerators over 48 D**2; a T1a child's a_4 is
                 # A4 / 4D
@@ -295,6 +293,20 @@ class TestFivePointLeaf:
                     -8 * den * m1, 48 * den ** 2)
                 assert _coefficient("T2a", [mb1, mb2], (2, 2), 1, 5) == F(
                     16 * m1 * m2 - 8 * den * (m1 + m2), 48 * den ** 2)
+
+    @pytest.mark.parametrize("n", [6, 7, 8])
+    def test_doubled_t2b_record_matches_reference(self, n):
+        # a top node with a T2b record of epsilon = 2 (two equal singletons,
+        # both pairings valid) takes that term's numerator twice
+        rng = random.Random(n)
+        for _ in range(100):
+            mu = level_vector(rng, n, rng.choice((3, 4, 5, 6)))
+            if any(rec.epsilon == 2 for rec in enum_T2b(mu)):
+                break
+        assert [rec for rec in enum_T2b(mu) if rec.epsilon == 2], mu
+        memo, full = {}, {}
+        assert a_n(mu, memo) == an_reference(mu, full), mu
+        assert list(memo.items()) == [(k, v) for k, v in full.items() if len(k) >= 6], mu
 
 
 class TestInlineChildren:
